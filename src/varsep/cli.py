@@ -126,6 +126,10 @@ def _run_check(args) -> int:
             "separable": matrix_separable,
             "partition": report.partition.name_blocks(report.names),
             "violation": list(criterion.violation) if criterion.violation else None,
+            "witnesses": [
+                {"pair": [report.names[i], report.names[j]], "point": list(point)}
+                for (i, j), point in sorted(report.witnesses.items())
+            ],
         }))
     else:
         print("separable" if matrix_separable else "not separable")

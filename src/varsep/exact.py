@@ -12,6 +12,18 @@ of polynomials in disjoint variable blocks:
   coefficient so arbitrary (non-monic) inputs stay in exact integer
   arithmetic.
 
+The differential route decides pairs by exact evaluation (Schwartz, J. ACM
+27(4), 1980; Zippel, EUROSAM 1979) and certifies every answer:
+
+* witnesses: at a few fixed, seeded integer points with nonzero coordinates,
+  the pair value is computed from integer term sums of the denominator-free
+  polynomial.  A nonzero value proves the edge; the point is its witness;
+* certification: the witnessed edges give a partition at least as fine as
+  the finest one.  When the margin factorization by that partition survives
+  exact re-multiplication, F separates by it, so no further edge exists;
+* fallback: otherwise the symbolic entry F*F_ij - F_i*F_j decides every pair
+  the witnesses left open, so the route never rests on chance.
+
 Factor extraction uses either coefficient slices (total separation) or
 margins at an anchor point where F does not vanish (partition separation).
 Every emitted factorization is re-verified by exact multiplication.
@@ -21,7 +33,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+import math
+import random
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -59,14 +73,21 @@ class CriterionReport:
 class SepMatrixReport:
     """Pairwise vanishing table of F*F_ij - F_i*F_j and the derived partition.
 
-    The diagonal entries are computed for completeness but never consulted:
-    F*F_ii - F_i^2 == 0 characterizes exponential-type behavior along x_i,
-    not separability.
+    `vanishes[i][j]` is False where the entry is certified nonzero (an edge:
+    by a witness point, or symbolically in the fallback), True where it is
+    certified zero (every pair in different blocks, by the verified margin
+    factorization or by the symbolic entry), and None where the partition
+    does not depend on it: the diagonal, whose identity F*F_ii - F_i^2 == 0
+    characterizes exponential-type behavior along x_i, not separability, and
+    same-block pairs without a witness.  `witnesses` maps each edge (i, j),
+    i < j, found by evaluation to the integer point where its value is
+    nonzero.
     """
 
     names: tuple[str, ...]
-    vanishes: tuple[tuple[bool, ...], ...]
+    vanishes: tuple[tuple[bool | None, ...], ...]
     partition: Partition
+    witnesses: dict[tuple[int, int], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -106,6 +127,83 @@ def sep_matrix_entry(poly: Polynomial, i: int, j: int) -> Polynomial:
     return poly * fi.partial_derivative(j) - fi * fj
 
 
+# Pair tests run at WITNESS_POINTS integer points with coordinates in
+# +-[1, WITNESS_BOUND], drawn from a generator seeded by the variable count.
+WITNESS_POINTS = 2
+WITNESS_BOUND = 64
+
+
+def _witness_points(n: int) -> tuple[tuple[int, ...], ...]:
+    rng = random.Random(n)
+    return tuple(
+        tuple(rng.choice((-1, 1)) * rng.randint(1, WITNESS_BOUND) for _ in range(n))
+        for _ in range(WITNESS_POINTS)
+    )
+
+
+def _pair_sums(terms, point: tuple[int, ...], n: int):
+    """Integer sums F = sum t, S_i = sum t*e_i, S_ij = sum t*e_i*e_j (i < j)
+    over the term values t of a denominator-free polynomial at `point`.
+
+    With nonzero coordinates, F_i(a) = S_i / a_i and F_ij(a) = S_ij / (a_i*a_j),
+    so F*F_ij - F_i*F_j is nonzero at a exactly when F*S_ij != S_i*S_j.
+    """
+    powers: dict[tuple[int, int], int] = {}
+    f = 0
+    s1 = [0] * n
+    s2 = [[0] * n for _ in range(n)]
+    for coef, occurring in terms:
+        t = coef
+        for i, e in occurring:
+            power = powers.get((i, e))
+            if power is None:
+                power = powers[(i, e)] = point[i] ** e
+            t *= power
+        f += t
+        for k, (i, e) in enumerate(occurring):
+            te = t * e
+            s1[i] += te
+            row = s2[i]
+            for j, e2 in occurring[k + 1:]:
+                row[j] += te * e2
+    return f, s1, s2
+
+
+def _margin_separation(
+    poly: Polynomial, partition: Partition, point: Sequence[Scalar], value: Fraction
+) -> SeparationResult | None:
+    """Margin factorization at an anchor with F(point) = value != 0, or None
+    when exact re-multiplication shows F does not separate by the partition.
+
+    For r blocks, F(a)^(r-1) * F equals the product over blocks of the margins
+    of F with the other blocks frozen at a exactly when F separates by the
+    partition.  Each margin is normalized monic and the scalars are folded
+    into the constant.
+    """
+    n = poly.var_count
+    constant = value ** (1 - partition.block_count)
+    factors = []
+    for block in partition.blocks:
+        raw = poly.margin({i: point[i] for i in range(n) if i not in block})
+        lead = raw.leading_coefficient()
+        constant *= lead
+        factors.append((block, raw / lead))
+    result = SeparationResult(constant=constant, factors=tuple(factors), verified=False)
+    if result.product(poly.vars) != poly:
+        return None
+    return replace(result, verified=True)
+
+
+def _anchor(poly: Polynomial) -> tuple[tuple[Scalar, ...], Fraction]:
+    """The first witness point where F is nonzero, else `anchor_search`; with F's value there."""
+    for point in _witness_points(poly.var_count):
+        value = poly.evaluate(point)
+        if value != 0:
+            return point, value
+    point = anchor_search(poly)
+    return point, poly.evaluate(point)
+
+
 def finest_partition(poly: Polynomial) -> SepMatrixReport:
     """Finest partition according to which the polynomial separates.
 
@@ -113,24 +211,60 @@ def finest_partition(poly: Polynomial) -> SepMatrixReport:
     F*F_ij - F_i*F_j is not identically zero and returns its connected
     components.  F separates according to a partition Q if and only if Q is
     a coarsening of the result.
+
+    Edges are found by exact evaluation at the witness points.  When the
+    witnessed partition has more than one block, its margin factorization at
+    the anchor (the first witness point where F is nonzero) is verified by
+    re-multiplication; if that fails, the symbolic entry decides every pair
+    still in different components.
     """
     _require_nonzero(poly)
     n = poly.var_count
-    partials = [poly.partial_derivative(i) for i in range(n)]
-    vanishes = [[True] * n for _ in range(n)]
+    scale = math.lcm(*(c.denominator for c in poly.terms.values()))
+    terms = [
+        (c.numerator * (scale // c.denominator), [(i, e) for i, e in enumerate(exps) if e])
+        for exps, c in poly.terms.items()
+    ]
     uf = UnionFind(n)
+    components = n
+    witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
+    anchor = None
+    for point in _witness_points(n):
+        if components == 1:
+            break
+        f, s1, s2 = _pair_sums(terms, point, n)
+        if anchor is None and f:
+            anchor = point, Fraction(f, scale)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (i, j) not in witnesses and f * s2[i][j] != s1[i] * s1[j]:
+                    witnesses[(i, j)] = point
+                    if uf.find(i) != uf.find(j):
+                        uf.union(i, j)
+                        components -= 1
+    edges = set(witnesses)
+    partition = uf.partition()
+    if components > 1:
+        if _margin_separation(poly, partition, *(anchor or _anchor(poly))) is None:
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if uf.find(i) != uf.find(j) and not sep_matrix_entry(poly, i, j).is_zero:
+                        uf.union(i, j)
+                        edges.add((i, j))
+            partition = uf.partition()
+    owner = {i: k for k, block in enumerate(partition.blocks) for i in block}
+    vanishes: list[list[bool | None]] = [[None] * n for _ in range(n)]
     for i in range(n):
-        vanishes[i][i] = (poly * partials[i].partial_derivative(i) - partials[i] * partials[i]).is_zero
         for j in range(i + 1, n):
-            entry = poly * partials[i].partial_derivative(j) - partials[i] * partials[j]
-            zero = entry.is_zero
-            vanishes[i][j] = vanishes[j][i] = zero
-            if not zero:
-                uf.union(i, j)
+            if (i, j) in edges:
+                vanishes[i][j] = vanishes[j][i] = False
+            elif owner[i] != owner[j]:
+                vanishes[i][j] = vanishes[j][i] = True
     return SepMatrixReport(
         names=poly.vars,
         vanishes=tuple(tuple(row) for row in vanishes),
-        partition=uf.partition(),
+        partition=partition,
+        witnesses=witnesses,
     )
 
 
@@ -240,41 +374,38 @@ def separate_by_partition(
     Uses the margin construction at an anchor point a with F(a) != 0: for r
     blocks, F(a)^(r-1) * F equals the product over blocks of the margins of F
     with the other blocks frozen at a.  Each margin is normalized monic and
-    the scalars are folded into the constant.  The partition must be a
-    coarsening of the finest partition; the result is re-verified by exact
-    multiplication.
+    the scalars are folded into the constant, so the factors and the
+    constant do not depend on the anchor.  The default anchor is the one
+    `finest_partition` uses: the first witness point where F is nonzero,
+    else the grid scan of `anchor_search`.
+
+    The result is verified by exact re-multiplication.  That identity holds
+    exactly when F separates by the partition, i.e. when the partition is a
+    coarsening of the finest partition, so a mismatch raises
+    NotSeparableError (naming the finest partition, which is derived only on
+    this path) and never VerificationError.
     """
     _require_nonzero(poly)
     n = poly.var_count
     if partition.var_count != n:
         raise ValueError(f"partition covers {partition.var_count} variables, polynomial has {n}")
-    finest = finest_partition(poly).partition
-    if not partition.is_coarsening_of(finest):
-        raise NotSeparableError(
-            f"polynomial does not separate according to {partition.blocks}; "
-            f"finest partition is {finest.blocks}"
-        )
     if anchor is None:
-        point = anchor_search(poly)
+        point, value = _anchor(poly)
     else:
         point = tuple(_fraction(v) for v in anchor)
         if len(point) != n:
             raise ValueError(f"anchor has {len(point)} coordinates, expected {n}")
-    value = poly.evaluate(point)
-    if value == 0:
-        raise ValueError("anchor point must not be a zero of the polynomial")
-    constant = value ** (1 - partition.block_count)
-    factors = []
-    for block in partition.blocks:
-        fixed = {i: point[i] for i in range(n) if i not in block}
-        raw = poly.margin(fixed)
-        lead = raw.leading_coefficient()
-        constant *= lead
-        factors.append((block, raw / lead))
-    result = SeparationResult(constant=constant, factors=tuple(factors), verified=False)
-    if result.product(poly.vars) != poly:
-        raise VerificationError("partition separation failed exact re-multiplication")
-    return SeparationResult(constant=constant, factors=tuple(factors), verified=True)
+        value = poly.evaluate(point)
+        if value == 0:
+            raise ValueError("anchor point must not be a zero of the polynomial")
+    result = _margin_separation(poly, partition, point, value)
+    if result is None:
+        finest = finest_partition(poly).partition
+        raise NotSeparableError(
+            f"polynomial does not separate according to {partition.blocks}; "
+            f"finest partition is {finest.blocks}"
+        )
+    return result
 
 
 def refute_by_derivative(poly: Polynomial, order: Sequence[int]) -> Verdict:

@@ -435,10 +435,8 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
             return -lower(e.operand)
         if isinstance(e, Call):
             raise LoweringError("function calls have no polynomial form", e)
-        if e.op == "+":
-            return lower(e.left) + lower(e.right)
-        if e.op == "-":
-            return lower(e.left) - lower(e.right)
+        if e.op in _SUM_OPS:
+            return lower_sum(e)
         if e.op == "*":
             return lower(e.left) * lower(e.right)
         if e.op == "/":
@@ -453,5 +451,19 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
         if not isinstance(e.right, Const) or e.right.value.denominator != 1:
             raise LoweringError("exponent must be a nonnegative integer literal", e)
         return lower(e.left) ** int(e.right.value)
+
+    def lower_sum(e: BinOp) -> Polynomial:
+        # walk the left spine of a +/- chain and add every piece into one
+        # term map, so a long sum costs time linear in its length
+        pieces = []
+        while isinstance(e, BinOp) and e.op in _SUM_OPS:
+            pieces.append((e.op == "-", e.right))
+            e = e.left
+        pieces.append((False, e))
+        terms: dict = {}
+        for negate, piece in reversed(pieces):
+            for exps, coef in lower(piece).terms.items():
+                terms[exps] = terms.get(exps, 0) + (-coef if negate else coef)
+        return Polynomial(names, terms)
 
     return lower(node)

@@ -32,6 +32,8 @@ from varsep import (
     separate_by_partition,
     separate_total,
 )
+from varsep import exact
+from varsep.partition import UnionFind
 
 
 def P(source, vars=None):
@@ -150,6 +152,137 @@ def test_binary_split_oracle_agrees_with_partition_for_small_n():
                     )
                     assert by_margin == by_matrix, (p, sorted(left))
             assert len(seen) == 2 ** (n - 1) - 1
+
+
+# --------------------------------------------------------------------- witnesses, certification and fallback
+
+
+def symbolic_finest(poly):
+    """The finest partition from the symbolic pair entries alone."""
+    n = poly.var_count
+    uf = UnionFind(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not sep_matrix_entry(poly, i, j).is_zero:
+                uf.union(i, j)
+    return uf.partition()
+
+
+def with_fraction_coefficients(rng, poly):
+    terms = {exps: coef / rng.choice((1, 2, 3, 7)) for exps, coef in poly.terms.items()}
+    return Polynomial(poly.vars, terms)
+
+
+def with_absent_variable(rng, poly, name):
+    """The same polynomial over a registry with one more, unused variable."""
+    slot = rng.randint(0, poly.var_count)
+    names = poly.vars[:slot] + (name,) + poly.vars[slot:]
+    return Polynomial(names, {exps[:slot] + (0,) + exps[slot:]: c for exps, c in poly.terms.items()})
+
+
+def random_pair_test_input(rng):
+    names = ("a", "b", "c", "d", "e", "f")
+    n = rng.randint(1, 5)
+    kind = rng.randrange(3)
+    if kind == 0:
+        poly = rand_poly(rng, names[:n], max_deg=2, max_terms=4, lo=-3, hi=3)
+    else:
+        blocks = random_partition(rng, n, rng.randint(1, n))
+        poly = rand_block_separable(rng, names[:n], blocks, max_deg=2, max_terms=2)
+        if kind == 2:
+            # perturb the product by one monomial
+            exps = tuple(rng.randint(0, 1) for _ in range(n))
+            poly = poly + Polynomial(names[:n], {exps: rng.choice((-1, 1))})
+            if poly.is_zero:
+                poly = rand_poly(rng, names[:n])
+    if rng.random() < 0.5:
+        poly = with_fraction_coefficients(rng, poly)
+    if rng.random() < 0.3:
+        poly = with_absent_variable(rng, poly, "z")
+    return poly
+
+
+def test_witness_route_agrees_with_symbolic_entries_on_random_inputs():
+    rng = random.Random(2718)
+    for _ in range(300):
+        poly = random_pair_test_input(rng)
+        assert poly.var_count <= 6
+        report = finest_partition(poly)
+        assert report.partition == symbolic_finest(poly), poly
+        n = poly.var_count
+        for i in range(n):
+            assert report.vanishes[i][i] is None
+            for j in range(i + 1, n):
+                assert report.vanishes[i][j] is report.vanishes[j][i]
+                if report.vanishes[i][j] is not None:
+                    assert report.vanishes[i][j] == sep_matrix_entry(poly, i, j).is_zero, (poly, i, j)
+
+
+def test_every_witness_gives_a_nonzero_exact_pair_value():
+    rng = random.Random(3141)
+    checked = 0
+    for _ in range(60):
+        poly = random_pair_test_input(rng)
+        report = finest_partition(poly)
+        for (i, j), point in report.witnesses.items():
+            assert i < j
+            assert report.vanishes[i][j] is False
+            assert all(c != 0 for c in point)
+            assert sep_matrix_entry(poly, i, j).evaluate(point) != 0, (poly, i, j, point)
+            checked += 1
+    assert checked > 0
+
+
+def test_witnesses_are_deterministic():
+    poly = P("(x1*x2 + 1)*(x3 + x4) + x1*x3", ("x1", "x2", "x3", "x4"))
+    first, second = finest_partition(poly), finest_partition(poly)
+    assert first.witnesses == second.witnesses
+    assert list(first.witnesses.items()) == list(second.witnesses.items())
+    assert first.witnesses
+
+
+def test_forced_fallback_when_witness_points_miss_the_edge(monkeypatch):
+    # G_xy = -2*(x - 1) vanishes at every point with x = 1, so no witness is
+    # found, the all-singletons margin factorization fails re-multiplication,
+    # and the symbolic entries decide the pair
+    monkeypatch.setattr(exact, "_witness_points", lambda n: ((1, 3), (1, -5)))
+    poly = P("(x - 1)^2 + y")
+    report = finest_partition(poly)
+    assert report.partition.blocks == ((0, 1),)
+    assert report.witnesses == {}
+    assert report.vanishes[0][1] is False
+
+
+def test_witness_points_where_f_vanishes(monkeypatch):
+    # F = x*y - 1 vanishes at both points, yet G_xy = -1 witnesses the edge
+    monkeypatch.setattr(exact, "_witness_points", lambda n: ((1, 1), (-1, -1)))
+    report = finest_partition(P("x*y - 1"))
+    assert report.partition.blocks == ((0, 1),)
+    assert report.witnesses == {(0, 1): (1, 1)}
+    # F = (x + 1)*(y - 1) vanishes at both points, so the anchor of the
+    # certifying factorization comes from the grid scan
+    product = P("(x + 1)*(y - 1)")
+    monkeypatch.setattr(exact, "_witness_points", lambda n: ((-1, 2), (3, 1)))
+    report = finest_partition(product)
+    assert report.partition.is_all_singletons
+    assert report.vanishes[0][1] is True
+
+
+def test_separate_by_partition_does_not_derive_the_finest_partition(monkeypatch):
+    calls = []
+    original = exact.finest_partition
+
+    def counting(poly):
+        calls.append(poly)
+        return original(poly)
+
+    monkeypatch.setattr(exact, "finest_partition", counting)
+    result = separate_by_partition(FOUR_VAR_PRODUCT, Partition(((0, 1), (2, 3))))
+    assert result.verified
+    assert calls == []
+    with pytest.raises(NotSeparableError, match=r"finest partition is \(\(0, 1\), \(2, 3\)\)"):
+        separate_by_partition(FOUR_VAR_PRODUCT, Partition(((0, 2), (1, 3))))
+    assert len(calls) == 1
 
 
 # --------------------------------------------------------------------- anomalous forms and the coefficient route
