@@ -20,10 +20,8 @@ from .exact import (
     VerificationError,
     additive_separability,
     anchor_search,
-    anomalous_precheck,
     coeff_criterion_total,
     finest_partition,
-    refute_by_derivative,
     sep_matrix_entry,
     separate_by_partition,
     separate_total,

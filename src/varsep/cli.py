@@ -88,18 +88,30 @@ def _read_expression(argument: str) -> str:
     return argument
 
 
+def _is_identifier(name: str) -> bool:
+    try:
+        tokens = expr.tokenize(name)
+    except expr.ParseError:
+        return False
+    return [(t.kind, t.lexeme) for t in tokens] == [(expr.TokenKind.IDENT, name)]
+
+
 def _variable_order(args, node) -> list[str]:
     if args.vars:
         names = [name.strip() for name in args.vars.split(",")]
-        if any(not name for name in names):
-            raise ValueError(f"empty variable name in --vars {args.vars!r}")
+        for name in names:
+            if not _is_identifier(name):
+                raise ValueError(f"invalid variable name {name!r} in --vars {args.vars!r}")
         return names
     return expr.free_variables(node)
 
 
 def _lower(args) -> Polynomial:
     node = expr.parse(_read_expression(args.expression))
-    return expr.lower_to_polynomial(node, _variable_order(args, node))
+    poly = expr.lower_to_polynomial(node, _variable_order(args, node))
+    if poly.is_zero:
+        raise ZeroPolynomialError("the zero polynomial is degenerate input")
+    return poly
 
 
 def _print_partition_text(blocks: list[list[str]]) -> str:
@@ -108,8 +120,6 @@ def _print_partition_text(blocks: list[list[str]]) -> str:
 
 def _run_check(args) -> int:
     poly = _lower(args)
-    if poly.is_zero:
-        raise ZeroPolynomialError("the zero polynomial is degenerate input")
     report = exact.finest_partition(poly)
     criterion = exact.coeff_criterion_total(poly)
     matrix_separable = report.partition.is_all_singletons
@@ -138,8 +148,6 @@ def _run_check(args) -> int:
 
 def _run_separate(args) -> int:
     poly = _lower(args)
-    if poly.is_zero:
-        raise ZeroPolynomialError("the zero polynomial is degenerate input")
     try:
         result = exact.separate_total(poly)
     except NotSeparableError as exc:
@@ -156,8 +164,6 @@ def _run_separate(args) -> int:
 
 def _run_partition(args) -> int:
     poly = _lower(args)
-    if poly.is_zero:
-        raise ZeroPolynomialError("the zero polynomial is degenerate input")
     report = exact.finest_partition(poly)
     if args.format == "json":
         print(emit_json(report))
@@ -168,8 +174,6 @@ def _run_partition(args) -> int:
 
 def _run_additive(args) -> int:
     poly = _lower(args)
-    if poly.is_zero:
-        raise ZeroPolynomialError("the zero polynomial is degenerate input")
     verdict = exact.additive_separability(poly)
     separable = verdict is Verdict.SEPARABLE
     if args.format == "json":

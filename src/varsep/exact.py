@@ -6,11 +6,13 @@ of polynomials in disjoint variable blocks:
 * the differential route: the pair test F*F_ij - F_i*F_j == 0 (as an exact
   polynomial identity), whose nonzero pairs form a graph whose connected
   components are the finest separating partition;
-* the coefficient route: for total separability, every coefficient of the
-  dense index box must equal the product of the corresponding axis slices
-  through the leading corner, homogenized by powers of the leading product
-  coefficient so arbitrary (non-monic) inputs stay in exact integer
-  arithmetic.
+* the coefficient route: F is totally separable exactly when its coefficient
+  tensor equals the product of the axis slices through the leading corner,
+  homogenized by powers of the leading product coefficient so arbitrary
+  (non-monic) inputs stay exact.  The slices come from one pass over the
+  terms, and the identity is checked by walking the sorted terms beside the
+  lazily enumerated slice products: at most |supp F| steps, never the
+  dense degree box.
 
 The differential route decides pairs by exact evaluation (Schwartz, J. ACM
 27(4), 1980; Zippel, EUROSAM 1979) and certifies every answer:
@@ -46,7 +48,6 @@ from .poly import Polynomial, Scalar, ZeroPolynomialError, _fraction
 class Verdict(enum.Enum):
     SEPARABLE = "separable"
     NOT_SEPARABLE = "not separable"
-    INCONCLUSIVE = "inconclusive"
 
 
 class NotSeparableError(Exception):
@@ -268,58 +269,65 @@ def finest_partition(poly: Polynomial) -> SepMatrixReport:
     )
 
 
-def anomalous_precheck(poly: Polynomial) -> Verdict:
-    """Fast refutation: a totally separable polynomial must contain its leading
-    product monomial x_1^N_1 ... x_n^N_n (N_i the per-variable maximum degrees).
+def _slice_identity(
+    poly: Polynomial,
+) -> tuple[Fraction, list[dict[int, Fraction]], tuple[int, ...] | None]:
+    """(L, slices, violation) for the identity of `coeff_criterion_total`.
 
-    Returns NOT_SEPARABLE when that coefficient is zero, INCONCLUSIVE otherwise.
-    """
-    _require_nonzero(poly)
-    degrees = poly.degree_vector()
-    if poly.coefficient(degrees) == 0:
-        return Verdict.NOT_SEPARABLE
-    return Verdict.INCONCLUSIVE
-
-
-def _axis_slices(poly: Polynomial, degrees: tuple[int, ...]) -> list[list[Fraction]]:
-    """slice[r][i] = coefficient at the leading corner with axis r lowered to i."""
-    slices = []
-    for r, nr in enumerate(degrees):
-        column = []
-        for i in range(nr + 1):
-            index = degrees[:r] + (i,) + degrees[r + 1:]
-            column.append(poly.coefficient(index))
-        slices.append(column)
-    return slices
-
-
-def coeff_criterion_total(poly: Polynomial) -> CriterionReport:
-    """Coefficient-tensor test for total separability.
-
-    Checks L^(n-1) * c[i_1,...,i_n] == prod_r c[N_1,...,i_r,...,N_n] over the
-    full dense index box, where L is the leading product coefficient.  The
-    homogenized form avoids normalizing the input.  It is also decisive when
-    L is zero (anomalous polynomials): either the scan meets an index whose
-    slice product is nonzero, or, when every slice product vanishes too, the
-    absent leading monomial x_1^N_1...x_n^N_n is itself the violation, since
-    a totally separable polynomial always contains it.
+    `slices[r]` maps i to the nonzero coefficient at the corner N with axis r
+    lowered to i (the corner term belongs to every slice); violation is the
+    lexicographically first failing index, or None.  When L is zero the left
+    side vanishes, so the violation is the first index with a nonzero slice
+    product, else N.  Otherwise the lazily enumerated slice products are
+    walked beside the sorted terms up to the first mismatch: at most T
+    steps, O(T*n + T log T) work for T terms.
     """
     _require_nonzero(poly)
     degrees = poly.degree_vector()
     n = len(degrees)
     leading = poly.coefficient(degrees)
-    slices = _axis_slices(poly, degrees)
-    # leading is nonzero whenever n == 0 or n == 1, so the power is always defined
-    scale = leading ** (n - 1)
-    for index in itertools.product(*(range(nr + 1) for nr in degrees)):
-        expected = Fraction(1)
-        for r, i in enumerate(index):
-            expected *= slices[r][i]
-        if scale * poly.coefficient(index) != expected:
-            return CriterionReport(Verdict.NOT_SEPARABLE, violation=index)
+    slices: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    for exps, c in poly.terms.items():
+        off = [r for r in range(n) if exps[r] != degrees[r]]
+        if not off:
+            for r in range(n):
+                slices[r][degrees[r]] = c
+        elif len(off) == 1:
+            slices[off[0]][exps[off[0]]] = c
     if leading == 0:
-        return CriterionReport(Verdict.NOT_SEPARABLE, violation=degrees)
-    return CriterionReport(Verdict.SEPARABLE)
+        # reached only for n >= 2: a univariate or constant F contains its corner
+        if all(slices):
+            return leading, slices, tuple(min(s) for s in slices)
+        return leading, slices, degrees
+    scale = leading ** (n - 1)
+    expected = itertools.product(*(sorted(s.items()) for s in slices))
+    # both sequences end with the corner, the lexicographic maximum of the
+    # box, so they have equal length unless some step differs
+    for e, (exps, c) in zip(expected, sorted(poly.terms.items())):
+        index = tuple(i for i, _ in e)
+        if index != exps or scale * c != math.prod(v for _, v in e):
+            return leading, slices, min(index, exps)
+    return leading, slices, None
+
+
+def coeff_criterion_total(poly: Polynomial) -> CriterionReport:
+    """Coefficient-tensor test for total separability.
+
+    F is totally separable exactly when L^(n-1) * c[i_1,...,i_n] ==
+    prod_r c[N_1,...,i_r,...,N_n] at every index, where N is the degree
+    vector and L = c[N] the leading product coefficient; the homogenized form
+    avoids normalizing the input.  Only the supports of the two sides are
+    visited, by a sparse walk that takes at most |supp F| steps.  The
+    reported violation is the lexicographically first index where the
+    identity fails.  When L is zero (anomalous polynomials) it is the first
+    index whose slice product is nonzero or, when every slice product
+    vanishes too, the absent leading monomial x_1^N_1...x_n^N_n itself, since
+    a totally separable polynomial always contains it.
+    """
+    violation = _slice_identity(poly)[2]
+    if violation is None:
+        return CriterionReport(Verdict.SEPARABLE)
+    return CriterionReport(Verdict.NOT_SEPARABLE, violation=violation)
 
 
 def separate_total(poly: Polynomial) -> SeparationResult:
@@ -327,25 +335,23 @@ def separate_total(poly: Polynomial) -> SeparationResult:
 
     The factor for variable r is the coefficient slice through the leading
     corner, normalized monic; the leading product coefficient becomes the
-    overall constant.  The factorization is re-verified by exact
-    multiplication before it is returned.
+    overall constant.  Deciding separability and reading the slices is one
+    sparse pass (see `coeff_criterion_total`).  The factorization is
+    re-verified by exact multiplication before it is returned.
     """
-    report = coeff_criterion_total(poly)
-    if report.verdict is not Verdict.SEPARABLE:
+    leading, slices, violation = _slice_identity(poly)
+    if violation is not None:
         raise NotSeparableError(
-            f"not totally separable: coefficient condition fails at index {report.violation}"
+            f"not totally separable: coefficient condition fails at index {violation}"
         )
-    degrees = poly.degree_vector()
-    leading = poly.coefficient(degrees)
-    slices = _axis_slices(poly, degrees)
     factors = []
     for r, name in enumerate(poly.vars):
-        univariate = Polynomial((name,), {(i,): c for i, c in enumerate(slices[r]) if c})
+        univariate = Polynomial((name,), {(i,): c for i, c in slices[r].items()})
         factors.append(((r,), univariate / leading))
     result = SeparationResult(constant=leading, factors=tuple(factors), verified=False)
     if result.product(poly.vars) != poly:
         raise VerificationError("total separation failed exact re-multiplication")
-    return SeparationResult(constant=leading, factors=tuple(factors), verified=True)
+    return replace(result, verified=True)
 
 
 def anchor_search(poly: Polynomial) -> tuple[Fraction, ...]:
@@ -406,30 +412,6 @@ def separate_by_partition(
             f"finest partition is {finest.blocks}"
         )
     return result
-
-
-def refute_by_derivative(poly: Polynomial, order: Sequence[int]) -> Verdict:
-    """Refutation through a mixed partial derivative.
-
-    Every partial derivative of a separable function is separable, so a
-    non-totally-separable derivative proves the input is not totally
-    separable.  A separable (or vanishing) derivative proves nothing:
-    x^2 + y^2 has all derivatives separable yet is not separable itself.
-    """
-    _require_nonzero(poly)
-    if len(order) != poly.var_count:
-        raise ValueError(f"derivative order has {len(order)} entries, expected {poly.var_count}")
-    if any(k < 0 for k in order):
-        raise ValueError("derivative orders must be nonnegative")
-    derivative = poly
-    for i, k in enumerate(order):
-        for _ in range(k):
-            derivative = derivative.partial_derivative(i)
-    if derivative.is_zero:
-        return Verdict.INCONCLUSIVE
-    if finest_partition(derivative).partition.is_all_singletons:
-        return Verdict.INCONCLUSIVE
-    return Verdict.NOT_SEPARABLE
 
 
 def additive_separability(poly: Polynomial) -> Verdict:

@@ -4,6 +4,7 @@ margin-identity brute-force oracle used to cross-check partition logic."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -125,6 +126,26 @@ def all_partitions(items: list[int]):
         for k in range(len(smaller)):
             yield smaller[:k] + [[first] + smaller[k]] + smaller[k + 1:]
         yield [[first]] + smaller
+
+
+def oracle_coeff_violation(poly: Polynomial):
+    """Dense reference for the coefficient route: the first index of the box
+    prod(N_i + 1), in lexicographic order, where L^(n-1) * c[i] differs from
+    the product of the axis slices through the leading corner N; N itself when
+    L = c[N] is zero and no index differs; None when F is totally separable.
+    Its cost is the whole box, so use it only for small degrees."""
+    degrees = poly.degree_vector()
+    n = len(degrees)
+    leading = poly.coefficient(degrees)
+    slices = [
+        [poly.coefficient(degrees[:r] + (i,) + degrees[r + 1:]) for i in range(nr + 1)]
+        for r, nr in enumerate(degrees)
+    ]
+    scale = leading ** (n - 1)
+    for index in itertools.product(*(range(nr + 1) for nr in degrees)):
+        if scale * poly.coefficient(index) != math.prod(slices[r][i] for r, i in enumerate(index)):
+            return index
+    return degrees if leading == 0 else None
 
 
 def oracle_anchor(poly: Polynomial) -> tuple[Fraction, ...]:

@@ -207,9 +207,11 @@ def test_non_polynomial_input_to_exact_command_exits_2(capsys):
 
 
 def test_zero_polynomial_exits_3(capsys):
-    for source in ("0", "x - x", "0*y"):
-        code, _, err = run_cli(["check", source], capsys)
-        assert code == 3, source
+    for command in ("check", "separate", "partition", "additive"):
+        for source in ("0", "x - x", "0*y"):
+            code, out, err = run_cli([command, source], capsys)
+            assert code == 3, (command, source)
+            assert out == "" and err == "error: the zero polynomial is degenerate input\n"
 
 
 def test_usage_errors_exit_2(capsys):
@@ -220,6 +222,10 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(["check", "x*y", "--grid", "x=0:1:5"], capsys)[0] == 2
     assert run_cli(["check", "x*y", "--tol", "1e-6"], capsys)[0] == 2
     assert run_cli(["numeric", "x*y", "--grid", "bogus"], capsys)[0] == 2
+    # every --vars name must be one identifier
+    for names in ("x,y,1bad", "x,,y", "x,y z", "x,y*z", "x,y$"):
+        assert run_cli(["check", "x*y", "--vars", names], capsys)[0] == 2, names
+    assert run_cli(["numeric", "x*y", "--vars", "x,1bad"], capsys)[0] == 2
     assert run_cli(["--help"], capsys)[0] == 0
 
 

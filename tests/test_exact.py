@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +10,7 @@ from conftest import (
     P43_FACTOR_Y,
     P234_FACTORS,
     all_partitions,
+    oracle_coeff_violation,
     oracle_finest,
     oracle_partition_valid,
     rand_block_separable,
@@ -23,11 +26,9 @@ from varsep import (
     ZeroPolynomialError,
     additive_separability,
     anchor_search,
-    anomalous_precheck,
     coeff_criterion_total,
     finest_partition,
     parse_polynomial,
-    refute_by_derivative,
     sep_matrix_entry,
     separate_by_partition,
     separate_total,
@@ -288,12 +289,6 @@ def test_separate_by_partition_does_not_derive_the_finest_partition(monkeypatch)
 # --------------------------------------------------------------------- anomalous forms and the coefficient route
 
 
-def test_anomalous_precheck_examples():
-    assert anomalous_precheck(P("x^2*y^4 + x^3*y^3")) is Verdict.NOT_SEPARABLE
-    assert anomalous_precheck(P("x^3*y^3 + x*y^4")) is Verdict.NOT_SEPARABLE
-    assert anomalous_precheck(P("x*y")) is Verdict.INCONCLUSIVE
-
-
 def test_coeff_criterion_accepts_reference_polynomials(p43, p234):
     assert coeff_criterion_total(p43).verdict is Verdict.SEPARABLE
     assert coeff_criterion_total(p234).verdict is Verdict.SEPARABLE
@@ -307,9 +302,104 @@ def test_coeff_criterion_rejects_mixed_quartic():
 
 
 def test_coeff_criterion_handles_vanishing_leading_product_coefficient():
-    for source in ("x^2*y^4 + x^3*y^3", "x^3*y^3 + x*y^4", "x^2*y + x*y^2"):
+    # a totally separable polynomial contains its leading product monomial,
+    # so every input here, which lacks it, is refuted
+    cases = {
+        "x^2*y^4 + x^3*y^3": (2, 3),
+        "x^3*y^3 + x*y^4": (1, 3),
+        "x^2*y + x*y^2": (1, 1),
+        "x*y + z": (1, 1, 1),  # a slice is empty: the absent corner is the violation
+    }
+    for source, violation in cases.items():
         report = coeff_criterion_total(P(source))
         assert report.verdict is Verdict.NOT_SEPARABLE, source
+        assert report.violation == violation == oracle_coeff_violation(P(source)), source
+
+
+def _random_coefficient(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+
+
+def _random_coeff_route_input(rng, names):
+    """A sparse polynomial, a non-monic product of univariate factors (some
+    constant, so their variable is absent), or such a product with one term
+    perturbed or with its leading product term removed."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            terms[tuple(rng.randint(0, 3) for _ in names)] = _random_coefficient(rng)
+        return Polynomial(names, terms)
+    product = Polynomial.constant(_random_coefficient(rng), names)
+    for name in names:
+        degree = rng.choice((0, 1, 2, 3))
+        terms = {(degree,): _random_coefficient(rng)}
+        for i in range(degree):
+            if rng.random() < 0.6:
+                terms[(i,)] = _random_coefficient(rng)
+        product = product * Polynomial((name,), terms)
+    if kind == 2:
+        exps = tuple(rng.randint(0, 3) for _ in names)
+        delta = rng.choice((_random_coefficient(rng), -product.coefficient(exps)))
+        product = product + Polynomial(names, {exps: delta})
+    elif kind == 3 and names:
+        corner = product.degree_vector()
+        product = product - Polynomial(names, {corner: product.coefficient(corner)})
+    return product
+
+
+def test_coeff_criterion_matches_the_dense_oracle_on_random_inputs():
+    rng = random.Random(71)
+    names = ("x1", "x2", "x3", "x4")
+    kinds = {"separable": 0, "vanishing corner": 0}
+    tested = 0
+    for _ in range(1200):
+        poly = _random_coeff_route_input(rng, names[:rng.randint(0, 4)])
+        if poly.is_zero:
+            continue
+        tested += 1
+        report = coeff_criterion_total(poly)
+        expected = oracle_coeff_violation(poly)
+        assert report.violation == expected, poly
+        assert (report.verdict is Verdict.SEPARABLE) == (expected is None), poly
+        if poly.var_count and poly.coefficient(poly.degree_vector()) == 0:
+            kinds["vanishing corner"] += 1
+        if expected is None:
+            kinds["separable"] += 1
+            result = separate_total(poly)
+            assert result.verified and result.product(poly.vars) == poly
+            assert result == separate_by_partition(poly, Partition.singletons(poly.var_count))
+        else:
+            with pytest.raises(NotSeparableError):
+                separate_total(poly)
+    assert tested >= 1000 and min(kinds.values()) >= 200, (tested, kinds)
+
+
+def test_separate_total_on_a_sparse_high_degree_product_is_bounded():
+    # the dense box of this 4-term input has 3001^2 entries
+    start = time.perf_counter()
+    result = separate_total(P("x^3000*y^3000 + x^3000 + y^3000 + 1"))
+    assert time.perf_counter() - start < 1.0
+    assert result.constant == 1
+    assert [factor for _, factor in result.factors] == [P("x^3000 + 1"), P("y^3000 + 1")]
+
+
+def test_coeff_criterion_walk_stops_at_the_first_mismatch():
+    # three full slices of 201 terms each through the corner x^N*y^N*z^N: the
+    # product of the slices has 201^3 terms, the input only 601
+    N = 200
+    names = ("x", "y", "z")
+    terms = {(N, N, N): 1}
+    for r in range(3):
+        for i in range(N):
+            terms[(N,) * r + (i,) + (N,) * (2 - r)] = 1
+    poly = Polynomial(names, terms)
+    assert len(poly.terms) == 601
+    start = time.perf_counter()
+    report = coeff_criterion_total(poly)
+    assert time.perf_counter() - start < 1.0
+    assert report.verdict is Verdict.NOT_SEPARABLE
+    assert report.violation == (0, 0, 0)
 
 
 def test_route_equivalence_on_random_polynomials():
@@ -451,21 +541,34 @@ def test_coarsening_contract_randomized():
 # --------------------------------------------------------------------- derivative refutation and identities
 
 
-def test_refute_by_derivative_mixed_quartic():
+def test_non_separable_derivative_refutes_the_mixed_quartic():
+    # every partial derivative of a separable function is separable
     poly = P("x^3*y + x^2*y^2 + x*y + y^2")
-    assert refute_by_derivative(poly, (2, 0)) is Verdict.NOT_SEPARABLE
+    second = poly.partial_derivative(0).partial_derivative(0)
+    assert second == P("6*x*y + 2*y^2")
+    assert finest_partition(second).partition.blocks == ((0, 1),)
+    assert coeff_criterion_total(poly).verdict is Verdict.NOT_SEPARABLE
 
 
-def test_refute_by_derivative_is_inconclusive_on_sum_of_squares():
+def test_separable_derivatives_do_not_make_the_sum_of_squares_separable():
     poly = P("x^2 + y^2")
-    assert refute_by_derivative(poly, (1, 0)) is Verdict.INCONCLUSIVE
-    # all partial derivatives of x^2 + y^2 are separable, yet F is not
+    for i in range(2):
+        assert finest_partition(poly.partial_derivative(i)).partition.is_all_singletons
     assert finest_partition(poly).partition.blocks == ((0, 1),)
 
 
-def test_refute_by_derivative_inconclusive_cases():
-    assert refute_by_derivative(P("x*y"), (1, 1)) is Verdict.INCONCLUSIVE
-    assert refute_by_derivative(P("x*y"), (5, 0)) is Verdict.INCONCLUSIVE  # derivative vanishes
+def test_derivatives_of_separable_polynomials_are_separable_or_zero():
+    poly = P("x*y")
+    assert poly.partial_derivative(0).partial_derivative(1) == P("1", ("x", "y"))
+    derivative = poly
+    for _ in range(5):
+        derivative = derivative.partial_derivative(0)
+    assert derivative.is_zero
+    rng = random.Random(61)
+    for _ in range(20):
+        product, _, _ = rand_separable_product(rng, ("x", "y", "z"), max_deg=3)
+        for i in range(3):
+            assert coeff_criterion_total(product.partial_derivative(i)).verdict is Verdict.SEPARABLE
 
 
 def test_high_order_product_identity():
