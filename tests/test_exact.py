@@ -289,6 +289,18 @@ def test_separate_by_partition_does_not_derive_the_finest_partition(monkeypatch)
 # --------------------------------------------------------------------- anomalous forms and the coefficient route
 
 
+def test_anomalous_precheck_examples():
+    # an anomalous input lacks its leading product monomial x^N, so the
+    # coefficient route refutes it; x*y has that monomial and is separable
+    for source in ("x^2*y^4 + x^3*y^3", "x^3*y^3 + x*y^4"):
+        p = P(source)
+        assert p.coefficient(p.degree_vector()) == 0, source
+        assert coeff_criterion_total(p).verdict is Verdict.NOT_SEPARABLE, source
+    p = P("x*y")
+    assert p.coefficient(p.degree_vector()) == 1
+    assert coeff_criterion_total(p).verdict is Verdict.SEPARABLE
+
+
 def test_coeff_criterion_accepts_reference_polynomials(p43, p234):
     assert coeff_criterion_total(p43).verdict is Verdict.SEPARABLE
     assert coeff_criterion_total(p234).verdict is Verdict.SEPARABLE
