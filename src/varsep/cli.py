@@ -7,6 +7,7 @@ Exit codes: 0 separable / success, 1 not separable (check and separate),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -25,7 +26,9 @@ EXIT_DEGENERATE = 3
 EXIT_INTERNAL = 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser `run` uses; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="varsep",
         description="Decide and carry out multiplicative separation of variables.",

@@ -6,6 +6,11 @@ f(a) != 0.  On floats the two products are compared through a scale-free
 relative residual, pairs of variables are tested around an anchor sampled
 from a grid, and the connected components of the above-tolerance pairs give
 the partition.
+
+The sampling routes evaluate f at many points (the anchor scan alone walks
+the grid up to its budget), so each compiles f once with expr.compile_float
+and passes points as coordinate sequences in variable order.
+margin_residual, which makes four evaluations, uses expr.eval_float.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import expr
 from .expr import EvalDomainError, ExprNode
@@ -62,6 +67,8 @@ def parse_grid_spec(spec: str) -> tuple[str, tuple[float, ...]]:
         count = int(parts[2])
     except ValueError as exc:
         raise ValueError(f"grid spec {spec!r}: {exc}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"grid spec {spec!r} needs finite endpoints")
     if count < 2:
         raise ValueError(f"grid spec {spec!r} needs at least 2 coordinates")
     if stop == start:
@@ -201,9 +208,15 @@ def margin_residual(
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor)
 
 
+def _checked_names(f: ExprNode, names: Sequence[str] | None) -> tuple[str, ...]:
+    names = tuple(expr.free_variables(f) if names is None else names)
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate variable names in {names}")
+    return names
+
+
 def _scan_anchor(
-    f: ExprNode,
-    names: Sequence[str],
+    evaluate: Callable[[Sequence[float]], float],
     grid: SampleGrid,
     floor: float,
 ) -> tuple[tuple[float, ...], int, int]:
@@ -212,7 +225,7 @@ def _scan_anchor(
     evaluated = skipped = 0
     for point in grid.iter_points(grid.budget, salt=0):
         try:
-            value = abs(expr.eval_float(f, dict(zip(names, point))))
+            value = abs(evaluate(point))
         except EvalDomainError:
             skipped += 1
             continue
@@ -243,16 +256,17 @@ def numeric_finest_partition(
     errors at sample points are skipped and counted; the test fails if more
     than half of all evaluations skip.
     """
-    if names is None:
-        names = expr.free_variables(f)
-    names = tuple(names)
+    names = _checked_names(f, names)
     n = len(names)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance {tol!r} must be finite and nonnegative")
     if grid.var_count != n:
         raise ValueError(f"grid has {grid.var_count} axes, expression has {n} variables")
     if grid.budget < n * (n - 1) // 2:
         raise ValueError(f"budget {grid.budget} is below the {n * (n - 1) // 2} pair tests")
-    anchor, evaluated, skipped = _scan_anchor(f, names, grid, floor)
-    fa = expr.eval_float(f, dict(zip(names, anchor)))
+    evaluate = expr.compile_float(f, names)
+    anchor, evaluated, skipped = _scan_anchor(evaluate, grid, floor)
+    fa = evaluate(anchor)
 
     cache: dict[tuple[int, float], float] = {}
 
@@ -260,9 +274,9 @@ def numeric_finest_partition(
         # f at the anchor with a single coordinate replaced
         key = (axis, coordinate)
         if key not in cache:
-            point = dict(zip(names, anchor))
-            point[names[axis]] = coordinate
-            cache[key] = expr.eval_float(f, point)
+            point = list(anchor)
+            point[axis] = coordinate
+            cache[key] = evaluate(point)
         return cache[key]
 
     pair_count = n * (n - 1) // 2
@@ -273,11 +287,11 @@ def numeric_finest_partition(
     for i, j in itertools.combinations(range(n), 2):
         products: list[tuple[float, float]] = []
         for ci, cj in grid.iter_axis_pairs(i, j, per_pair, salt=1):
-            full = dict(zip(names, anchor))
-            full[names[i]] = ci
-            full[names[j]] = cj
+            full = list(anchor)
+            full[i] = ci
+            full[j] = cj
             try:
-                fx = expr.eval_float(f, full)
+                fx = evaluate(full)
                 products.append((fa * fx, margin_value(i, ci) * margin_value(j, cj)))
             except EvalDomainError:
                 skipped += 1
@@ -337,9 +351,7 @@ def numeric_factor_samples(
     the tables reproduces f.  The partition must be compatible with the
     sampled residuals at the given tolerance.
     """
-    if names is None:
-        names = expr.free_variables(f)
-    names = tuple(names)
+    names = _checked_names(f, names)
     verdict = numeric_finest_partition(f, grid, tol, names=names, floor=floor)
     if not partition.is_coarsening_of(verdict.partition):
         raise PartitionMismatchError(
@@ -349,7 +361,10 @@ def numeric_factor_samples(
     if anchor is None:
         anchor = verdict.anchor
     anchor = tuple(float(v) for v in anchor)
-    fa = expr.eval_float(f, dict(zip(names, anchor)))
+    if len(anchor) != len(names):
+        raise ValueError(f"anchor has {len(anchor)} coordinates, expression has {len(names)} variables")
+    evaluate = expr.compile_float(f, names)
+    fa = evaluate(anchor)
     if abs(fa) <= floor:
         raise DegenerateAnchorError(f"|f(anchor)| = {abs(fa)!r} is below the degeneracy floor")
     blocks = partition.blocks
@@ -366,9 +381,9 @@ def numeric_factor_samples(
             points = [tuple(rng.choice(a) for a in axes) for _ in range(per_block)]
         samples: dict[tuple[float, ...], float] = {}
         for coords in points:
-            full = dict(zip(names, anchor))
+            full = list(anchor)
             for i, c in zip(block, coords):
-                full[names[i]] = c
-            samples[coords] = scale * expr.eval_float(f, full)
+                full[i] = c
+            samples[coords] = scale * evaluate(full)
         tables.append(BlockTable(block=block, samples=samples))
     return tuple(tables)

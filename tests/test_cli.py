@@ -8,7 +8,7 @@ import pytest
 
 from conftest import P43_FACTOR_X, P43_FACTOR_Y, build_p43
 from varsep import parse_polynomial
-from varsep.cli import run
+from varsep.cli import build_parser, run
 
 P43_SOURCE = str(build_p43())
 
@@ -172,6 +172,33 @@ def test_numeric_degenerate_input_exits_3(capsys):
     assert "degeneracy floor" in err
 
 
+def test_numeric_unbound_variable_exits_2(capsys):
+    code, out, err = run_cli(["numeric", "x*y", "--vars", "x"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "variable 'y' has no bound value" in err
+
+
+def test_numeric_rejects_non_finite_grid_endpoints(capsys):
+    for spec in ("x=0:inf:5", "x=nan:1:5", "x=-inf:0:3", "x=-1e400:1:3"):
+        code, out, err = run_cli(["numeric", "x*y", "--grid", spec], capsys)
+        assert code == 2, spec
+        assert out == ""
+        assert repr(spec) in err and "finite endpoints" in err
+
+
+def test_reused_parser_carries_no_state_between_runs(capsys):
+    build_parser.cache_clear()
+    plain = ["numeric", "x^2 + y^2", "--format", "json"]
+    first = run_cli(plain, capsys)
+    loose = run_cli(plain + ["--grid", "x=-1:1:5", "--tol", "10"], capsys)
+    again = run_cli(plain, capsys)
+    assert json.loads(loose[1])["tolerance"] == 10
+    assert again == first
+    assert json.loads(first[1])["tolerance"] == 1e-8
+    assert json.loads(first[1])["evaluated"] != json.loads(loose[1])["evaluated"]
+
+
 # --------------------------------------------------------------------- variables, stdin, errors
 
 
@@ -226,6 +253,12 @@ def test_usage_errors_exit_2(capsys):
     for names in ("x,y,1bad", "x,,y", "x,y z", "x,y*z", "x,y$"):
         assert run_cli(["check", "x*y", "--vars", names], capsys)[0] == 2, names
     assert run_cli(["numeric", "x*y", "--vars", "x,1bad"], capsys)[0] == 2
+    assert run_cli(["numeric", "x*y", "--vars", "x,x,y"], capsys)[0] == 2
+    # the tolerance must be finite and nonnegative
+    for tol in ("-1", "-1e-9", "nan", "inf", "-inf"):
+        code, _, err = run_cli(["numeric", "x + y", f"--tol={tol}"], capsys)
+        assert code == 2, tol
+        assert "tolerance" in err
     assert run_cli(["--help"], capsys)[0] == 0
 
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from varsep.expr import (
     SUPPORTED_FUNCTIONS,
     UnboundVariableError,
     Var,
+    compile_float,
     eval_float,
     free_variables,
     lower_to_polynomial,
@@ -163,6 +166,82 @@ def test_domain_error_carries_offending_subexpression():
     with pytest.raises(EvalDomainError) as info:
         eval_float(parse("x + ln(y - 1)"), {"x": 0, "y": 0.5})
     assert to_source(info.value.node) == "ln(y - 1)"
+
+
+# --------------------------------------------------------------------- compiled evaluation
+
+COMPILED_NAMES = ("x", "y", "z")  # u_1 from the AST strategy stays unbound
+SAMPLE_COORDINATES = (0, 1, -1, 0.0, 1.0, -1.0, 0.5, -2.25, 3, 700.0)
+
+
+def _outcome(evaluate):
+    """A float's exact bits, or the error's class, message and node."""
+    try:
+        value = evaluate()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "node", None)
+    assert type(value) is float
+    return value.hex()  # bit for bit; every NaN is "nan"
+
+
+def _assert_agrees(node, names, point):
+    compiled = compile_float(node, names)
+    expected = _outcome(lambda: eval_float(node, dict(zip(names, point))))
+    assert _outcome(lambda: compiled(point)) == expected, (to_source(node), point)
+
+
+@settings(max_examples=300)
+@given(ast_nodes, st.lists(st.sampled_from(SAMPLE_COORDINATES), min_size=3, max_size=3))
+def test_compiled_evaluator_agrees_with_eval_float_on_random_asts(node, point):
+    _assert_agrees(node, COMPILED_NAMES, point)
+
+
+@pytest.mark.parametrize("source", [
+    "sin(x)*exp(y)",
+    "exp(x + y)*sin(z)",
+    "(2*x - 0.5*y)*cos(z) + ln(abs(x) + 2)",
+    "tan(x*y)/cos(z)",
+    "x^y + z^0.5",
+    "exp(800*x)*y",
+    "ln(x)*ln(-y)",
+    "1/(x - 1) - 1/(y + 1)/z",
+    "abs(sin(x))^(1/3)*exp(-z^2)",
+    "-(x + y)^2/3",
+])
+def test_compiled_evaluator_agrees_with_eval_float_on_workload_shapes(source):
+    node = parse(source)
+    for point in itertools.product((0, 1.0, -1, 0.25, -3.5), repeat=3):
+        _assert_agrees(node, COMPILED_NAMES, point)
+
+
+def test_compiled_evaluator_names_the_failing_subexpression():
+    evaluate = compile_float(parse("x + ln(y - 1)"), ("x", "y"))
+    with pytest.raises(EvalDomainError) as info:
+        evaluate((0.0, 0.5))
+    assert to_source(info.value.node) == "ln(y - 1)"
+
+
+def test_compiled_evaluator_raises_unbound_variable_only_when_evaluated():
+    evaluate = compile_float(parse("sin(x)*q"), ("x",))
+    with pytest.raises(UnboundVariableError, match="variable 'q' has no bound value"):
+        evaluate((0.5,))
+    # a domain error to the left comes first, as in eval_float
+    with pytest.raises(EvalDomainError):
+        compile_float(parse("ln(x)*q"), ("x",))((0.0,))
+
+
+def test_compiled_evaluator_handles_a_900_term_sum():
+    node = parse(" + ".join(f"{k % 7}*sin({k}*x)/(y + {k})" for k in range(900)))
+    point = (0.375, -1.5)
+    assert compile_float(node, ("x", "y"))(point) == eval_float(node, {"x": 0.375, "y": -1.5})
+
+
+def test_compiled_evaluator_reads_positions_and_converts_to_float():
+    evaluate = compile_float(parse("x - y"), ("y", "x"))
+    assert evaluate([2, 10**17 + 1]) == eval_float(parse("x - y"), {"x": 10**17 + 1, "y": 2})
+    assert math.isnan(compile_float(parse("x*0"), ("x",))((math.inf,)))
+    # a repeated name reads its last position, as dict(zip(names, point)) does
+    assert compile_float(parse("x"), ("x", "x"))((1.0, 2.0)) == 2.0
 
 
 # --------------------------------------------------------------------- lowering

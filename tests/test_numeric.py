@@ -233,6 +233,20 @@ def test_grid_spec_parsing():
         parse_grid_spec("x=-1:1:1")
     with pytest.raises(ValueError):
         parse_grid_spec("y=2:2:5")
+    for spec in ("x=0:inf:5", "x=nan:1:5", "x=-inf:inf:3"):
+        with pytest.raises(ValueError, match="finite endpoints"):
+            parse_grid_spec(spec)
+
+
+def test_numeric_routes_validate_their_arguments():
+    f = parse("x*y")
+    for tol in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tolerance"):
+            numeric_finest_partition(f, GRID_2, tol)
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        numeric_finest_partition(f, GRID_2, names=("x", "x"))
+    with pytest.raises(ValueError, match="anchor has 1 coordinates"):
+        numeric_factor_samples(f, GRID_2, Partition.singletons(2), anchor=(1.0,))
 
 
 def test_grid_validation():
