@@ -17,15 +17,15 @@ become exact rationals (0.25 -> 1/4).  Input is UTF-8; error positions are
 byte offsets.
 
 Float evaluation: eval_float walks the AST and is the reference;
-compile_float turns an AST into a positional function once, for callers
-that evaluate the same expression at many points.  Both share one set of
+compile_float turns an AST once into a positional function, a tree of
+closures, for callers that evaluate the same expression at many points, and
+eval_float also evaluates through such a function.  Both share one set of
 domain rules (ln of a non-positive value, division by zero, and math
 errors all raise EvalDomainError naming the subexpression).
 """
 
 from __future__ import annotations
 
-import ast
 import enum
 import math
 from dataclasses import dataclass
@@ -398,16 +398,23 @@ def _power(node: BinOp, left: float, right: float) -> float:
         raise EvalDomainError(str(exc), node) from exc
 
 
-def _unbound(node: Var) -> float:
-    raise UnboundVariableError(node.name)
+CompiledFloat = Callable[[Sequence[float]], float]
 
 
-def eval_float(node: ExprNode, point: Mapping[str, float]) -> float:
+def eval_float(node: ExprNode | CompiledFloat, point: Mapping[str, float] | Sequence[float]) -> float:
     """Evaluate with IEEE doubles; domain violations raise instead of producing NaN.
 
-    The reference evaluator: a recursive walk of the AST.  compile_float
-    gives the same values and errors at a fraction of the cost per point.
+    With an AST and a mapping from names to values this is the reference
+    evaluator, a recursive walk.  With a function from compile_float and a
+    coordinate sequence it evaluates through that function: the one entry
+    point to evaluation at a point, whichever form the expression is in.
+    There a tree too deep for the interpreter's stack raises ValueError.
     """
+    if callable(node):
+        try:
+            return node(point)
+        except RecursionError:
+            raise ValueError("expression too deep to evaluate") from None
     if isinstance(node, Const):
         return float(node.value)
     if isinstance(node, Var):
@@ -431,73 +438,55 @@ def eval_float(node: ExprNode, point: Mapping[str, float]) -> float:
     return _power(node, left, right)
 
 
-_PY_OPS = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
-_PY_HELPERS = {"/": "_divide", "^": "_power"}
-# Every generated node carries this location: ast.fix_missing_locations
-# recurses twice per level and would fail on trees eval_float still handles.
-# For the same reason a leaf is built with at most one helper call.
-_LOCATION = {"lineno": 1, "col_offset": 0, "end_lineno": 1, "end_col_offset": 0}
-
-
-def compile_float(node: ExprNode, names: Sequence[str]) -> Callable[[Sequence[float]], float]:
+def compile_float(node: ExprNode, names: Sequence[str]) -> CompiledFloat:
     """Compile `node` into f(point), point holding one coordinate per name.
 
     f(point) equals eval_float(node, dict(zip(names, point))) bit for bit and
-    raises the same errors at the same subexpressions.  The function is a
-    Python lambda built as an `ast` tree, never as source text: variables
-    become `float(p[i])`, constants become float literals, and `/`, `^` and
-    calls go through the helpers above.  A variable missing from `names`
-    raises UnboundVariableError when evaluated, not here.
+    raises the same errors at the same subexpressions.  f is a tree of
+    closures built once: variable lookups become indexes into the point,
+    constants are converted to floats here, and the per-node type dispatch of
+    the walk is gone.  A variable missing from `names` raises
+    UnboundVariableError when evaluated, not here.  A tree too deep to build
+    raises ValueError.
     """
     index = {name: i for i, name in enumerate(names)}
-    nodes: list[ExprNode] = []
 
-    def call(helper: str, *args: ast.expr) -> ast.expr:
-        return ast.Call(ast.Name(helper, ast.Load(), **_LOCATION), list(args), [], **_LOCATION)
-
-    def item(name: str, i: int) -> ast.expr:
-        return ast.Subscript(
-            ast.Name(name, ast.Load(), **_LOCATION), ast.Constant(i, **_LOCATION), ast.Load(), **_LOCATION
-        )
-
-    def ref(e: ExprNode) -> ast.expr:
-        # the AST node itself, for the error it may name
-        nodes.append(e)
-        return item("_nodes", len(nodes) - 1)
-
-    def build(e: ExprNode) -> ast.expr:
+    def build(e: ExprNode) -> CompiledFloat:
         if isinstance(e, Const):
             try:
-                return ast.Constant(float(e.value), **_LOCATION)
+                value = float(e.value)
             except OverflowError:
                 # raises when evaluated, as eval_float does
-                return call("float", ast.Attribute(ref(e), "value", ast.Load(), **_LOCATION))
+                return lambda p: float(e.value)
+            return lambda p: value
         if isinstance(e, Var):
             if e.name not in index:
-                return call("_unbound", ref(e))
-            return call("float", item("p", index[e.name]))
+                def unbound(p):
+                    raise UnboundVariableError(e.name)
+                return unbound
+            i = index[e.name]
+            return lambda p: float(p[i])
         if isinstance(e, Neg):
-            return ast.UnaryOp(ast.USub(), build(e.operand), **_LOCATION)
+            operand = build(e.operand)
+            return lambda p: -operand(p)
         if isinstance(e, Call):
-            return call("_call", ref(e), build(e.arg))
-        if e.op in _PY_OPS:
-            return ast.BinOp(build(e.left), _PY_OPS[e.op](), build(e.right), **_LOCATION)
-        return call(_PY_HELPERS[e.op], ref(e), build(e.left), build(e.right))
+            arg = build(e.arg)
+            return lambda p: _call(e, arg(p))
+        left, right = build(e.left), build(e.right)
+        if e.op == "+":
+            return lambda p: left(p) + right(p)
+        if e.op == "-":
+            return lambda p: left(p) - right(p)
+        if e.op == "*":
+            return lambda p: left(p) * right(p)
+        if e.op == "/":
+            return lambda p: _divide(e, left(p), right(p))
+        return lambda p: _power(e, left(p), right(p))
 
-    params = ast.arguments(
-        posonlyargs=[], args=[ast.arg("p", **_LOCATION)], kwonlyargs=[], kw_defaults=[], defaults=[]
-    )
-    tree = ast.Expression(ast.Lambda(params, build(node), **_LOCATION))
-    namespace = {
-        "__builtins__": {},
-        "float": float,
-        "_nodes": tuple(nodes),
-        "_call": _call,
-        "_divide": _divide,
-        "_power": _power,
-        "_unbound": _unbound,
-    }
-    return eval(compile(tree, "<varsep>", "eval"), namespace)
+    try:
+        return build(node)
+    except RecursionError:
+        raise ValueError("expression too deep to evaluate") from None
 
 
 # --------------------------------------------------------------------- lowering to polynomials

@@ -9,8 +9,10 @@ the partition.
 
 The sampling routes evaluate f at many points (the anchor scan alone walks
 the grid up to its budget), so each compiles f once with expr.compile_float
-and passes points as coordinate sequences in variable order.
-margin_residual, which makes four evaluations, uses expr.eval_float.
+and passes points as coordinate sequences in variable order.  Every
+evaluation still goes through expr.eval_float, the one entry point to
+evaluation at a point, so a wrapper or profiler on it sees each sample.
+margin_residual, which makes four evaluations, walks the AST.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import expr
 from .expr import EvalDomainError, ExprNode
@@ -208,15 +210,8 @@ def margin_residual(
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor)
 
 
-def _checked_names(f: ExprNode, names: Sequence[str] | None) -> tuple[str, ...]:
-    names = tuple(expr.free_variables(f) if names is None else names)
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate variable names in {names}")
-    return names
-
-
 def _scan_anchor(
-    evaluate: Callable[[Sequence[float]], float],
+    evaluate: expr.CompiledFloat,
     grid: SampleGrid,
     floor: float,
 ) -> tuple[tuple[float, ...], int, int]:
@@ -225,7 +220,7 @@ def _scan_anchor(
     evaluated = skipped = 0
     for point in grid.iter_points(grid.budget, salt=0):
         try:
-            value = abs(evaluate(point))
+            value = abs(expr.eval_float(evaluate, point))
         except EvalDomainError:
             skipped += 1
             continue
@@ -256,7 +251,11 @@ def numeric_finest_partition(
     errors at sample points are skipped and counted; the test fails if more
     than half of all evaluations skip.
     """
-    names = _checked_names(f, names)
+    if names is None:
+        names = expr.free_variables(f)
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate variable names in {names}")
     n = len(names)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance {tol!r} must be finite and nonnegative")
@@ -266,7 +265,7 @@ def numeric_finest_partition(
         raise ValueError(f"budget {grid.budget} is below the {n * (n - 1) // 2} pair tests")
     evaluate = expr.compile_float(f, names)
     anchor, evaluated, skipped = _scan_anchor(evaluate, grid, floor)
-    fa = evaluate(anchor)
+    fa = expr.eval_float(evaluate, anchor)
 
     cache: dict[tuple[int, float], float] = {}
 
@@ -276,7 +275,7 @@ def numeric_finest_partition(
         if key not in cache:
             point = list(anchor)
             point[axis] = coordinate
-            cache[key] = evaluate(point)
+            cache[key] = expr.eval_float(evaluate, point)
         return cache[key]
 
     pair_count = n * (n - 1) // 2
@@ -291,7 +290,7 @@ def numeric_finest_partition(
             full[i] = ci
             full[j] = cj
             try:
-                fx = evaluate(full)
+                fx = expr.eval_float(evaluate, full)
                 products.append((fa * fx, margin_value(i, ci) * margin_value(j, cj)))
             except EvalDomainError:
                 skipped += 1
@@ -351,8 +350,8 @@ def numeric_factor_samples(
     the tables reproduces f.  The partition must be compatible with the
     sampled residuals at the given tolerance.
     """
-    names = _checked_names(f, names)
     verdict = numeric_finest_partition(f, grid, tol, names=names, floor=floor)
+    names = verdict.names
     if not partition.is_coarsening_of(verdict.partition):
         raise PartitionMismatchError(
             f"partition {partition.blocks} is incompatible with the sampled "
@@ -364,7 +363,7 @@ def numeric_factor_samples(
     if len(anchor) != len(names):
         raise ValueError(f"anchor has {len(anchor)} coordinates, expression has {len(names)} variables")
     evaluate = expr.compile_float(f, names)
-    fa = evaluate(anchor)
+    fa = expr.eval_float(evaluate, anchor)
     if abs(fa) <= floor:
         raise DegenerateAnchorError(f"|f(anchor)| = {abs(fa)!r} is below the degeneracy floor")
     blocks = partition.blocks
@@ -384,6 +383,6 @@ def numeric_factor_samples(
             full = list(anchor)
             for i, c in zip(block, coords):
                 full[i] = c
-            samples[coords] = scale * evaluate(full)
+            samples[coords] = scale * expr.eval_float(evaluate, full)
         tables.append(BlockTable(block=block, samples=samples))
     return tuple(tables)

@@ -179,6 +179,14 @@ def test_numeric_unbound_variable_exits_2(capsys):
     assert "variable 'y' has no bound value" in err
 
 
+def test_numeric_too_deep_expression_exits_2(capsys):
+    # --vars skips free_variables, so the deep sum reaches the numeric route
+    code, out, err = run_cli(["numeric", "--vars", "x,y", "--", "x + " * 1500 + "y"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "expression too deep to evaluate" in err
+
+
 def test_numeric_rejects_non_finite_grid_endpoints(capsys):
     for spec in ("x=0:inf:5", "x=nan:1:5", "x=-inf:0:3", "x=-1e400:1:3"):
         code, out, err = run_cli(["numeric", "x*y", "--grid", spec], capsys)

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -188,6 +190,7 @@ def _assert_agrees(node, names, point):
     compiled = compile_float(node, names)
     expected = _outcome(lambda: eval_float(node, dict(zip(names, point))))
     assert _outcome(lambda: compiled(point)) == expected, (to_source(node), point)
+    assert _outcome(lambda: eval_float(compiled, point)) == expected, (to_source(node), point)
 
 
 @settings(max_examples=300)
@@ -234,6 +237,22 @@ def test_compiled_evaluator_handles_a_900_term_sum():
     node = parse(" + ".join(f"{k % 7}*sin({k}*x)/(y + {k})" for k in range(900)))
     point = (0.375, -1.5)
     assert compile_float(node, ("x", "y"))(point) == eval_float(node, {"x": 0.375, "y": -1.5})
+
+
+def test_too_deep_expressions_raise_value_error():
+    node = parse(" + ".join(["x"] * 600))
+    evaluate = compile_float(node, ("x",))
+    limit = sys.getrecursionlimit()
+    depth = len(inspect.stack())
+    try:
+        sys.setrecursionlimit(depth + 300)
+        with pytest.raises(ValueError, match="expression too deep to evaluate"):
+            eval_float(evaluate, (1.0,))
+        with pytest.raises(ValueError, match="expression too deep to evaluate"):
+            compile_float(node, ("x",))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert eval_float(evaluate, (1.0,)) == 600.0
 
 
 def test_compiled_evaluator_reads_positions_and_converts_to_float():
