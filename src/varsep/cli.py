@@ -13,8 +13,8 @@ import sys
 from typing import Sequence
 
 from . import exact, expr, numeric
-from .exact import NotSeparableError, SepMatrixReport, SeparationResult, Verdict, VerificationError
-from .numeric import DegenerateAnchorError, DomainCoverageError, NumericVerdict, SampleGrid
+from .exact import NotSeparableError, Verdict, VerificationError
+from .numeric import DegenerateAnchorError, DomainCoverageError, SampleGrid
 from .poly import Polynomial, ZeroPolynomialError
 
 SCHEMA = "varsep/1"
@@ -51,38 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def emit_json(result) -> str:
-    """Render an engine result as schema-versioned JSON with stable field order."""
-    if isinstance(result, SeparationResult):
-        payload = {
-            "schema": SCHEMA,
-            "constant": str(result.constant),
-            "blocks": [list(factor.vars) for _, factor in result.factors],
-            "factors": [str(factor) for _, factor in result.factors],
-            "verified": result.verified,
-        }
-    elif isinstance(result, SepMatrixReport):
-        payload = {
-            "schema": SCHEMA,
-            "blocks": result.partition.name_blocks(result.names),
-        }
-    elif isinstance(result, NumericVerdict):
-        payload = {
-            "schema": SCHEMA,
-            "verdict": result.verdict,
-            "blocks": result.partition.name_blocks(result.names),
-            "residuals": [list(row) for row in result.residuals],
-            "tolerance": result.tolerance,
-            "anchor": list(result.anchor),
-            "evaluated": result.evaluated,
-            "skipped": result.skipped,
-            "discarded": result.discarded,
-        }
-    elif isinstance(result, dict):
-        payload = {"schema": SCHEMA, **result}
-    else:
-        raise TypeError(f"no JSON form for {type(result).__name__}")
-    return json.dumps(payload)
+def emit_json(payload: dict) -> str:
+    """Render a command's payload as schema-versioned JSON, fields in order."""
+    return json.dumps({"schema": SCHEMA, **payload})
 
 
 def _read_expression(argument: str) -> str:
@@ -157,7 +128,12 @@ def _run_separate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_SEPARABLE
     if args.format == "json":
-        print(emit_json(result))
+        print(emit_json({
+            "constant": str(result.constant),
+            "blocks": [list(factor.vars) for _, factor in result.factors],
+            "factors": [str(factor) for _, factor in result.factors],
+            "verified": result.verified,
+        }))
     else:
         print(f"constant: {result.constant}")
         for _, factor in result.factors:
@@ -168,10 +144,11 @@ def _run_separate(args) -> int:
 def _run_partition(args) -> int:
     poly = _lower(args)
     report = exact.finest_partition(poly)
+    blocks = report.partition.name_blocks(report.names)
     if args.format == "json":
-        print(emit_json(report))
+        print(emit_json({"blocks": blocks}))
     else:
-        print(_print_partition_text(report.partition.name_blocks(report.names)))
+        print(_print_partition_text(blocks))
     return EXIT_OK
 
 
@@ -192,12 +169,22 @@ def _run_numeric(args) -> int:
     specs = dict(numeric.parse_grid_spec(spec) for spec in args.grid)
     grid = SampleGrid.from_specs(names, specs)
     verdict = numeric.numeric_finest_partition(node, grid, args.tol, names=names)
+    blocks = verdict.partition.name_blocks(verdict.names)
     if args.format == "json":
-        print(emit_json(verdict))
+        print(emit_json({
+            "verdict": verdict.verdict,
+            "blocks": blocks,
+            "residuals": [list(row) for row in verdict.residuals],
+            "tolerance": verdict.tolerance,
+            "anchor": list(verdict.anchor),
+            "evaluated": verdict.evaluated,
+            "skipped": verdict.skipped,
+            "discarded": verdict.discarded,
+        }))
     else:
         worst = max((r for row in verdict.residuals for r in row), default=0.0)
         print(f"verdict: {verdict.verdict}")
-        print(f"partition: {_print_partition_text(verdict.partition.name_blocks(verdict.names))}")
+        print(f"partition: {_print_partition_text(blocks)}")
         print(f"max residual: {worst:.3e} (tolerance {verdict.tolerance:.1e})")
         if verdict.skipped:
             print(f"skipped {verdict.skipped} of {verdict.skipped + verdict.evaluated} evaluations")

@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .partition import Partition, UnionFind
-from .poly import Polynomial, Scalar, ZeroPolynomialError, _fraction
+from .poly import Polynomial, Scalar, ZeroPolynomialError
 
 
 class Verdict(enum.Enum):
@@ -370,18 +370,14 @@ def anchor_search(poly: Polynomial) -> tuple[Fraction, ...]:
     raise AssertionError("unreachable: nonzero polynomial vanished on its whole degree grid")
 
 
-def separate_by_partition(
-    poly: Polynomial,
-    partition: Partition,
-    anchor: Sequence[Scalar] | None = None,
-) -> SeparationResult:
+def separate_by_partition(poly: Polynomial, partition: Partition) -> SeparationResult:
     """Factor the polynomial according to a partition of its variables.
 
     Uses the margin construction at an anchor point a with F(a) != 0: for r
     blocks, F(a)^(r-1) * F equals the product over blocks of the margins of F
     with the other blocks frozen at a.  Each margin is normalized monic and
     the scalars are folded into the constant, so the factors and the
-    constant do not depend on the anchor.  The default anchor is the one
+    constant do not depend on the anchor.  The anchor is the one
     `finest_partition` uses: the first witness point where F is nonzero,
     else the grid scan of `anchor_search`.
 
@@ -395,16 +391,7 @@ def separate_by_partition(
     n = poly.var_count
     if partition.var_count != n:
         raise ValueError(f"partition covers {partition.var_count} variables, polynomial has {n}")
-    if anchor is None:
-        point, value = _anchor(poly)
-    else:
-        point = tuple(_fraction(v) for v in anchor)
-        if len(point) != n:
-            raise ValueError(f"anchor has {len(point)} coordinates, expected {n}")
-        value = poly.evaluate(point)
-        if value == 0:
-            raise ValueError("anchor point must not be a zero of the polynomial")
-    result = _margin_separation(poly, partition, point, value)
+    result = _margin_separation(poly, partition, *_anchor(poly))
     if result is None:
         finest = finest_partition(poly).partition
         raise NotSeparableError(

@@ -14,7 +14,10 @@ Precedence from loosest to tightest: + -, * /, unary -, ^.  Implicit
 multiplication ("2x") is rejected.  Function calls take exactly one argument
 and the name must be one of sin, cos, tan, exp, ln, abs.  Decimal literals
 become exact rationals (0.25 -> 1/4).  Input is UTF-8; error positions are
-byte offsets.
+byte offsets.  Parenthesised groups, call arguments, unary minus and "^"
+exponents each open one nesting level, and more than MAX_NESTING levels is a
+parse error, so nesting alone cannot exhaust the stack of the recursive
+parser or of the passes over its tree.  Sums and products open no level.
 
 Float evaluation: eval_float walks the AST and is the reference;
 compile_float turns an AST once into a positional function, a tree of
@@ -35,6 +38,8 @@ from typing import Callable, Mapping, Sequence, Union
 from .poly import Polynomial
 
 SUPPORTED_FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "abs")
+
+MAX_NESTING = 100
 
 _SUM_OPS = ("+", "-")
 _TERM_OPS = ("*", "/")
@@ -166,6 +171,7 @@ class _Parser:
         self.source = source
         self.tokens = tokens
         self.index = 0
+        self.depth = 0
 
     def _eof_position(self) -> int:
         return len(self.source.encode("utf-8"))
@@ -187,6 +193,15 @@ class _Parser:
         if token.lexeme != lexeme:
             raise ParseError(f"expected {lexeme!r}, found {token.lexeme!r}", token.position)
         return self.advance()
+
+    def nested(self, opener: Token, parse_inner: Callable[[], ExprNode]) -> ExprNode:
+        """Parse one nesting level, opened by the token `opener`."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", opener.position)
+        self.depth += 1
+        node = parse_inner()
+        self.depth -= 1
+        return node
 
     def parse(self) -> ExprNode:
         node = self.sum_expr()
@@ -213,7 +228,7 @@ class _Parser:
         token = self.peek()
         if token and token.kind is TokenKind.OP and token.lexeme == "-":
             self.advance()
-            return Neg(self.unary())
+            return Neg(self.nested(token, self.unary))
         return self.power()
 
     def power(self) -> ExprNode:
@@ -223,7 +238,7 @@ class _Parser:
             self.advance()
             # right associative; the exponent is a power, not a unary,
             # so a negative exponent needs parentheses: x^(-2)
-            node = BinOp("^", node, self.power())
+            node = BinOp("^", node, self.nested(token, self.power))
         return node
 
     def atom(self) -> ExprNode:
@@ -238,13 +253,12 @@ class _Parser:
                         f"unknown function {token.lexeme!r} (supported: {', '.join(SUPPORTED_FUNCTIONS)})",
                         token.position,
                     )
-                self.advance()
-                arg = self.sum_expr()
+                arg = self.nested(self.advance(), self.sum_expr)
                 self.expect(")")
                 return Call(token.lexeme, arg)
             return Var(token.lexeme)
         if token.lexeme == "(":
-            node = self.sum_expr()
+            node = self.nested(token, self.sum_expr)
             self.expect(")")
             return node
         raise ParseError(f"unexpected token {token.lexeme!r}", token.position)
@@ -373,6 +387,13 @@ _FLOAT_FUNCTIONS = {
 # compile_float builds.  `node` is the subexpression named by the error.
 
 
+def _const(node: Const) -> float:
+    try:
+        return float(node.value)
+    except OverflowError as exc:
+        raise EvalDomainError(str(exc), node) from exc
+
+
 def _call(node: Call, arg: float) -> float:
     if node.func == "ln" and arg <= 0.0:
         raise EvalDomainError(f"ln of non-positive value {arg!r}", node)
@@ -416,7 +437,7 @@ def eval_float(node: ExprNode | CompiledFloat, point: Mapping[str, float] | Sequ
         except RecursionError:
             raise ValueError("expression too deep to evaluate") from None
     if isinstance(node, Const):
-        return float(node.value)
+        return _const(node)
     if isinstance(node, Var):
         if node.name not in point:
             raise UnboundVariableError(node.name)
@@ -454,10 +475,10 @@ def compile_float(node: ExprNode, names: Sequence[str]) -> CompiledFloat:
     def build(e: ExprNode) -> CompiledFloat:
         if isinstance(e, Const):
             try:
-                value = float(e.value)
-            except OverflowError:
+                value = _const(e)
+            except EvalDomainError:
                 # raises when evaluated, as eval_float does
-                return lambda p: float(e.value)
+                return lambda p: _const(e)
             return lambda p: value
         if isinstance(e, Var):
             if e.name not in index:

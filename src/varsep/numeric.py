@@ -21,7 +21,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from . import expr
 from .expr import EvalDomainError, ExprNode
@@ -80,23 +80,18 @@ def parse_grid_spec(spec: str) -> tuple[str, tuple[float, ...]]:
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Per-variable sample coordinates plus an iteration policy.
+    """Per-variable sample coordinates.
 
-    strategy "cartesian" walks full coordinate products while they fit the
-    budget and falls back to seeded random sampling; strategy "random"
-    always samples.  Verdicts are deterministic given the grid and seed.
+    `sample` walks full coordinate products while they fit its cap and
+    otherwise draws seeded random points, so verdicts are deterministic
+    given the grid.  The anchor scan samples up to `budget` points, and the
+    pair sweep and the factor tables share it out.
     """
 
     coords: tuple[tuple[float, ...], ...]
-    strategy: str = "cartesian"
-    budget: int = 4096
-    seed: int = 0
+    budget: ClassVar[int] = 4096
 
     def __post_init__(self):
-        if self.strategy not in ("cartesian", "random"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
         for axis in self.coords:
             if len(set(axis)) < 2:
                 raise ValueError("each variable needs at least 2 distinct coordinates")
@@ -107,46 +102,28 @@ class SampleGrid:
         return cls(coords=(axis,) * var_count)
 
     @classmethod
-    def from_specs(
-        cls,
-        names: Sequence[str],
-        specs: Mapping[str, tuple[float, ...]],
-        **options,
-    ) -> SampleGrid:
+    def from_specs(cls, names: Sequence[str], specs: Mapping[str, tuple[float, ...]]) -> SampleGrid:
         unknown = set(specs) - set(names)
         if unknown:
             raise ValueError(f"grid given for unknown variable(s): {', '.join(sorted(unknown))}")
         default_axis = linspace(*DEFAULT_GRID_RANGE, DEFAULT_GRID_COUNT)
-        return cls(coords=tuple(specs.get(n, default_axis) for n in names), **options)
+        return cls(coords=tuple(specs.get(n, default_axis) for n in names))
 
     @property
     def var_count(self) -> int:
         return len(self.coords)
 
-    def _rng(self, *salts: int) -> random.Random:
-        mixed = self.seed
+    def sample(self, axes: Sequence[int], cap: int, *salts: int) -> list[tuple[float, ...]]:
+        """Coordinate tuples over `axes`: their full product when it has at
+        most `cap` points, else `cap` random draws seeded by the salts."""
+        coords = [self.coords[i] for i in axes]
+        if math.prod(len(axis) for axis in coords) <= cap:
+            return list(itertools.product(*coords))
+        mixed = 0
         for salt in salts:
             mixed = mixed * 1_000_003 + salt + 1
-        return random.Random(mixed)
-
-    def iter_points(self, cap: int, salt: int) -> list[tuple[float, ...]]:
-        """Up to `cap` full sample points, exhaustive when they fit."""
-        total = math.prod(len(axis) for axis in self.coords)
-        if self.strategy == "cartesian" and total <= cap:
-            return list(itertools.product(*self.coords))
-        rng = self._rng(salt)
-        return [tuple(rng.choice(axis) for axis in self.coords) for _ in range(cap)]
-
-    def iter_axis_pairs(self, i: int, j: int, cap: int, salt: int) -> list[tuple[float, float]]:
-        """Up to `cap` coordinate pairs from axes i and j, exhaustive when they fit."""
-        total = len(self.coords[i]) * len(self.coords[j])
-        if self.strategy == "cartesian" and total <= cap:
-            return list(itertools.product(self.coords[i], self.coords[j]))
-        rng = self._rng(salt, i, j)
-        return [
-            (rng.choice(self.coords[i]), rng.choice(self.coords[j]))
-            for _ in range(cap)
-        ]
+        rng = random.Random(mixed)
+        return [tuple(rng.choice(axis) for axis in coords) for _ in range(cap)]
 
 
 @dataclass(frozen=True)
@@ -183,14 +160,12 @@ def margin_residual(
     block: Sequence[int],
     anchor: Sequence[float],
     point: Sequence[float],
-    *,
-    floor: float = DEGENERACY_FLOOR,
 ) -> float:
     """Scale-free residual of the separability identity at one test point.
 
     Returns |f(a)f(x) - f(x_I,a_J)f(a_I,x_J)| / max(|f(a)f(x)|,
-    |f(x_I,a_J)f(a_I,x_J)|, floor); zero in exact arithmetic whenever f
-    separates across the split (I = `block`, J = the rest).
+    |f(x_I,a_J)f(a_I,x_J)|, DEGENERACY_FLOOR); zero in exact arithmetic
+    whenever f separates across the split (I = `block`, J = the rest).
     """
     inside = set(block)
 
@@ -198,7 +173,7 @@ def margin_residual(
         return {name: float(v) for name, v in zip(names, values)}
 
     fa = expr.eval_float(f, bind(anchor))
-    if abs(fa) <= floor:
+    if abs(fa) <= DEGENERACY_FLOOR:
         raise DegenerateAnchorError(f"|f(anchor)| = {abs(fa)!r} is below the degeneracy floor")
     fx = expr.eval_float(f, bind(point))
     mixed_i = [point[k] if k in inside else anchor[k] for k in range(len(names))]
@@ -207,18 +182,14 @@ def margin_residual(
     f_xj = expr.eval_float(f, bind(mixed_j))
     lhs = fa * fx
     rhs = f_xi * f_xj
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor)
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), DEGENERACY_FLOOR)
 
 
-def _scan_anchor(
-    evaluate: expr.CompiledFloat,
-    grid: SampleGrid,
-    floor: float,
-) -> tuple[tuple[float, ...], int, int]:
+def _scan_anchor(evaluate: expr.CompiledFloat, grid: SampleGrid) -> tuple[tuple[float, ...], int, int]:
     best: tuple[float, ...] | None = None
     best_value = 0.0
     evaluated = skipped = 0
-    for point in grid.iter_points(grid.budget, salt=0):
+    for point in grid.sample(range(grid.var_count), grid.budget, 0):
         try:
             value = abs(expr.eval_float(evaluate, point))
         except EvalDomainError:
@@ -227,7 +198,7 @@ def _scan_anchor(
         evaluated += 1
         if value > best_value:
             best, best_value = point, value
-    if best is None or best_value <= floor:
+    if best is None or best_value <= DEGENERACY_FLOOR:
         raise DegenerateAnchorError("no sampled grid point keeps |f| above the degeneracy floor")
     return best, evaluated, skipped
 
@@ -238,7 +209,6 @@ def numeric_finest_partition(
     tol: float = DEFAULT_TOLERANCE,
     *,
     names: Sequence[str] | None = None,
-    floor: float = DEGENERACY_FLOOR,
 ) -> NumericVerdict:
     """Pairwise margin-identity test on sampled points.
 
@@ -264,7 +234,7 @@ def numeric_finest_partition(
     if grid.budget < n * (n - 1) // 2:
         raise ValueError(f"budget {grid.budget} is below the {n * (n - 1) // 2} pair tests")
     evaluate = expr.compile_float(f, names)
-    anchor, evaluated, skipped = _scan_anchor(evaluate, grid, floor)
+    anchor, evaluated, skipped = _scan_anchor(evaluate, grid)
     fa = expr.eval_float(evaluate, anchor)
 
     cache: dict[tuple[int, float], float] = {}
@@ -285,7 +255,7 @@ def numeric_finest_partition(
     uf = UnionFind(n)
     for i, j in itertools.combinations(range(n), 2):
         products: list[tuple[float, float]] = []
-        for ci, cj in grid.iter_axis_pairs(i, j, per_pair, salt=1):
+        for ci, cj in grid.sample((i, j), per_pair, 1, i, j):
             full = list(anchor)
             full[i] = ci
             full[j] = cj
@@ -306,7 +276,7 @@ def numeric_finest_partition(
             if scale <= noise:
                 discarded += 1
                 continue
-            worst = max(worst, abs(lhs - rhs) / max(scale, floor))
+            worst = max(worst, abs(lhs - rhs) / max(scale, DEGENERACY_FLOOR))
         residuals[i][j] = residuals[j][i] = worst
         if worst > tol:
             uf.union(i, j)
@@ -337,49 +307,34 @@ def numeric_factor_samples(
     f: ExprNode,
     grid: SampleGrid,
     partition: Partition,
-    anchor: Sequence[float] | None = None,
     tol: float = DEFAULT_TOLERANCE,
     *,
     names: Sequence[str] | None = None,
-    floor: float = DEGENERACY_FLOOR,
 ) -> tuple[BlockTable, ...]:
     """Sampled factor tables, one per block of the partition.
 
-    Block s is sampled as f with every other block frozen at the anchor; the
-    first block carries the f(anchor)^(r-1) normalization so the product of
-    the tables reproduces f.  The partition must be compatible with the
-    sampled residuals at the given tolerance.
+    Block s is sampled as f with every other block frozen at the anchor of
+    `numeric_finest_partition`; the first block carries the
+    f(anchor)^(r-1) normalization so the product of the tables reproduces f.
+    The partition must be compatible with the sampled residuals at the given
+    tolerance.
     """
-    verdict = numeric_finest_partition(f, grid, tol, names=names, floor=floor)
-    names = verdict.names
+    verdict = numeric_finest_partition(f, grid, tol, names=names)
     if not partition.is_coarsening_of(verdict.partition):
         raise PartitionMismatchError(
             f"partition {partition.blocks} is incompatible with the sampled "
             f"finest partition {verdict.partition.blocks}"
         )
-    if anchor is None:
-        anchor = verdict.anchor
-    anchor = tuple(float(v) for v in anchor)
-    if len(anchor) != len(names):
-        raise ValueError(f"anchor has {len(anchor)} coordinates, expression has {len(names)} variables")
-    evaluate = expr.compile_float(f, names)
+    anchor = verdict.anchor
+    evaluate = expr.compile_float(f, verdict.names)
     fa = expr.eval_float(evaluate, anchor)
-    if abs(fa) <= floor:
-        raise DegenerateAnchorError(f"|f(anchor)| = {abs(fa)!r} is below the degeneracy floor")
     blocks = partition.blocks
     per_block = max(1, grid.budget // len(blocks)) if blocks else grid.budget
     tables = []
     for s, block in enumerate(blocks):
         scale = fa ** (1 - len(blocks)) if s == 0 else 1.0
-        axes = [grid.coords[i] for i in block]
-        total = math.prod(len(a) for a in axes)
-        if grid.strategy == "cartesian" and total <= per_block:
-            points = list(itertools.product(*axes))
-        else:
-            rng = grid._rng(2, s)
-            points = [tuple(rng.choice(a) for a in axes) for _ in range(per_block)]
         samples: dict[tuple[float, ...], float] = {}
-        for coords in points:
+        for coords in grid.sample(block, per_block, 2, s):
             full = list(anchor)
             for i, c in zip(block, coords):
                 full[i] = c

@@ -187,6 +187,51 @@ def test_numeric_too_deep_expression_exits_2(capsys):
     assert "expression too deep to evaluate" in err
 
 
+NESTED_INPUTS = {
+    # kind: (opening text, closing text, check exit, numeric exit) at 100 levels;
+    # calls and non-literal exponents have no polynomial form, and the
+    # exponent tower leaves the domain at most sample points
+    "group": ("(", ")", 0, 0),
+    "call": ("sin(", ")", 2, 0),
+    "minus": ("-", "", 0, 0),
+    "power": ("x^", "", 2, 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTED_INPUTS))
+def test_nesting_limit_is_a_usage_error(kind, capsys):
+    opener, closer, check_code, numeric_code = NESTED_INPUTS[kind]
+    for command, expected in (("check", check_code), ("numeric", numeric_code)):
+        code, _, err = run_cli([command, "--", opener * 100 + "x*y" + closer * 100], capsys)
+        assert code == expected, (command, err)
+        assert "nesting" not in err
+        code, out, err = run_cli([command, "--", opener * 101 + "x*y" + closer * 101], capsys)
+        assert code == 2
+        assert out == ""
+        assert "nesting deeper than 100 levels" in err
+
+
+@pytest.mark.parametrize("source", [
+    "(" * 2000 + "x*y" + ")" * 2000,
+    "-" * 1500 + "x*y",
+    "x^" * 600 + "1*y",
+])
+def test_deeply_nested_input_exits_2_without_recursion_error(source, capsys):
+    code, out, err = run_cli(["check", "--", source], capsys)
+    assert code == 2
+    assert out == ""
+    assert "nesting deeper than 100 levels" in err
+
+
+@pytest.mark.parametrize("source", ["1" + "0" * 400 + "*x*y", "x*y/1" + "0" * 400])
+def test_numeric_literal_beyond_float_range_exits_3(source, capsys):
+    # every sample point overflows, so no usable anchor exists
+    code, out, err = run_cli(["numeric", source], capsys)
+    assert code == 3
+    assert out == ""
+    assert "degeneracy floor" in err
+
+
 def test_numeric_rejects_non_finite_grid_endpoints(capsys):
     for spec in ("x=0:inf:5", "x=nan:1:5", "x=-inf:0:3", "x=-1e400:1:3"):
         code, out, err = run_cli(["numeric", "x*y", "--grid", spec], capsys)

@@ -498,16 +498,25 @@ def test_separate_by_partition_two_blocks():
     assert result.factors[1][1] == P("x3 + x4", ("x3", "x4"))
 
 
-def test_separate_by_partition_with_explicit_anchor():
+def test_separate_by_partition_does_not_depend_on_the_anchor(monkeypatch):
+    # moving the witness points moves the anchor: to another witness point,
+    # then (F vanishes at the only witness point) to the grid scan
     partition = Partition(((0, 1), (2, 3)))
-    result = separate_by_partition(FOUR_VAR_PRODUCT, partition, anchor=(1, 1, 1, 0))
-    assert result.constant == 1
-    assert result.factors[0][1] == P("x1*x2 + 1", ("x1", "x2"))
-    assert result.factors[1][1] == P("x3 + x4", ("x3", "x4"))
+    expected = separate_by_partition(FOUR_VAR_PRODUCT, partition)
+    anchors = {exact._anchor(FOUR_VAR_PRODUCT)[0]}
+    for points in (((2, -3, 5, 7),), ((1, 1, 1, -1),)):
+        monkeypatch.setattr(exact, "_witness_points", lambda n: points)
+        anchors.add(exact._anchor(FOUR_VAR_PRODUCT)[0])
+        result = separate_by_partition(FOUR_VAR_PRODUCT, partition)
+        assert result.constant == expected.constant == 1
+        assert result.factors == expected.factors
+    assert len(anchors) == 3
+    assert expected.factors[0][1] == P("x1*x2 + 1", ("x1", "x2"))
+    assert expected.factors[1][1] == P("x3 + x4", ("x3", "x4"))
 
 
 def test_separate_by_partition_singletons_matches_total(p43):
-    result = separate_by_partition(p43, Partition.singletons(2), anchor=(0, 0))
+    result = separate_by_partition(p43, Partition.singletons(2))
     assert result.constant == 1
     assert result.factors[0][1] == P(P43_FACTOR_X)
     assert result.factors[1][1] == P(P43_FACTOR_Y)
@@ -525,11 +534,6 @@ def test_separate_by_partition_rejects_non_coarsening():
         separate_by_partition(P("x^2 + y^2"), Partition.singletons(2))
     with pytest.raises(NotSeparableError):
         separate_by_partition(FOUR_VAR_PRODUCT, Partition(((0, 2), (1, 3))))
-
-
-def test_separate_by_partition_rejects_vanishing_anchor():
-    with pytest.raises(ValueError):
-        separate_by_partition(P("x*y"), Partition.singletons(2), anchor=(0, 5))
 
 
 def test_coarsening_contract_randomized():

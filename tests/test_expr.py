@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varsep.expr import (
+    MAX_NESTING,
     BinOp,
     Call,
     Const,
@@ -98,6 +99,38 @@ def test_empty_and_truncated_sources():
         parse("x +")
     with pytest.raises(ParseError):
         parse("(x + y")
+
+
+NESTING_OPENERS = {
+    # kind: (text opening one level, ending in the opening token; closing text)
+    "group": ("(", ")"),
+    "call": ("sin(", ")"),
+    "minus": ("-", ""),
+    "power": ("x^", ""),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTING_OPENERS))
+def test_nesting_is_limited_to_max_nesting_levels(kind):
+    opener, closer = NESTING_OPENERS[kind]
+    assert MAX_NESTING == 100
+
+    def nested(levels):
+        return opener * levels + "y" + closer * levels
+
+    parse(nested(MAX_NESTING))
+    with pytest.raises(ParseError, match="nesting deeper than 100 levels") as info:
+        parse(nested(MAX_NESTING + 1))
+    # the offset of the token that opens level 101
+    assert info.value.position == len(opener) * (MAX_NESTING + 1) - 1
+
+
+def test_nesting_levels_add_up_across_kinds():
+    parse("-(" * 50 + "x" + ")" * 50)
+    with pytest.raises(ParseError, match="nesting deeper"):
+        parse("-(" * 50 + "-x" + ")" * 50)
+    # sums, products and siblings open no level
+    parse(" + ".join(["(" * 100 + "x" + ")" * 100] * 3))
 
 
 def test_decimal_literal_becomes_exact_rational():
@@ -210,6 +243,8 @@ def test_compiled_evaluator_agrees_with_eval_float_on_random_asts(node, point):
     "1/(x - 1) - 1/(y + 1)/z",
     "abs(sin(x))^(1/3)*exp(-z^2)",
     "-(x + y)^2/3",
+    "1" + "0" * 400 + "*x*y",
+    "x*y/1" + "0" * 400,
 ])
 def test_compiled_evaluator_agrees_with_eval_float_on_workload_shapes(source):
     node = parse(source)

@@ -161,9 +161,10 @@ def test_grid_must_match_variable_count():
 
 
 def test_budget_must_cover_the_pair_tests():
-    grid = SampleGrid(coords=(linspace(0, 1, 3),) * 4, budget=5)
-    with pytest.raises(ValueError, match="pair tests"):
-        numeric_finest_partition(parse("x + y + z + w"), grid, 1e-8)
+    # 92 variables make 4186 pair tests, more than the 4096-point budget
+    f = parse(" + ".join(f"x{k}" for k in range(92)))
+    with pytest.raises(ValueError, match="budget 4096 is below the 4186 pair tests"):
+        numeric_finest_partition(f, SampleGrid.default(92), 1e-8)
 
 
 def test_agreement_with_exact_route_on_random_polynomials():
@@ -183,12 +184,12 @@ def test_agreement_with_exact_route_on_random_polynomials():
 def test_factor_samples_of_plain_product_are_exact():
     f = parse("x*y")
     grid = SampleGrid(coords=((0.5, 1.0, 2.0), (0.5, 1.0, 3.0)))
-    tables = numeric_factor_samples(f, grid, Partition.singletons(2), anchor=(1.0, 1.0))
-    assert tables[0].block == (0,)
-    for (x,), value in tables[0].samples.items():
-        assert value == pytest.approx(x, abs=1e-15)
-    for (y,), value in tables[1].samples.items():
-        assert value == pytest.approx(y, abs=1e-15)
+    tables = numeric_factor_samples(f, grid, Partition.singletons(2))
+    assert [t.block for t in tables] == [(0,), (1,)]
+    assert len(tables[0].samples) == len(tables[1].samples) == 3
+    for (x,), gx in tables[0].samples.items():
+        for (y,), hy in tables[1].samples.items():
+            assert gx * hy == pytest.approx(x * y, rel=1e-15)
 
 
 def test_factor_samples_reconstruct_the_function():
@@ -245,17 +246,11 @@ def test_numeric_routes_validate_their_arguments():
             numeric_finest_partition(f, GRID_2, tol)
     with pytest.raises(ValueError, match="duplicate variable names"):
         numeric_finest_partition(f, GRID_2, names=("x", "x"))
-    with pytest.raises(ValueError, match="anchor has 1 coordinates"):
-        numeric_factor_samples(f, GRID_2, Partition.singletons(2), anchor=(1.0,))
 
 
 def test_grid_validation():
     with pytest.raises(ValueError):
         SampleGrid(coords=((1.0, 1.0),))
-    with pytest.raises(ValueError):
-        SampleGrid(coords=((0.0, 1.0),), budget=0)
-    with pytest.raises(ValueError):
-        SampleGrid(coords=((0.0, 1.0),), strategy="diagonal")
 
 
 def test_grid_from_specs_rejects_unknown_variable():
@@ -263,8 +258,22 @@ def test_grid_from_specs_rejects_unknown_variable():
         SampleGrid.from_specs(("x",), {"q": (0.0, 1.0)})
 
 
-def test_random_strategy_is_seeded_and_deterministic():
-    grid_a = SampleGrid(coords=(linspace(-1, 1, 9),) * 2, strategy="random", budget=50, seed=9)
-    grid_b = SampleGrid(coords=(linspace(-1, 1, 9),) * 2, strategy="random", budget=50, seed=9)
-    f = parse("x*y + x + 1")
-    assert numeric_finest_partition(f, grid_a) == numeric_finest_partition(f, grid_b)
+def test_grid_sample_is_exhaustive_when_it_fits():
+    grid = SampleGrid(coords=((0.0, 1.0), (2.0, 3.0, 4.0), (5.0, 6.0)))
+    assert grid.sample((1, 2), 6, 1, 1, 2) == [
+        (2.0, 5.0), (2.0, 6.0), (3.0, 5.0), (3.0, 6.0), (4.0, 5.0), (4.0, 6.0),
+    ]
+    drawn = grid.sample((1, 2), 5, 1, 1, 2)
+    assert len(drawn) == 5 and drawn == grid.sample((1, 2), 5, 1, 1, 2)
+    assert drawn != grid.sample((1, 2), 5, 1, 2, 1)
+
+
+def test_random_fallback_is_seeded_and_deterministic():
+    # 9^4 = 6561 grid points exceed the budget, so the anchor scan draws
+    f = parse("(x*y + 1)*(z + w + 3)")
+    grid = SampleGrid.default(4)
+    assert len(grid.sample(range(4), grid.budget, 0)) == grid.budget
+    first = numeric_finest_partition(f, grid)
+    assert first == numeric_finest_partition(f, SampleGrid.default(4))
+    assert all(c in axis for c, axis in zip(first.anchor, grid.coords))
+    assert first.partition.blocks == ((0, 1), (2, 3))
