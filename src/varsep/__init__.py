@@ -17,9 +17,7 @@ from .exact import (
     SeparationResult,
     SepMatrixReport,
     Verdict,
-    VerificationError,
     additive_separability,
-    anchor_search,
     coeff_criterion_total,
     finest_partition,
     sep_matrix_entry,

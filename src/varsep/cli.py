@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 separable / success, 1 not separable (check and separate),
-2 parse or usage error, 3 degenerate input, 4 internal verification failure.
+2 parse or usage error, 3 degenerate input, 4 the two exact routes disagreed.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 from typing import Sequence
 
 from . import exact, expr, numeric
-from .exact import NotSeparableError, Verdict, VerificationError
+from .exact import NotSeparableError, Verdict
 from .numeric import DegenerateAnchorError, DomainCoverageError, SampleGrid
 from .poly import Polynomial, ZeroPolynomialError
 
@@ -219,9 +219,6 @@ def run(argv: Sequence[str]) -> int:
     except (DegenerateAnchorError, DomainCoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -1,18 +1,20 @@
 """Exact separability decisions and factor extraction for rational polynomials.
 
-Two independent routes decide whether a polynomial F factors into a product
+Two routes decide whether a polynomial F factors into a product
 of polynomials in disjoint variable blocks:
 
 * the differential route: the pair test F*F_ij - F_i*F_j == 0 (as an exact
   polynomial identity), whose nonzero pairs form a graph whose connected
   components are the finest separating partition;
-* the coefficient route: F is totally separable exactly when its coefficient
-  tensor equals the product of the axis slices through the leading corner,
-  homogenized by powers of the leading product coefficient so arbitrary
-  (non-monic) inputs stay exact.  The slices come from one pass over the
-  terms, and the identity is checked by walking the sorted terms beside the
-  lazily enumerated slice products: at most |supp F| steps, never the
-  dense degree box.
+* the coefficient route: F separates by a partition into blocks
+  B_1, ..., B_r exactly when its coefficients equal the product of the
+  slices through the corner (the largest projection of F's terms onto each
+  block), homogenized by powers of the corner coefficient so arbitrary
+  (non-monic) inputs stay exact.  For singleton blocks this is the paper's
+  criterion that the coefficient tensor equals the product of its axis
+  slices.  The slices come from one pass over the terms, and the identity
+  is checked by walking the sorted terms beside the lazily enumerated slice
+  products: at most |supp F| steps, never the dense degree box.
 
 The differential route decides pairs by exact evaluation (Schwartz, J. ACM
 27(4), 1980; Zippel, EUROSAM 1979) and certifies every answer:
@@ -21,14 +23,16 @@ The differential route decides pairs by exact evaluation (Schwartz, J. ACM
   the pair value is computed from integer term sums of the denominator-free
   polynomial.  A nonzero value proves the edge; the point is its witness;
 * certification: the witnessed edges give a partition at least as fine as
-  the finest one.  When the margin factorization by that partition survives
-  exact re-multiplication, F separates by it, so no further edge exists;
+  the finest one.  When the slice identity shows that F separates by that
+  partition, no further edge exists.  This is the coefficient route's
+  identity, so the two routes rest on separate arguments only where a
+  witness or the fallback decides;
 * fallback: otherwise the symbolic entry F*F_ij - F_i*F_j decides every pair
   the witnesses left open, so the route never rests on chance.
 
-Factor extraction uses either coefficient slices (total separation) or
-margins at an anchor point where F does not vanish (partition separation).
-Every emitted factorization is re-verified by exact multiplication.
+The same slice identity yields the factors, for singletons (total
+separation) and for any partition alike.  It compares every coefficient,
+so an emitted factorization multiplies back to F by construction.
 """
 
 from __future__ import annotations
@@ -37,12 +41,12 @@ import enum
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .partition import Partition, UnionFind
-from .poly import Polynomial, Scalar, ZeroPolynomialError
+from .poly import Polynomial, ZeroPolynomialError
 
 
 class Verdict(enum.Enum):
@@ -52,14 +56,6 @@ class Verdict(enum.Enum):
 
 class NotSeparableError(Exception):
     """The requested factorization does not exist for this input."""
-
-
-class VerificationError(Exception):
-    """A produced factorization failed exact re-multiplication.
-
-    Unreachable when the criteria hold; raising it signals an internal
-    inconsistency, never a property of the input.
-    """
 
 
 @dataclass(frozen=True)
@@ -76,8 +72,8 @@ class SepMatrixReport:
 
     `vanishes[i][j]` is False where the entry is certified nonzero (an edge:
     by a witness point, or symbolically in the fallback), True where it is
-    certified zero (every pair in different blocks, by the verified margin
-    factorization or by the symbolic entry), and None where the partition
+    certified zero (every pair in different blocks, by the slice identity of
+    the partition or by the symbolic entry), and None where the partition
     does not depend on it: the diagonal, whose identity F*F_ii - F_i^2 == 0
     characterizes exponential-type behavior along x_i, not separability, and
     same-block pairs without a witness.  `witnesses` maps each edge (i, j),
@@ -93,7 +89,11 @@ class SepMatrixReport:
 
 @dataclass(frozen=True)
 class SeparationResult:
-    """A verified factorization: constant * product of monic block factors."""
+    """A verified factorization: constant * product of monic block factors.
+
+    `verified` is True on every result: the slice identity that produced it
+    compares every coefficient of F.
+    """
 
     constant: Fraction
     factors: tuple[tuple[tuple[int, ...], Polynomial], ...]
@@ -170,41 +170,6 @@ def _pair_sums(terms, point: tuple[int, ...], n: int):
     return f, s1, s2
 
 
-def _margin_separation(
-    poly: Polynomial, partition: Partition, point: Sequence[Scalar], value: Fraction
-) -> SeparationResult | None:
-    """Margin factorization at an anchor with F(point) = value != 0, or None
-    when exact re-multiplication shows F does not separate by the partition.
-
-    For r blocks, F(a)^(r-1) * F equals the product over blocks of the margins
-    of F with the other blocks frozen at a exactly when F separates by the
-    partition.  Each margin is normalized monic and the scalars are folded
-    into the constant.
-    """
-    n = poly.var_count
-    constant = value ** (1 - partition.block_count)
-    factors = []
-    for block in partition.blocks:
-        raw = poly.margin({i: point[i] for i in range(n) if i not in block})
-        lead = raw.leading_coefficient()
-        constant *= lead
-        factors.append((block, raw / lead))
-    result = SeparationResult(constant=constant, factors=tuple(factors), verified=False)
-    if result.product(poly.vars) != poly:
-        return None
-    return replace(result, verified=True)
-
-
-def _anchor(poly: Polynomial) -> tuple[tuple[Scalar, ...], Fraction]:
-    """The first witness point where F is nonzero, else `anchor_search`; with F's value there."""
-    for point in _witness_points(poly.var_count):
-        value = poly.evaluate(point)
-        if value != 0:
-            return point, value
-    point = anchor_search(poly)
-    return point, poly.evaluate(point)
-
-
 def finest_partition(poly: Polynomial) -> SepMatrixReport:
     """Finest partition according to which the polynomial separates.
 
@@ -214,10 +179,10 @@ def finest_partition(poly: Polynomial) -> SepMatrixReport:
     a coarsening of the result.
 
     Edges are found by exact evaluation at the witness points.  When the
-    witnessed partition has more than one block, its margin factorization at
-    the anchor (the first witness point where F is nonzero) is verified by
-    re-multiplication; if that fails, the symbolic entry decides every pair
-    still in different components.
+    witnessed partition has more than one block, F is checked to separate by
+    it with the slice identity (see `separate_by_partition`); if it does
+    not, the symbolic entry decides every pair still in different
+    components.
     """
     _require_nonzero(poly)
     n = poly.var_count
@@ -229,13 +194,10 @@ def finest_partition(poly: Polynomial) -> SepMatrixReport:
     uf = UnionFind(n)
     components = n
     witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
-    anchor = None
     for point in _witness_points(n):
         if components == 1:
             break
         f, s1, s2 = _pair_sums(terms, point, n)
-        if anchor is None and f:
-            anchor = point, Fraction(f, scale)
         for i in range(n):
             for j in range(i + 1, n):
                 if (i, j) not in witnesses and f * s2[i][j] != s1[i] * s1[j]:
@@ -245,14 +207,13 @@ def finest_partition(poly: Polynomial) -> SepMatrixReport:
                         components -= 1
     edges = set(witnesses)
     partition = uf.partition()
-    if components > 1:
-        if _margin_separation(poly, partition, *(anchor or _anchor(poly))) is None:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if uf.find(i) != uf.find(j) and not sep_matrix_entry(poly, i, j).is_zero:
-                        uf.union(i, j)
-                        edges.add((i, j))
-            partition = uf.partition()
+    if components > 1 and _slice_identity(poly, partition)[2] is not None:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if uf.find(i) != uf.find(j) and not sep_matrix_entry(poly, i, j).is_zero:
+                    uf.union(i, j)
+                    edges.add((i, j))
+        partition = uf.partition()
     owner = {i: k for k, block in enumerate(partition.blocks) for i in block}
     vanishes: list[list[bool | None]] = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -270,44 +231,80 @@ def finest_partition(poly: Polynomial) -> SepMatrixReport:
 
 
 def _slice_identity(
-    poly: Polynomial,
-) -> tuple[Fraction, list[dict[int, Fraction]], tuple[int, ...] | None]:
-    """(L, slices, violation) for the identity of `coeff_criterion_total`.
+    poly: Polynomial, partition: Partition
+) -> tuple[Fraction, list[dict[tuple[int, ...], Fraction]], tuple[int, ...] | None]:
+    """(L, slices, violation) for F and blocks B_1, ..., B_r.
 
-    `slices[r]` maps i to the nonzero coefficient at the corner N with axis r
-    lowered to i (the corner term belongs to every slice); violation is the
-    lexicographically first failing index, or None.  When L is zero the left
-    side vanishes, so the violation is the first index with a nonzero slice
-    product, else N.  Otherwise the lazily enumerated slice products are
-    walked beside the sorted terms up to the first mismatch: at most T
-    steps, O(T*n + T log T) work for T terms.
+    A term's key is the tuple of its projections onto the blocks, compared
+    lexicographically (for singletons, the exponent vector).  The corner's
+    k-th part is the largest projection onto B_k, L is the corner's
+    coefficient, and `slices[k]` maps each projection onto B_k to the
+    coefficient of the term that matches the corner outside B_k (the corner
+    term belongs to every slice).  A product of polynomials in disjoint
+    variables never cancels, and its largest key is the product of the
+    factors' largest keys, so F separates by the partition exactly when
+    L^(r-1) * c[key] == prod_k slices[k][key_k] at every key.
+
+    violation is the first failing key, flattened in block order (for
+    singletons the exponent index), or None.  When L is zero the left side
+    vanishes, so the violation is the first key with a nonzero slice
+    product, else the corner.  Otherwise the lazily enumerated slice
+    products are walked beside the sorted terms up to the first mismatch:
+    at most T steps, O(T*n + T log T) work for T terms.
     """
     _require_nonzero(poly)
-    degrees = poly.degree_vector()
-    n = len(degrees)
-    leading = poly.coefficient(degrees)
-    slices: list[dict[int, Fraction]] = [{} for _ in range(n)]
-    for exps, c in poly.terms.items():
-        off = [r for r in range(n) if exps[r] != degrees[r]]
+    blocks = partition.blocks
+    r = len(blocks)
+    keyed = [
+        (tuple(tuple(exps[i] for i in block) for block in blocks), c)
+        for exps, c in poly.terms.items()
+    ]
+    corner = tuple(map(max, zip(*(key for key, _ in keyed))))
+    leading = Fraction(0)
+    slices: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(r)]
+    for key, c in keyed:
+        off = [k for k in range(r) if key[k] != corner[k]]
         if not off:
-            for r in range(n):
-                slices[r][degrees[r]] = c
+            leading = c
+            for k in range(r):
+                slices[k][corner[k]] = c
         elif len(off) == 1:
-            slices[off[0]][exps[off[0]]] = c
+            slices[off[0]][key[off[0]]] = c
+    violation = None
     if leading == 0:
-        # reached only for n >= 2: a univariate or constant F contains its corner
-        if all(slices):
-            return leading, slices, tuple(min(s) for s in slices)
-        return leading, slices, degrees
-    scale = leading ** (n - 1)
-    expected = itertools.product(*(sorted(s.items()) for s in slices))
-    # both sequences end with the corner, the lexicographic maximum of the
-    # box, so they have equal length unless some step differs
-    for e, (exps, c) in zip(expected, sorted(poly.terms.items())):
-        index = tuple(i for i, _ in e)
-        if index != exps or scale * c != math.prod(v for _, v in e):
-            return leading, slices, min(index, exps)
-    return leading, slices, None
+        # reached only for r >= 2: a single block contains its largest term
+        violation = tuple(min(s) for s in slices) if all(slices) else corner
+    else:
+        scale = leading ** (r - 1)
+        expected = itertools.product(*(sorted(s.items()) for s in slices))
+        # both sequences end with the corner, the largest key of both, so
+        # they have equal length unless some step differs
+        for e, (key, c) in zip(expected, sorted(keyed)):
+            index = tuple(p for p, _ in e)
+            if index != key or scale * c != math.prod(v for _, v in e):
+                violation = min(index, key)
+                break
+    if violation is not None:
+        violation = tuple(itertools.chain.from_iterable(violation))
+    return leading, slices, violation
+
+
+def _factors(
+    poly: Polynomial,
+    partition: Partition,
+    leading: Fraction,
+    slices: list[dict[tuple[int, ...], Fraction]],
+) -> SeparationResult:
+    """F = L^(1-r) * prod_k slice_k, with each slice made monic by its
+    graded-lex leading coefficient and the scalars folded into the constant."""
+    constant = leading ** (1 - partition.block_count)
+    factors = []
+    for block, terms in zip(partition.blocks, slices):
+        raw = Polynomial(tuple(poly.vars[i] for i in block), terms)
+        lead = raw.leading_coefficient()
+        constant *= lead
+        factors.append((block, raw / lead))
+    return SeparationResult(constant=constant, factors=tuple(factors), verified=True)
 
 
 def coeff_criterion_total(poly: Polynomial) -> CriterionReport:
@@ -324,7 +321,7 @@ def coeff_criterion_total(poly: Polynomial) -> CriterionReport:
     vanishes too, the absent leading monomial x_1^N_1...x_n^N_n itself, since
     a totally separable polynomial always contains it.
     """
-    violation = _slice_identity(poly)[2]
+    violation = _slice_identity(poly, Partition.singletons(poly.var_count))[2]
     if violation is None:
         return CriterionReport(Verdict.SEPARABLE)
     return CriterionReport(Verdict.NOT_SEPARABLE, violation=violation)
@@ -333,72 +330,46 @@ def coeff_criterion_total(poly: Polynomial) -> CriterionReport:
 def separate_total(poly: Polynomial) -> SeparationResult:
     """Extract univariate factors of a totally separable polynomial.
 
-    The factor for variable r is the coefficient slice through the leading
-    corner, normalized monic; the leading product coefficient becomes the
-    overall constant.  Deciding separability and reading the slices is one
-    sparse pass (see `coeff_criterion_total`).  The factorization is
-    re-verified by exact multiplication before it is returned.
+    The singleton case of `separate_by_partition`: the factor for variable r
+    is the coefficient slice through the leading corner, normalized monic,
+    and the leading product coefficient becomes the overall constant.
+    Deciding separability and reading the slices is one sparse pass (see
+    `coeff_criterion_total`).
     """
-    leading, slices, violation = _slice_identity(poly)
+    partition = Partition.singletons(poly.var_count)
+    leading, slices, violation = _slice_identity(poly, partition)
     if violation is not None:
         raise NotSeparableError(
             f"not totally separable: coefficient condition fails at index {violation}"
         )
-    factors = []
-    for r, name in enumerate(poly.vars):
-        univariate = Polynomial((name,), {(i,): c for i, c in slices[r].items()})
-        factors.append(((r,), univariate / leading))
-    result = SeparationResult(constant=leading, factors=tuple(factors), verified=False)
-    if result.product(poly.vars) != poly:
-        raise VerificationError("total separation failed exact re-multiplication")
-    return replace(result, verified=True)
-
-
-def anchor_search(poly: Polynomial) -> tuple[Fraction, ...]:
-    """First point of the integer grid prod_i {0,...,N_i} where F is nonzero.
-
-    Scans in lexicographic order.  A nonzero polynomial cannot vanish on a
-    grid offering N_i + 1 distinct values per variable, so the scan always
-    succeeds.
-    """
-    _require_nonzero(poly)
-    degrees = poly.degree_vector()
-    for candidate in itertools.product(*(range(n + 1) for n in degrees)):
-        point = tuple(Fraction(c) for c in candidate)
-        if poly.evaluate(point) != 0:
-            return point
-    raise AssertionError("unreachable: nonzero polynomial vanished on its whole degree grid")
+    return _factors(poly, partition, leading, slices)
 
 
 def separate_by_partition(poly: Polynomial, partition: Partition) -> SeparationResult:
     """Factor the polynomial according to a partition of its variables.
 
-    Uses the margin construction at an anchor point a with F(a) != 0: for r
-    blocks, F(a)^(r-1) * F equals the product over blocks of the margins of F
-    with the other blocks frozen at a.  Each margin is normalized monic and
-    the scalars are folded into the constant, so the factors and the
-    constant do not depend on the anchor.  The anchor is the one
-    `finest_partition` uses: the first witness point where F is nonzero,
-    else the grid scan of `anchor_search`.
-
-    The result is verified by exact re-multiplication.  That identity holds
-    exactly when F separates by the partition, i.e. when the partition is a
-    coarsening of the finest partition, so a mismatch raises
-    NotSeparableError (naming the finest partition, which is derived only on
-    this path) and never VerificationError.
+    The slice identity (see `_slice_identity`) decides whether F separates
+    by the partition, i.e. whether the partition is a coarsening of the
+    finest partition, and supplies the factors: for r blocks with corner
+    coefficient L, F = L^(1-r) * prod_k slice_k.  It compares every
+    coefficient, so it proves what re-multiplication would, without
+    multiplying.  Each slice is normalized monic and the scalars are folded
+    into the constant, so the result does not depend on how the factors
+    were scaled.  When F does not separate it raises NotSeparableError,
+    naming the finest partition, which is derived only on this path.
     """
     _require_nonzero(poly)
     n = poly.var_count
     if partition.var_count != n:
         raise ValueError(f"partition covers {partition.var_count} variables, polynomial has {n}")
-    result = _margin_separation(poly, partition, *_anchor(poly))
-    if result is None:
+    leading, slices, violation = _slice_identity(poly, partition)
+    if violation is not None:
         finest = finest_partition(poly).partition
         raise NotSeparableError(
             f"polynomial does not separate according to {partition.blocks}; "
             f"finest partition is {finest.blocks}"
         )
-    return result
+    return _factors(poly, partition, leading, slices)
 
 
 def additive_separability(poly: Polynomial) -> Verdict:

@@ -158,18 +158,39 @@ def oracle_anchor(poly: Polynomial) -> tuple[Fraction, ...]:
     raise AssertionError(f"no nonzero grid point for {poly}")
 
 
-def oracle_partition_valid(poly: Polynomial, blocks) -> bool:
+def oracle_partition_valid(poly: Polynomial, blocks, anchor=None) -> bool:
     """Margin-identity test: F separates per the blocks iff
-    F(a)^(r-1) * F equals the product of the per-block margins at a."""
-    anchor = oracle_anchor(poly)
+    F(a)^(r-1) * F equals the product of the per-block margins at a point a
+    with F(a) != 0 (by default `oracle_anchor`)."""
+    if anchor is None:
+        anchor = oracle_anchor(poly)
     r = len(blocks)
     value = poly.evaluate(anchor)
+    assert value != 0, (poly, anchor)
     lhs = poly * value ** (r - 1)
     rhs = Polynomial.constant(1, poly.vars)
     for block in blocks:
         fixed = {i: anchor[i] for i in range(poly.var_count) if i not in set(block)}
         rhs = rhs * poly.margin(fixed)
     return lhs == rhs
+
+
+def oracle_margin_factors(poly: Polynomial, blocks, anchor=None):
+    """The margin factorization at an anchor (default `oracle_anchor`):
+    (constant, [monic factor per block]) with F = constant * prod factors,
+    each factor made monic by its graded-lex leading coefficient; None when
+    F does not separate per the blocks."""
+    if anchor is None:
+        anchor = oracle_anchor(poly)
+    if not oracle_partition_valid(poly, blocks, anchor):
+        return None
+    constant = poly.evaluate(anchor) ** (1 - len(blocks))
+    factors = []
+    for block in blocks:
+        margin = poly.margin({i: anchor[i] for i in range(poly.var_count) if i not in set(block)})
+        constant *= margin.leading_coefficient()
+        factors.append(margin.monic())
+    return constant, factors
 
 
 def oracle_finest(poly: Polynomial) -> Partition:

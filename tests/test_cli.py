@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import P43_FACTOR_X, P43_FACTOR_Y, build_p43
-from varsep import parse_polynomial
+from varsep import CriterionReport, Verdict, exact, parse_polynomial
 from varsep.cli import build_parser, run
 
 P43_SOURCE = str(build_p43())
@@ -99,6 +99,19 @@ def test_check_json_names_a_witness_per_edge(capsys):
     assert [entry["pair"] for entry in payload["witnesses"]] == [["x", "y"], ["z", "w"]]
     for entry in payload["witnesses"]:
         assert len(entry["point"]) == 4 and all(isinstance(c, int) and c for c in entry["point"])
+
+
+def test_check_exits_4_when_the_exact_routes_disagree(capsys, monkeypatch):
+    # a coefficient route that wrongly calls x + y separable is caught: the
+    # pair route witnesses the edge (x, y) on its own
+    monkeypatch.setattr(exact, "coeff_criterion_total", lambda poly: CriterionReport(Verdict.SEPARABLE))
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(["check", "x + y", "--format", fmt], capsys)
+        assert code == 4
+        assert out == ""
+        assert "the differential and coefficient routes disagree" in err
+        assert "(matrix: False, coefficients: True)" in err
+        assert "Traceback" not in err
 
 
 # --------------------------------------------------------------------- partition

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,9 @@ from conftest import (
     P234_FACTORS,
     all_partitions,
     oracle_coeff_violation,
+    oracle_anchor,
     oracle_finest,
+    oracle_margin_factors,
     oracle_partition_valid,
     rand_block_separable,
     rand_poly,
@@ -25,7 +28,6 @@ from varsep import (
     Verdict,
     ZeroPolynomialError,
     additive_separability,
-    anchor_search,
     coeff_criterion_total,
     finest_partition,
     parse_polynomial,
@@ -244,8 +246,8 @@ def test_witnesses_are_deterministic():
 
 def test_forced_fallback_when_witness_points_miss_the_edge(monkeypatch):
     # G_xy = -2*(x - 1) vanishes at every point with x = 1, so no witness is
-    # found, the all-singletons margin factorization fails re-multiplication,
-    # and the symbolic entries decide the pair
+    # found, the slice identity of the all-singletons partition fails, and
+    # the symbolic entries decide the pair
     monkeypatch.setattr(exact, "_witness_points", lambda n: ((1, 3), (1, -5)))
     poly = P("(x - 1)^2 + y")
     report = finest_partition(poly)
@@ -260,8 +262,8 @@ def test_witness_points_where_f_vanishes(monkeypatch):
     report = finest_partition(P("x*y - 1"))
     assert report.partition.blocks == ((0, 1),)
     assert report.witnesses == {(0, 1): (1, 1)}
-    # F = (x + 1)*(y - 1) vanishes at both points, so the anchor of the
-    # certifying factorization comes from the grid scan
+    # F = (x + 1)*(y - 1) vanishes at both points, and the slice identity,
+    # which evaluates nothing, still certifies the all-singletons partition
     product = P("(x + 1)*(y - 1)")
     monkeypatch.setattr(exact, "_witness_points", lambda n: ((-1, 2), (3, 1)))
     report = finest_partition(product)
@@ -286,7 +288,7 @@ def test_separate_by_partition_does_not_derive_the_finest_partition(monkeypatch)
     assert len(calls) == 1
 
 
-# --------------------------------------------------------------------- anomalous forms and the coefficient route
+# --------------------------------------------------------------------- coefficient route
 
 
 def test_anomalous_precheck_examples():
@@ -475,18 +477,7 @@ def test_factor_support_stays_inside_blocks():
         assert factor.leading_coefficient() == 1
 
 
-# --------------------------------------------------------------------- anchors and partition separation
-
-
-def test_anchor_search_examples(p43, p234):
-    assert anchor_search(p43) == (0, 0)
-    assert anchor_search(p234) == (0, 1, 1)
-    assert anchor_search(P("x")) == (1,)
-
-
-def test_anchor_search_rejects_zero():
-    with pytest.raises(ZeroPolynomialError):
-        anchor_search(Polynomial.zero(("x",)))
+# --------------------------------------------------------------------- partition separation
 
 
 def test_separate_by_partition_two_blocks():
@@ -498,21 +489,104 @@ def test_separate_by_partition_two_blocks():
     assert result.factors[1][1] == P("x3 + x4", ("x3", "x4"))
 
 
-def test_separate_by_partition_does_not_depend_on_the_anchor(monkeypatch):
-    # moving the witness points moves the anchor: to another witness point,
-    # then (F vanishes at the only witness point) to the grid scan
+def test_separate_by_partition_does_not_depend_on_the_anchor():
+    # the margin factorizations at two different anchors, normalized, agree
+    # with each other and with the slice factorization
     partition = Partition(((0, 1), (2, 3)))
-    expected = separate_by_partition(FOUR_VAR_PRODUCT, partition)
-    anchors = {exact._anchor(FOUR_VAR_PRODUCT)[0]}
-    for points in (((2, -3, 5, 7),), ((1, 1, 1, -1),)):
-        monkeypatch.setattr(exact, "_witness_points", lambda n: points)
-        anchors.add(exact._anchor(FOUR_VAR_PRODUCT)[0])
-        result = separate_by_partition(FOUR_VAR_PRODUCT, partition)
-        assert result.constant == expected.constant == 1
-        assert result.factors == expected.factors
-    assert len(anchors) == 3
-    assert expected.factors[0][1] == P("x1*x2 + 1", ("x1", "x2"))
-    assert expected.factors[1][1] == P("x3 + x4", ("x3", "x4"))
+    result = separate_by_partition(FOUR_VAR_PRODUCT, partition)
+    assert result.constant == 1
+    factors = [factor for _, factor in result.factors]
+    assert factors == [P("x1*x2 + 1", ("x1", "x2")), P("x3 + x4", ("x3", "x4"))]
+    raw = []
+    for anchor in (oracle_anchor(FOUR_VAR_PRODUCT), (2, -3, 5, 7)):
+        raw.append([FOUR_VAR_PRODUCT.margin({i: anchor[i] for i in range(4) if i not in block})
+                    for block in partition.blocks])
+        expected = oracle_margin_factors(FOUR_VAR_PRODUCT, partition.blocks, anchor)
+        assert expected == (result.constant, factors)
+    # the margins themselves differ: x1*x2 + 1 and x3 + x4 at (0, 0, 0, 1),
+    # 12*(x1*x2 + 1) and -5*(x3 + x4) at (2, -3, 5, 7)
+    assert raw[0] == [P("x1*x2 + 1", ("x1", "x2")), P("x3 + x4", ("x3", "x4"))]
+    assert raw[1] == [P("12*x1*x2 + 12", ("x1", "x2")), P("-5*x3 - 5*x4", ("x3", "x4"))]
+
+
+def _random_partition_input(rng):
+    """(F, partition, corner dropped) for the margin-oracle test: a product
+    of random block factors (in Fraction coefficients, sometimes perturbed
+    or missing its corner term, sometimes over a registry with one more,
+    unused variable) and a partition that is the true one, a coarsening of
+    it, or random."""
+    names = ("a", "b", "c", "d", "e")
+    n = rng.randint(2, 5)
+    blocks = random_partition(rng, n, rng.randint(1, n))
+    poly = rand_block_separable(rng, names[:n], blocks, max_deg=2, max_terms=3)
+    poly = with_fraction_coefficients(rng, poly)
+    kind = rng.randrange(4)
+    if kind == 1:
+        exps = tuple(rng.randint(0, 2) for _ in range(n))
+        poly = poly + Polynomial(names[:n], {exps: _random_coefficient(rng)})
+    if rng.random() < 0.25:
+        poly = with_absent_variable(rng, poly, "z")
+        slot = poly.vars.index("z")
+        blocks = [[i + (i >= slot) for i in block] for block in blocks] + [[slot]]
+    if kind == 2:
+        blocks = random_partition(rng, poly.var_count, rng.randint(1, poly.var_count))
+    elif kind == 3 and len(blocks) > 1:
+        blocks = [blocks[0] + blocks[1]] + blocks[2:]
+    partition = Partition.from_blocks(blocks)
+    drop = rng.random() < 0.2 and not poly.is_zero
+    if drop:
+        # drop the corner term: the term whose projection onto every block
+        # is the largest one there
+        corner = [0] * poly.var_count
+        for block in partition.blocks:
+            top = max(tuple(exps[i] for i in block) for exps in poly.terms)
+            for i, e in zip(block, top):
+                corner[i] = e
+        poly = poly - Polynomial(poly.vars, {tuple(corner): poly.coefficient(corner)})
+    return poly, partition, drop
+
+
+def test_separate_by_partition_matches_the_margin_oracle_on_random_inputs():
+    rng = random.Random(1009)
+    kinds = Counter()
+    for _ in range(500):
+        poly, partition, dropped = _random_partition_input(rng)
+        if poly.is_zero:
+            continue
+        kinds["tested"] += 1
+        kinds["corner dropped"] += dropped
+        expected = oracle_margin_factors(poly, partition.blocks)
+        if any(list(block) != list(range(block[0], block[-1] + 1)) for block in partition.blocks):
+            kinds["non-contiguous block"] += 1
+        if "z" in poly.vars:
+            kinds["absent variable"] += 1
+        if expected is None:
+            kinds["not separable"] += 1
+            with pytest.raises(NotSeparableError):
+                separate_by_partition(poly, partition)
+            continue
+        kinds["separable"] += 1
+        if not partition.is_all_singletons and partition.block_count > 1:
+            kinds["separable by blocks"] += 1
+        result = separate_by_partition(poly, partition)
+        assert [block for block, _ in result.factors] == list(partition.blocks)
+        assert (result.constant, [factor for _, factor in result.factors]) == expected, (poly, partition)
+        assert result.verified and result.product(poly.vars) == poly
+    assert kinds["tested"] >= 450 and min(kinds.values()) >= 40, kinds
+
+
+def test_separate_by_partition_rejects_a_vanishing_block_corner():
+    # the largest projections are x (onto {x, y}) and z (onto {z}), so the
+    # corner x*z is absent, although each slice is nonempty; likewise the
+    # corner x^2*y^2 for the blocks {x, z}, {y}
+    for source, vars, blocks in (
+        ("x + z", ("x", "y", "z"), ((0, 1), (2,))),
+        ("x*y^2 + x^2*y + z*y", ("x", "y", "z"), ((0, 2), (1,))),
+    ):
+        poly = P(source, vars)
+        assert oracle_margin_factors(poly, blocks) is None
+        with pytest.raises(NotSeparableError):
+            separate_by_partition(poly, Partition(blocks))
 
 
 def test_separate_by_partition_singletons_matches_total(p43):
