@@ -41,15 +41,12 @@ from .expr import (
     to_source,
 )
 from .numeric import (
-    BlockTable,
     DEFAULT_TOLERANCE,
     DegenerateAnchorError,
     DomainCoverageError,
     NumericVerdict,
-    PartitionMismatchError,
     SampleGrid,
     margin_residual,
-    numeric_factor_samples,
     numeric_finest_partition,
     parse_grid_spec,
 )

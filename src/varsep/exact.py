@@ -68,21 +68,14 @@ class CriterionReport:
 
 @dataclass(frozen=True)
 class SepMatrixReport:
-    """Pairwise vanishing table of F*F_ij - F_i*F_j and the derived partition.
+    """The finest partition derived from the pair entries F*F_ij - F_i*F_j.
 
-    `vanishes[i][j]` is False where the entry is certified nonzero (an edge:
-    by a witness point, or symbolically in the fallback), True where it is
-    certified zero (every pair in different blocks, by the slice identity of
-    the partition or by the symbolic entry), and None where the partition
-    does not depend on it: the diagonal, whose identity F*F_ii - F_i^2 == 0
-    characterizes exponential-type behavior along x_i, not separability, and
-    same-block pairs without a witness.  `witnesses` maps each edge (i, j),
-    i < j, found by evaluation to the integer point where its value is
-    nonzero.
+    `witnesses` maps each edge (i, j), i < j, found by evaluation to the
+    integer point where its entry is nonzero.  Every pair in different
+    blocks has an identically zero entry.
     """
 
     names: tuple[str, ...]
-    vanishes: tuple[tuple[bool | None, ...], ...]
     partition: Partition
     witnesses: dict[tuple[int, int], tuple[int, ...]]
 
@@ -205,29 +198,14 @@ def finest_partition(poly: Polynomial) -> SepMatrixReport:
                     if uf.find(i) != uf.find(j):
                         uf.union(i, j)
                         components -= 1
-    edges = set(witnesses)
     partition = uf.partition()
     if components > 1 and _slice_identity(poly, partition)[2] is not None:
         for i in range(n):
             for j in range(i + 1, n):
                 if uf.find(i) != uf.find(j) and not sep_matrix_entry(poly, i, j).is_zero:
                     uf.union(i, j)
-                    edges.add((i, j))
         partition = uf.partition()
-    owner = {i: k for k, block in enumerate(partition.blocks) for i in block}
-    vanishes: list[list[bool | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) in edges:
-                vanishes[i][j] = vanishes[j][i] = False
-            elif owner[i] != owner[j]:
-                vanishes[i][j] = vanishes[j][i] = True
-    return SepMatrixReport(
-        names=poly.vars,
-        vanishes=tuple(tuple(row) for row in vanishes),
-        partition=partition,
-        witnesses=witnesses,
-    )
+    return SepMatrixReport(names=poly.vars, partition=partition, witnesses=witnesses)
 
 
 def _slice_identity(

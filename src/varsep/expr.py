@@ -329,12 +329,20 @@ def to_source(node: ExprNode) -> str:
     if isinstance(node, Call):
         return f"{node.func}({to_source(node.arg)})"
     mine = _prec(node)
-    lp, rp = _prec(node.left), _prec(node.right)
-    left = wrap(node.left, lp < mine or (lp == mine and node.op == "^"))
-    right = wrap(node.right, rp < mine or (rp == mine and node.op != "^"))
-    if node.op in _SUM_OPS:
-        return f"{left} {node.op} {right}"
-    return f"{left}{node.op}{right}"
+    if node.op == "^":
+        left = wrap(node.left, _prec(node.left) <= mine)
+        return f"{left}^{wrap(node.right, _prec(node.right) < mine)}"
+    # walk the left spine of a chain of one precedence, as lower_sum does,
+    # so a long sum or product does not recurse once per operand
+    spine = []
+    while isinstance(node, BinOp) and _prec(node) == mine:
+        spine.append(node)
+        node = node.left
+    pieces = [wrap(node, _prec(node) < mine)]
+    for e in reversed(spine):
+        right = wrap(e.right, _prec(e.right) <= mine)
+        pieces.append(f" {e.op} {right}" if e.op in _SUM_OPS else f"{e.op}{right}")
+    return "".join(pieces)
 
 
 def free_variables(node: ExprNode) -> list[str]:

@@ -7,12 +7,12 @@ relative residual, pairs of variables are tested around an anchor sampled
 from a grid, and the connected components of the above-tolerance pairs give
 the partition.
 
-The sampling routes evaluate f at many points (the anchor scan alone walks
-the grid up to its budget), so each compiles f once with expr.compile_float
-and passes points as coordinate sequences in variable order.  Every
-evaluation still goes through expr.eval_float, the one entry point to
-evaluation at a point, so a wrapper or profiler on it sees each sample.
-margin_residual, which makes four evaluations, walks the AST.
+numeric_finest_partition evaluates f at many points (the anchor scan alone
+walks the grid up to its budget), so it compiles f once with
+expr.compile_float and passes points as coordinate sequences in variable
+order.  Every evaluation still goes through expr.eval_float, the one entry
+point to evaluation at a point, so a wrapper or profiler on it sees each
+sample.  margin_residual, which makes four evaluations, walks the AST.
 """
 
 from __future__ import annotations
@@ -44,11 +44,7 @@ class DegenerateAnchorError(Exception):
 
 
 class DomainCoverageError(Exception):
-    """Too many sample evaluations left the function's domain."""
-
-
-class PartitionMismatchError(Exception):
-    """The requested partition is incompatible with the sampled residuals."""
+    """Too many sample evaluations left the function's domain or overflowed."""
 
 
 def linspace(start: float, stop: float, count: int) -> tuple[float, ...]:
@@ -73,6 +69,8 @@ def parse_grid_spec(spec: str) -> tuple[str, tuple[float, ...]]:
         raise ValueError(f"grid spec {spec!r} needs finite endpoints")
     if count < 2:
         raise ValueError(f"grid spec {spec!r} needs at least 2 coordinates")
+    if count > SampleGrid.budget:
+        raise ValueError(f"grid spec {spec!r} has more than {SampleGrid.budget} coordinates")
     if stop == start:
         raise ValueError(f"grid spec {spec!r} has coinciding endpoints")
     return name.strip(), linspace(start, stop, count)
@@ -85,7 +83,8 @@ class SampleGrid:
     `sample` walks full coordinate products while they fit its cap and
     otherwise draws seeded random points, so verdicts are deterministic
     given the grid.  The anchor scan samples up to `budget` points, and the
-    pair sweep and the factor tables share it out.
+    pair sweep shares it out among the pairs.  A grid spec may give an axis
+    at most `budget` coordinates.
     """
 
     coords: tuple[tuple[float, ...], ...]
@@ -130,9 +129,9 @@ class SampleGrid:
 class NumericVerdict:
     """Residual matrix, anchor, tolerance, and the derived partition.
 
-    `skipped` counts sample evaluations lost to domain errors; `discarded`
-    counts test points dropped as cancellation noise (both products far
-    below the pair's dominant scale).
+    `skipped` counts sample evaluations lost to domain errors or to
+    products that overflow; `discarded` counts test points dropped as
+    cancellation noise (both products far below the pair's dominant scale).
     """
 
     names: tuple[str, ...]
@@ -144,14 +143,6 @@ class NumericVerdict:
     evaluated: int
     skipped: int
     discarded: int
-
-
-@dataclass(frozen=True)
-class BlockTable:
-    """Sampled factor values for one block: block coordinates -> value."""
-
-    block: tuple[int, ...]
-    samples: dict[tuple[float, ...], float]
 
 
 def margin_residual(
@@ -218,8 +209,9 @@ def numeric_finest_partition(
     connected components.  Test points whose both products sit below the
     pair's dominant product scale by PRODUCT_NOISE_RELATIVE_FLOOR are
     discarded as cancellation noise before the maximum is taken.  Domain
-    errors at sample points are skipped and counted; the test fails if more
-    than half of all evaluations skip.
+    errors at sample points, and test points where a product overflows to a
+    non-finite value, are skipped and counted; the test fails if more than
+    half of all evaluations skip.
     """
     if names is None:
         names = expr.free_variables(f)
@@ -260,14 +252,21 @@ def numeric_finest_partition(
             full[i] = ci
             full[j] = cj
             try:
-                fx = expr.eval_float(evaluate, full)
-                products.append((fa * fx, margin_value(i, ci) * margin_value(j, cj)))
+                lhs = fa * expr.eval_float(evaluate, full)
+                rhs = margin_value(i, ci) * margin_value(j, cj)
             except EvalDomainError:
                 skipped += 1
                 continue
+            if not (math.isfinite(lhs) and math.isfinite(rhs)):
+                # an overflowed product has no scale to compare against
+                skipped += 1
+                continue
             evaluated += 1
+            products.append((lhs, rhs))
         if not products:
-            raise DomainCoverageError(f"every sample for pair ({names[i]}, {names[j]}) left the domain")
+            raise DomainCoverageError(
+                f"every sample for pair ({names[i]}, {names[j]}) left the domain or overflowed"
+            )
         ceiling = max(max(abs(lhs), abs(rhs)) for lhs, rhs in products)
         noise = ceiling * PRODUCT_NOISE_RELATIVE_FLOOR
         worst = 0.0
@@ -282,7 +281,7 @@ def numeric_finest_partition(
             uf.union(i, j)
     total = evaluated + skipped
     if total and skipped > total / 2:
-        raise DomainCoverageError(f"{skipped} of {total} sample evaluations left the domain")
+        raise DomainCoverageError(f"{skipped} of {total} sample evaluations left the domain or overflowed")
     partition = uf.partition()
     if partition.is_all_singletons:
         verdict = "separable"
@@ -301,43 +300,3 @@ def numeric_finest_partition(
         skipped=skipped,
         discarded=discarded,
     )
-
-
-def numeric_factor_samples(
-    f: ExprNode,
-    grid: SampleGrid,
-    partition: Partition,
-    tol: float = DEFAULT_TOLERANCE,
-    *,
-    names: Sequence[str] | None = None,
-) -> tuple[BlockTable, ...]:
-    """Sampled factor tables, one per block of the partition.
-
-    Block s is sampled as f with every other block frozen at the anchor of
-    `numeric_finest_partition`; the first block carries the
-    f(anchor)^(r-1) normalization so the product of the tables reproduces f.
-    The partition must be compatible with the sampled residuals at the given
-    tolerance.
-    """
-    verdict = numeric_finest_partition(f, grid, tol, names=names)
-    if not partition.is_coarsening_of(verdict.partition):
-        raise PartitionMismatchError(
-            f"partition {partition.blocks} is incompatible with the sampled "
-            f"finest partition {verdict.partition.blocks}"
-        )
-    anchor = verdict.anchor
-    evaluate = expr.compile_float(f, verdict.names)
-    fa = expr.eval_float(evaluate, anchor)
-    blocks = partition.blocks
-    per_block = max(1, grid.budget // len(blocks)) if blocks else grid.budget
-    tables = []
-    for s, block in enumerate(blocks):
-        scale = fa ** (1 - len(blocks)) if s == 0 else 1.0
-        samples: dict[tuple[float, ...], float] = {}
-        for coords in grid.sample(block, per_block, 2, s):
-            full = list(anchor)
-            for i, c in zip(block, coords):
-                full[i] = c
-            samples[coords] = scale * expr.eval_float(evaluate, full)
-        tables.append(BlockTable(block=block, samples=samples))
-    return tuple(tables)

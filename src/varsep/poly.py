@@ -105,25 +105,11 @@ class Polynomial:
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
-    def support(self) -> tuple[int, ...]:
-        """Indices of variables that occur with a positive exponent."""
-        present = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e > 0:
-                    present.add(i)
-        return tuple(sorted(present))
-
     def degree_vector(self) -> tuple[int, ...]:
         """Per-variable maximum exponents; errors on the zero polynomial."""
         if self.is_zero:
             raise ZeroPolynomialError("degree vector of the zero polynomial is undefined")
         return tuple(max(exps[i] for exps in self.terms) for i in range(len(self.vars)))
-
-    def total_degree(self) -> int:
-        if self.is_zero:
-            raise ZeroPolynomialError("total degree of the zero polynomial is undefined")
-        return max(sum(exps) for exps in self.terms)
 
     def leading_monomial(self) -> ExponentVector:
         """Greatest exponent vector under graded-lex; errors on the zero polynomial."""
@@ -276,39 +262,6 @@ class Polynomial:
                 del terms[key]
         return Polynomial(names, terms)
 
-    def apply_affine_transform(self, matrix: Sequence[Sequence[Scalar]], offset: Sequence[Scalar]) -> Polynomial:
-        """Substitute x_i -> sum_j matrix[i][j] * x_j + offset[i] into the polynomial."""
-        n = len(self.vars)
-        if len(matrix) != n or any(len(row) != n for row in matrix) or len(offset) != n:
-            raise ValueError(f"affine transform must be {n}x{n} with an offset of length {n}")
-        images = []
-        for i in range(n):
-            terms: dict[ExponentVector, Fraction] = {}
-            b = _fraction(offset[i])
-            if b:
-                terms[(0,) * n] = b
-            for j in range(n):
-                t = _fraction(matrix[i][j])
-                if t:
-                    exps = tuple(1 if k == j else 0 for k in range(n))
-                    terms[exps] = t
-            images.append(Polynomial(self.vars, terms))
-        powers: dict[tuple[int, int], Polynomial] = {}
-
-        def image_power(i: int, e: int) -> Polynomial:
-            if (i, e) not in powers:
-                powers[(i, e)] = images[i] ** e
-            return powers[(i, e)]
-
-        result = Polynomial.zero(self.vars)
-        for exps, coef in self.terms.items():
-            term = Polynomial.constant(coef, self.vars)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * image_power(i, e)
-            result = result + term
-        return result
-
     # ------------------------------------------------------------------ presentation
 
     def sorted_terms(self) -> list[tuple[ExponentVector, Fraction]]:
@@ -345,17 +298,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.vars)!r}, {str(self)!r})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vars": list(self.vars),
-            "terms": [{"exp": list(exps), "coef": str(coef)} for exps, coef in self.sorted_terms()],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> Polynomial:
-        terms = {tuple(entry["exp"]): Fraction(entry["coef"]) for entry in data["terms"]}
-        return cls(tuple(data["vars"]), terms)
 
 
 def _lift(value, vars: tuple[str, ...]):

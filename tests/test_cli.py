@@ -200,6 +200,47 @@ def test_numeric_too_deep_expression_exits_2(capsys):
     assert "expression too deep to evaluate" in err
 
 
+LONG_SUM = "(" + " + ".join(["x"] * 600) + ")"
+
+
+def test_error_message_rendering_a_long_sum_exits_2(capsys):
+    # the message quotes the 600-term quotient, which the printer renders
+    # without recursing once per summand
+    code, out, err = run_cli(["check", LONG_SUM + "/y"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: division by a non-constant in '(x + x + ")
+    assert err.endswith(" + x)/y'\n")
+
+
+def test_numeric_long_sum_over_zero_exits_3(capsys):
+    # every evaluation divides by zero, as with a 300-term sum
+    for terms in (300, 600):
+        source = "(" + " + ".join(["x"] * terms) + ")/(y - y)"
+        code, out, err = run_cli(["numeric", source], capsys)
+        assert (code, out) == (3, ""), terms
+        assert "no sampled grid point keeps |f| above the degeneracy floor" in err
+
+
+def test_numeric_overflowing_scale_is_not_called_separable(capsys):
+    # f(a)*f(x) overflows at every test point; those points are skipped, not
+    # read as noise, so x^2 + y^2 is not called separable
+    code, out, err = run_cli(["numeric", "1" + "0" * 200 + "*(x^2 + y^2)"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: every sample for pair (x, y) left the domain or overflowed\n"
+
+
+def test_numeric_grid_axis_is_bounded_by_the_sample_budget(capsys):
+    code, out, _ = run_cli(["numeric", "x*y", "--grid", "x=0.5:1:4096"], capsys)
+    assert code == 0
+    assert out.startswith("verdict: separable\n")
+    code, out, err = run_cli(["numeric", "x*y", "--grid", "x=0.5:1:4097"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: grid spec 'x=0.5:1:4097' has more than 4096 coordinates\n"
+
+
 NESTED_INPUTS = {
     # kind: (opening text, closing text, check exit, numeric exit) at 100 levels;
     # calls and non-literal exponents have no polynomial form, and the

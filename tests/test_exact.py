@@ -58,7 +58,8 @@ def test_pair_entry_of_sum_of_squares():
 
 
 def test_pair_entry_of_difference_of_squares():
-    transformed = P("x*y").apply_affine_transform([[1, 1], [1, -1]], [0, 0])
+    # x*y under the rotation x -> x + y, y -> x - y
+    transformed = P("(x + y)*(x - y)")
     assert transformed == P("x^2 - y^2")
     assert sep_matrix_entry(transformed, 0, 1) == P("4*x*y")
 
@@ -106,14 +107,6 @@ def test_finest_partition_of_monomial_is_all_singletons():
 def test_finest_partition_of_sum_of_squares_is_one_block():
     report = finest_partition(P("x^2 + y^2"))
     assert report.partition.blocks == ((0, 1),)
-
-
-def test_report_matrix_is_symmetric_with_untrusted_diagonal():
-    report = finest_partition(P("x^2 + y^2"))
-    assert report.vanishes[0][1] is False
-    assert report.vanishes[1][0] is False
-    # diagonal entries are present but the partition ignores them
-    assert len(report.vanishes) == 2 and len(report.vanishes[0]) == 2
 
 
 def test_absent_variable_is_its_own_singleton():
@@ -212,13 +205,10 @@ def test_witness_route_agrees_with_symbolic_entries_on_random_inputs():
         assert poly.var_count <= 6
         report = finest_partition(poly)
         assert report.partition == symbolic_finest(poly), poly
-        n = poly.var_count
-        for i in range(n):
-            assert report.vanishes[i][i] is None
-            for j in range(i + 1, n):
-                assert report.vanishes[i][j] is report.vanishes[j][i]
-                if report.vanishes[i][j] is not None:
-                    assert report.vanishes[i][j] == sep_matrix_entry(poly, i, j).is_zero, (poly, i, j)
+        owner = {i: k for k, block in enumerate(report.partition.blocks) for i in block}
+        for i, j in itertools.combinations(range(poly.var_count), 2):
+            if owner[i] != owner[j]:
+                assert sep_matrix_entry(poly, i, j).is_zero, (poly, i, j)
 
 
 def test_every_witness_gives_a_nonzero_exact_pair_value():
@@ -227,9 +217,10 @@ def test_every_witness_gives_a_nonzero_exact_pair_value():
     for _ in range(60):
         poly = random_pair_test_input(rng)
         report = finest_partition(poly)
+        owner = {i: k for k, block in enumerate(report.partition.blocks) for i in block}
         for (i, j), point in report.witnesses.items():
             assert i < j
-            assert report.vanishes[i][j] is False
+            assert owner[i] == owner[j]
             assert all(c != 0 for c in point)
             assert sep_matrix_entry(poly, i, j).evaluate(point) != 0, (poly, i, j, point)
             checked += 1
@@ -253,7 +244,6 @@ def test_forced_fallback_when_witness_points_miss_the_edge(monkeypatch):
     report = finest_partition(poly)
     assert report.partition.blocks == ((0, 1),)
     assert report.witnesses == {}
-    assert report.vanishes[0][1] is False
 
 
 def test_witness_points_where_f_vanishes(monkeypatch):
@@ -268,7 +258,8 @@ def test_witness_points_where_f_vanishes(monkeypatch):
     monkeypatch.setattr(exact, "_witness_points", lambda n: ((-1, 2), (3, 1)))
     report = finest_partition(product)
     assert report.partition.is_all_singletons
-    assert report.vanishes[0][1] is True
+    assert report.witnesses == {}
+    assert sep_matrix_entry(product, 0, 1).is_zero
 
 
 def test_separate_by_partition_does_not_derive_the_finest_partition(monkeypatch):
@@ -699,7 +690,8 @@ def test_additive_separability_examples():
 
 
 def test_affine_image_of_product_is_not_separable():
-    image = P("x*y").apply_affine_transform([[1, 1], [1, -1]], [0, 0])
+    # x*y under the rotation x -> x + y, y -> x - y
+    image = P("(x + y)*(x - y)")
     assert finest_partition(image).partition.blocks == ((0, 1),)
     with pytest.raises(NotSeparableError):
         separate_total(image)

@@ -168,6 +168,16 @@ def test_print_parse_round_trip(node):
     assert parse(to_source(node)) == node
 
 
+def test_printer_renders_long_chains_without_recursing_per_operand():
+    for op, text in (("+", " + y"), ("-", " - y"), ("*", "*y"), ("/", "/y")):
+        node = Var("x")
+        for _ in range(5000):
+            node = BinOp(op, node, Var("y"))
+        assert to_source(node) == "x" + text * 5000
+    mixed = BinOp("+", BinOp("*", Var("x"), BinOp("-", Var("y"), Var("z"))), BinOp("-", Var("y"), Var("z")))
+    assert to_source(mixed) == "x*(y - z) + (y - z)"
+
+
 def test_round_trip_of_reference_sources():
     for source in ("x*y", "x^4*y^3 + 2*x^4*y^2", "sin(x)/cos(y)", "-(x + y)^2/3"):
         node = parse(source)

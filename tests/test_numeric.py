@@ -4,21 +4,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_poly
-from varsep import (
-    Partition,
-    parse,
-    parse_polynomial,
-)
+from varsep import numeric, parse, parse_polynomial
 from varsep.exact import finest_partition
 from varsep.expr import BinOp, Const
 from varsep.numeric import (
     DegenerateAnchorError,
     DomainCoverageError,
-    PartitionMismatchError,
     SampleGrid,
     linspace,
     margin_residual,
-    numeric_factor_samples,
     numeric_finest_partition,
     parse_grid_spec,
 )
@@ -167,6 +161,14 @@ def test_budget_must_cover_the_pair_tests():
         numeric_finest_partition(f, SampleGrid.default(92), 1e-8)
 
 
+def test_test_points_with_overflowing_products_are_skipped():
+    # with f near 1e155, f(a)*f(x) overflows at the points far from the axes;
+    # they are skipped and the remaining points still decide
+    verdict = numeric_finest_partition(parse("1" + "0" * 155 + "*x*y"), GRID_2)
+    assert verdict.verdict == "separable"
+    assert verdict.skipped > 0 and verdict.evaluated > verdict.skipped
+
+
 def test_agreement_with_exact_route_on_random_polynomials():
     rng = random.Random(17)
     for _ in range(40):
@@ -176,46 +178,6 @@ def test_agreement_with_exact_route_on_random_polynomials():
         node = parse(str(poly))
         numeric_verdict = numeric_finest_partition(node, SampleGrid.default(n), 1e-8, names=names)
         assert numeric_verdict.partition == finest_partition(poly).partition, poly
-
-
-# --------------------------------------------------------------------- factor tables
-
-
-def test_factor_samples_of_plain_product_are_exact():
-    f = parse("x*y")
-    grid = SampleGrid(coords=((0.5, 1.0, 2.0), (0.5, 1.0, 3.0)))
-    tables = numeric_factor_samples(f, grid, Partition.singletons(2))
-    assert [t.block for t in tables] == [(0,), (1,)]
-    assert len(tables[0].samples) == len(tables[1].samples) == 3
-    for (x,), gx in tables[0].samples.items():
-        for (y,), hy in tables[1].samples.items():
-            assert gx * hy == pytest.approx(x * y, rel=1e-15)
-
-
-def test_factor_samples_reconstruct_the_function():
-    f = parse("sin(x)/cos(y)")
-    tables = numeric_factor_samples(f, GRID_2, Partition.singletons(2))
-    from varsep.expr import eval_float
-
-    for (x,), gx in tables[0].samples.items():
-        for (y,), hy in tables[1].samples.items():
-            expected = eval_float(f, {"x": x, "y": y})
-            assert gx * hy == pytest.approx(expected, rel=1e-10, abs=1e-12)
-
-
-def test_factor_samples_single_block_is_the_function_itself():
-    f = parse("x^2 + y^2")
-    tables = numeric_factor_samples(f, GRID_2, Partition(((0, 1),)))
-    assert len(tables) == 1
-    from varsep.expr import eval_float
-
-    for (x, y), value in tables[0].samples.items():
-        assert value == pytest.approx(eval_float(f, {"x": x, "y": y}), rel=1e-12)
-
-
-def test_factor_samples_reject_incompatible_partition():
-    with pytest.raises(PartitionMismatchError):
-        numeric_factor_samples(parse("x^2 + y^2"), GRID_2, Partition.singletons(2))
 
 
 # --------------------------------------------------------------------- grids
@@ -237,6 +199,18 @@ def test_grid_spec_parsing():
     for spec in ("x=0:inf:5", "x=nan:1:5", "x=-inf:inf:3"):
         with pytest.raises(ValueError, match="finite endpoints"):
             parse_grid_spec(spec)
+
+
+def test_grid_spec_count_is_bounded_by_the_sample_budget(monkeypatch):
+    _, coords = parse_grid_spec(f"x=0:1:{SampleGrid.budget}")
+    assert len(coords) == SampleGrid.budget == 4096
+
+    def refuse(*args):
+        raise AssertionError("an oversized axis must be rejected before it is built")
+
+    monkeypatch.setattr(numeric, "linspace", refuse)
+    with pytest.raises(ValueError, match="more than 4096 coordinates"):
+        parse_grid_spec("x=0:1:4097")
 
 
 def test_numeric_routes_validate_their_arguments():

@@ -172,41 +172,7 @@ def test_monic_normalization():
     assert p.leading_coefficient() == 4
 
 
-# --------------------------------------------------------------------- affine substitution
-
-
-def test_affine_transform_turns_product_into_difference_of_squares():
-    p = P("x*y")
-    image = p.apply_affine_transform([[1, 1], [1, -1]], [0, 0])
-    assert image == P("x^2 - y^2")
-
-
-def test_affine_identity_is_identity(p43):
-    n = p43.var_count
-    identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    assert p43.apply_affine_transform(identity, [0] * n) == p43
-
-
-def test_affine_shift_of_single_variable():
-    p = parse_polynomial("x", ("x",))
-    assert p.apply_affine_transform([[2]], [1]) == parse_polynomial("2*x + 1", ("x",))
-
-
-def test_affine_dimension_mismatch():
-    with pytest.raises(ValueError):
-        P("x*y").apply_affine_transform([[1, 0]], [0, 0])
-
-
-@settings(max_examples=30)
-@given(polynomials(max_deg=3, max_terms=4))
-def test_invertible_affine_preserves_total_degree(p):
-    if p.is_zero:
-        return
-    image = p.apply_affine_transform([[1, 2], [0, 1]], [3, -1])
-    assert image.total_degree() == p.total_degree()
-
-
-# --------------------------------------------------------------------- text and JSON forms
+# --------------------------------------------------------------------- text form
 
 
 def test_canonical_string_is_graded_lex_descending():
@@ -222,12 +188,6 @@ def test_canonical_string_reparses_to_the_same_polynomial(p):
     if p.is_zero:
         return
     assert parse_polynomial(str(p), p.vars) == p
-
-
-@settings(max_examples=60)
-@given(polynomials(max_terms=5))
-def test_json_round_trip(p):
-    assert Polynomial.from_json_dict(p.to_json_dict()) == p
 
 
 def test_aligned_orders_first_registry_then_new_names():
