@@ -19,17 +19,20 @@ exponents each open one nesting level, and more than MAX_NESTING levels is a
 parse error, so nesting alone cannot exhaust the stack of the recursive
 parser or of the passes over its tree.  Sums and products open no level.
 
-Float evaluation: eval_float walks the AST and is the reference;
-compile_float turns an AST once into a positional function, a tree of
-closures, for callers that evaluate the same expression at many points, and
-eval_float also evaluates through such a function.  Both share one set of
-domain rules (ln of a non-positive value, division by zero, and math
-errors all raise EvalDomainError naming the subexpression).
+Float evaluation: eval_float walks the AST and is the reference, with one
+set of domain rules (ln of a non-positive value, division by zero, and math
+errors all raise EvalDomainError naming the subexpression).  compile_float
+turns an AST once into a positional function, one generated straight-line
+Python function, for callers that evaluate the same expression at many
+points; at a point where that code raises, it replays the walk, so values
+and errors are the walk's.  eval_float also evaluates through such a
+function.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,10 +105,6 @@ ExprNode = Union[Const, Var, Neg, BinOp, Call]
 # --------------------------------------------------------------------- lexer
 
 
-def _byte_offset(source: str, index: int) -> int:
-    return len(source[:index].encode("utf-8"))
-
-
 def _is_digit(c: str) -> bool:
     return c.isascii() and c.isdigit()
 
@@ -113,19 +112,28 @@ def _is_digit(c: str) -> bool:
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     i, n = 0, len(source)
+    # the byte offset of a character index: ASCII text has one byte per
+    # character, and re-encoding the prefix at every token would make
+    # tokenizing quadratic in the input length
+    if source.isascii():
+        def offset(index: int) -> int:
+            return index
+    else:
+        def offset(index: int) -> int:
+            return len(source[:index].encode("utf-8"))
     while i < n:
         c = source[i]
         if c.isspace():
             i += 1
             continue
-        pos = _byte_offset(source, i)
+        pos = offset(i)
         if _is_digit(c):
             start = i
             while i < n and _is_digit(source[i]):
                 i += 1
             if i < n and source[i] == ".":
                 if i + 1 >= n or not _is_digit(source[i + 1]):
-                    raise ParseError("expected digits after decimal point", _byte_offset(source, i))
+                    raise ParseError("expected digits after decimal point", offset(i))
                 i += 1
                 while i < n and _is_digit(source[i]):
                     i += 1
@@ -133,7 +141,7 @@ def tokenize(source: str) -> list[Token]:
             if i < n and (source[i].isalpha() or source[i] == "_"):
                 raise ParseError(
                     "implicit multiplication is not allowed, write an explicit '*'",
-                    _byte_offset(source, i),
+                    offset(i),
                 )
             tokens.append(Token(TokenKind.NUMBER, source[start:i], pos))
             continue
@@ -391,8 +399,9 @@ _FLOAT_FUNCTIONS = {
     "abs": abs,
 }
 
-# The domain rules, written once and shared by eval_float and the functions
-# compile_float builds.  `node` is the subexpression named by the error.
+# The domain rules of eval_float.  `node` is the subexpression named by the
+# error.  The functions compile_float builds use plain float operators and
+# math calls, and leave every error to a replay of eval_float.
 
 
 def _const(node: Const) -> float:
@@ -437,7 +446,8 @@ def eval_float(node: ExprNode | CompiledFloat, point: Mapping[str, float] | Sequ
     evaluator, a recursive walk.  With a function from compile_float and a
     coordinate sequence it evaluates through that function: the one entry
     point to evaluation at a point, whichever form the expression is in.
-    There a tree too deep for the interpreter's stack raises ValueError.
+    There a walk replayed too deep for the interpreter's stack raises
+    ValueError.
     """
     if callable(node):
         try:
@@ -471,51 +481,75 @@ def compile_float(node: ExprNode, names: Sequence[str]) -> CompiledFloat:
     """Compile `node` into f(point), point holding one coordinate per name.
 
     f(point) equals eval_float(node, dict(zip(names, point))) bit for bit and
-    raises the same errors at the same subexpressions.  f is a tree of
-    closures built once: variable lookups become indexes into the point,
-    constants are converted to floats here, and the per-node type dispatch of
-    the walk is gone.  A variable missing from `names` raises
+    raises the same errors at the same subexpressions.  f is one generated
+    straight-line function: each variable is read from its position once,
+    constants are converted to floats here, and every operation is a Python
+    float operator or a math call.  Wherever that code raises, f replays the
+    reference walk, which returns the same value or raises the canonical
+    error, so only the walk knows the domain rules.  No text from the
+    expression reaches the generated source: variables, constants and
+    helpers have generated names.  A variable missing from `names` raises
     UnboundVariableError when evaluated, not here.  A tree too deep to build
     raises ValueError.
     """
     index = {name: i for i, name in enumerate(names)}
+    constants: dict[str, object] = {}
+    used: set[int] = set()
 
-    def build(e: ExprNode) -> CompiledFloat:
+    def constant(value: object) -> str:
+        name = f"c{len(constants)}"
+        constants[name] = value
+        return name
+
+    def emit(e: ExprNode) -> tuple[str, int]:
+        # the source of `e` and its precedence, parenthesised as to_source does
         if isinstance(e, Const):
             try:
-                value = _const(e)
+                return constant(_const(e)), _PREC_ATOM
             except EvalDomainError:
-                # raises when evaluated, as eval_float does
-                return lambda p: _const(e)
-            return lambda p: value
-        if isinstance(e, Var):
-            if e.name not in index:
-                def unbound(p):
-                    raise UnboundVariableError(e.name)
-                return unbound
-            i = index[e.name]
-            return lambda p: float(p[i])
+                pass
+        if isinstance(e, Var) and e.name in index:
+            used.add(index[e.name])
+            return f"v{index[e.name]}", _PREC_ATOM
+        if isinstance(e, (Const, Var)):
+            # a constant beyond float range or an unbound variable raises
+            # when evaluated, as in eval_float
+            return constant(lambda: eval_float(e, {})) + "()", _PREC_ATOM
         if isinstance(e, Neg):
-            operand = build(e.operand)
-            return lambda p: -operand(p)
+            operand, prec = emit(e.operand)
+            return "-" + (f"({operand})" if prec < _PREC_UNARY else operand), _PREC_UNARY
         if isinstance(e, Call):
-            arg = build(e.arg)
-            return lambda p: _call(e, arg(p))
-        left, right = build(e.left), build(e.right)
-        if e.op == "+":
-            return lambda p: left(p) + right(p)
-        if e.op == "-":
-            return lambda p: left(p) - right(p)
-        if e.op == "*":
-            return lambda p: left(p) * right(p)
-        if e.op == "/":
-            return lambda p: _divide(e, left(p), right(p))
-        return lambda p: _power(e, left(p), right(p))
+            func = e.func if e.func in _FLOAT_FUNCTIONS else constant(functools.partial(_call, e))
+            return f"{func}({emit(e.arg)[0]})", _PREC_ATOM
+        left, left_prec = emit(e.left)
+        right, right_prec = emit(e.right)
+        if e.op not in ("+", "-", "*", "/"):
+            return f"pow({left}, {right})", _PREC_ATOM
+        mine = _prec(e)
+        if left_prec < mine:
+            left = f"({left})"
+        if right_prec <= mine:
+            right = f"({right})"
+        return f"{left} {e.op} {right}", mine
 
     try:
-        return build(node)
-    except RecursionError:
+        body, _ = emit(node)
+        lines = [f"    v{i} = float(p[{i}])" for i in sorted(used)]
+        source = "\n".join(["def f(p):", "  try:", *lines, f"    return {body}",
+                            "  except Exception:", "    return replay(p)"])
+        code = compile(source, "<compile_float>", "exec")
+    except (RecursionError, SyntaxError, MemoryError):
         raise ValueError("expression too deep to evaluate") from None
+    finally:
+        # emit refers to itself through its closure; breaking that cycle
+        # frees the emitter at once instead of at the next collection
+        del emit
+    names = tuple(names)
+    namespace = {**_FLOAT_FUNCTIONS, **constants, "pow": math.pow,
+                 "replay": lambda p: eval_float(node, dict(zip(names, p)))}
+    exec(code, namespace)
+    # out of its own globals, so the function is in no reference cycle
+    return namespace.pop("f")
 
 
 # --------------------------------------------------------------------- lowering to polynomials

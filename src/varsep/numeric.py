@@ -8,11 +8,13 @@ from a grid, and the connected components of the above-tolerance pairs give
 the partition.
 
 numeric_finest_partition evaluates f at many points (the anchor scan alone
-walks the grid up to its budget), so it compiles f once with
-expr.compile_float and passes points as coordinate sequences in variable
-order.  Every evaluation still goes through expr.eval_float, the one entry
-point to evaluation at a point, so a wrapper or profiler on it sees each
-sample.  margin_residual, which makes four evaluations, walks the AST.
+samples the grid up to its budget), so both drawing and evaluating a point
+are kept cheap: SampleGrid.sample draws random points one axis at a time,
+and f is compiled once with expr.compile_float into one generated function
+that takes points as coordinate sequences in variable order.  Every
+evaluation still goes through expr.eval_float, the one entry point to
+evaluation at a point, so a wrapper or profiler on it sees each sample.
+margin_residual, which makes four evaluations, walks the AST.
 """
 
 from __future__ import annotations
@@ -81,10 +83,11 @@ class SampleGrid:
     """Per-variable sample coordinates.
 
     `sample` walks full coordinate products while they fit its cap and
-    otherwise draws seeded random points, so verdicts are deterministic
-    given the grid.  The anchor scan samples up to `budget` points, and the
-    pair sweep shares it out among the pairs.  A grid spec may give an axis
-    at most `budget` coordinates.
+    otherwise draws seeded random points: all `cap` draws of one axis at a
+    time, uniform, independent and with replacement, zipped into points.
+    So verdicts are deterministic given the grid.  The anchor scan samples
+    up to `budget` points, and the pair sweep shares it out among the
+    pairs.  A grid spec may give an axis at most `budget` coordinates.
     """
 
     coords: tuple[tuple[float, ...], ...]
@@ -114,7 +117,8 @@ class SampleGrid:
 
     def sample(self, axes: Sequence[int], cap: int, *salts: int) -> list[tuple[float, ...]]:
         """Coordinate tuples over `axes`: their full product when it has at
-        most `cap` points, else `cap` random draws seeded by the salts."""
+        most `cap` points, else `cap` random draws seeded by the salts,
+        drawn one axis at a time."""
         coords = [self.coords[i] for i in axes]
         if math.prod(len(axis) for axis in coords) <= cap:
             return list(itertools.product(*coords))
@@ -122,7 +126,7 @@ class SampleGrid:
         for salt in salts:
             mixed = mixed * 1_000_003 + salt + 1
         rng = random.Random(mixed)
-        return [tuple(rng.choice(axis) for axis in coords) for _ in range(cap)]
+        return list(zip(*(rng.choices(axis, k=cap) for axis in coords)))
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,10 @@ def test_implicit_multiplication_rejected():
 def test_unexpected_character_reports_byte_offset():
     with pytest.raises(ParseError, match="byte 4"):
         tokenize("x + $")
+    # U+00A0 is whitespace of two bytes, so the character index 8 of the
+    # e-acute is byte 9
+    with pytest.raises(ParseError, match="byte 9"):
+        tokenize("x +\u00a0y + \u00e9")
 
 
 # --------------------------------------------------------------------- parser
@@ -287,17 +291,28 @@ def test_compiled_evaluator_handles_a_900_term_sum():
 def test_too_deep_expressions_raise_value_error():
     node = parse(" + ".join(["x"] * 600))
     evaluate = compile_float(node, ("x",))
+    # the generated code is straight-line; only the replayed walk recurses
+    failing = compile_float(parse(" + ".join(["x"] * 600) + " + ln(x - 2)"), ("x",))
     limit = sys.getrecursionlimit()
     depth = len(inspect.stack())
     try:
         sys.setrecursionlimit(depth + 300)
+        assert eval_float(evaluate, (1.0,)) == 600.0
         with pytest.raises(ValueError, match="expression too deep to evaluate"):
-            eval_float(evaluate, (1.0,))
+            eval_float(failing, (1.0,))
         with pytest.raises(ValueError, match="expression too deep to evaluate"):
             compile_float(node, ("x",))
     finally:
         sys.setrecursionlimit(limit)
     assert eval_float(evaluate, (1.0,)) == 600.0
+
+
+def test_generated_names_cannot_collide_with_variable_names():
+    # without "(" the parser reads sin, pow and abs as variables
+    node = parse("sin*pow + abs*p + v0*c1")
+    names = ("v0", "c1", "sin", "pow", "abs", "p")
+    for point in itertools.product((0.5, -2.25), repeat=len(names)):
+        _assert_agrees(node, names, point)
 
 
 def test_compiled_evaluator_reads_positions_and_converts_to_float():
