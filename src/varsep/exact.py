@@ -233,10 +233,11 @@ def _slice_identity(
     _require_nonzero(poly)
     blocks = partition.blocks
     r = len(blocks)
-    keyed = [
-        (tuple(tuple(exps[i] for i in block) for block in blocks), c)
-        for exps, c in poly.terms.items()
-    ]
+    # the keys come from transposing twice, one column per variable and
+    # then one projection per block, which leaves the per-term work to C
+    columns = list(zip(*poly.terms))
+    projections = [zip(*[columns[i] for i in block]) for block in blocks]
+    keyed = [(row[:-1], row[-1]) for row in zip(*projections, poly.terms.values())]
     corner = tuple(map(max, zip(*(key for key, _ in keyed))))
     leading = Fraction(0)
     slices: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(r)]

@@ -571,17 +571,25 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
     Allowed constructs: +, -, *, rational constants, registered variables,
     ^ with a nonnegative integer literal exponent, and / by an expression
     that lowers to a nonzero constant.  Anything else raises LoweringError.
+
+    The expression is lowered as a sum of summands (a single product is a
+    sum of one), added into one term map.  A summand that is a product of
+    constants, registered variables, unary minus, / by a nonzero constant
+    literal and ^ factors folds straight into its one term, with no
+    polynomial per factor; only its ^ factors are lowered, and x^k still
+    costs k - 1 products.  Any other summand is lowered factor by factor.
+    Either way the result and any LoweringError are the same.
     """
     names = tuple(vars) if vars is not None else tuple(free_variables(node))
     if len(set(names)) != len(names):
         raise LoweringError(f"duplicate variable names in {names}")
-    registered = set(names)
+    slots = {name: i for i, name in enumerate(names)}
 
     def lower(e: ExprNode) -> Polynomial:
         if isinstance(e, Const):
             return Polynomial.constant(e.value, names)
         if isinstance(e, Var):
-            if e.name not in registered:
+            if e.name not in slots:
                 raise LoweringError(f"unregistered variable {e.name!r}")
             return Polynomial.variable(e.name, names)
         if isinstance(e, Neg):
@@ -605,9 +613,56 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
             raise LoweringError("exponent must be a nonnegative integer literal", e)
         return lower(e.left) ** int(e.right.value)
 
-    def lower_sum(e: BinOp) -> Polynomial:
-        # walk the left spine of a +/- chain and add every piece into one
-        # term map, so a long sum costs time linear in its length
+    def summand_terms(e: ExprNode):
+        """The (exps, coef) items of one summand.
+
+        The product is walked with a stack, left factor first.  Its shape is
+        checked before anything is lowered: on any factor that is not a
+        constant, a registered variable, a unary minus, a / by a nonzero
+        constant literal or a ^, the summand goes to `lower` whole.  Only
+        the ^ factors can raise, and they are lowered in the order `lower`
+        visits them, so errors are the same.  A ^ factor of one term is
+        folded in; one with more (or no) terms is multiplied in.
+        """
+        exps = [0] * len(names)
+        coef = Fraction(1)
+        powers = []
+        stack = [e]
+        while stack:
+            f = stack.pop()
+            if isinstance(f, Const):
+                coef *= f.value
+            elif isinstance(f, Var) and f.name in slots:
+                exps[slots[f.name]] += 1
+            elif isinstance(f, Neg):
+                coef = -coef
+                stack.append(f.operand)
+            elif isinstance(f, BinOp) and f.op == "*":
+                stack += (f.right, f.left)
+            elif isinstance(f, BinOp) and f.op == "/" and isinstance(f.right, Const) and f.right.value:
+                coef /= f.right.value
+                stack.append(f.left)
+            elif isinstance(f, BinOp) and f.op == "^":
+                powers.append(f)
+            else:
+                return lower(e).terms.items()
+        rest = None
+        for f in powers:
+            power = lower(f)
+            if len(power.terms) == 1:
+                ((p, c),) = power.terms.items()
+                exps = [a + b for a, b in zip(exps, p)]
+                coef *= c
+            else:
+                rest = power if rest is None else rest * power
+        if rest is not None:
+            return (rest * Polynomial(names, {tuple(exps): coef})).terms.items()
+        return ((tuple(exps), coef),) if coef else ()
+
+    def lower_sum(e: ExprNode) -> Polynomial:
+        # walk the left spine of a +/- chain and add the terms of every
+        # summand into one term map, so a long sum costs time linear in its
+        # length; a summand that is a monomial costs one entry
         pieces = []
         while isinstance(e, BinOp) and e.op in _SUM_OPS:
             pieces.append((e.op == "-", e.right))
@@ -615,8 +670,8 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
         pieces.append((False, e))
         terms: dict = {}
         for negate, piece in reversed(pieces):
-            for exps, coef in lower(piece).terms.items():
+            for exps, coef in summand_terms(piece):
                 terms[exps] = terms.get(exps, 0) + (-coef if negate else coef)
         return Polynomial(names, terms)
 
-    return lower(node)
+    return lower_sum(node)

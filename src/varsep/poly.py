@@ -183,8 +183,10 @@ class Polynomial:
     def __pow__(self, exponent: int) -> Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial exponent must be a nonnegative integer, got {exponent!r}")
-        result = Polynomial.constant(1, self.vars)
-        for _ in range(exponent):
+        if exponent == 0:
+            return Polynomial.constant(1, self.vars)
+        result = self
+        for _ in range(exponent - 1):
             result = result * self
         return result
 

@@ -1,5 +1,6 @@
-"""Shared fixtures: reference polynomials, random generators, and the
-margin-identity brute-force oracle used to cross-check partition logic."""
+"""Shared fixtures: reference polynomials, random generators, the
+margin-identity brute-force oracle used to cross-check partition logic, and
+a factor-by-factor lowering oracle."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from varsep import Partition, Polynomial, parse_polynomial
+from varsep.expr import BinOp, Call, Const, LoweringError, Neg, Var
 
 # Coefficient matrix of the 20-term reference polynomial: rows are x^4 down
 # to x^0, columns are y^3 down to y^0.  It is the outer product of its first
@@ -206,3 +208,52 @@ def oracle_finest(poly: Polynomial) -> Partition:
     for blocks in valid:
         assert Partition.from_blocks(blocks).is_coarsening_of(finest_partition)
     return finest_partition
+
+
+# --------------------------------------------------------------------- lowering oracle
+
+
+def oracle_lower(node, names) -> Polynomial:
+    """Lower an AST by plain Polynomial arithmetic, one factor at a time:
+    every node becomes a polynomial, and x^k is k products starting from the
+    constant 1.  It raises LoweringError with the messages of
+    `lower_to_polynomial`, in the same order: a divisor is checked before
+    its dividend, an exponent before its base, a left factor before a right
+    one."""
+    names = tuple(names)
+
+    def walk(e) -> Polynomial:
+        if isinstance(e, Const):
+            return Polynomial.constant(e.value, names)
+        if isinstance(e, Var):
+            if e.name not in names:
+                raise LoweringError(f"unregistered variable {e.name!r}")
+            return Polynomial.variable(e.name, names)
+        if isinstance(e, Neg):
+            return -walk(e.operand)
+        if isinstance(e, Call):
+            raise LoweringError("function calls have no polynomial form", e)
+        assert isinstance(e, BinOp)
+        if e.op == "^":
+            if not isinstance(e.right, Const) or e.right.value.denominator != 1:
+                raise LoweringError("exponent must be a nonnegative integer literal", e)
+            base = walk(e.left)
+            result = Polynomial.constant(1, names)
+            for _ in range(int(e.right.value)):
+                result = result * base
+            return result
+        if e.op == "/":
+            divisor = walk(e.right)
+            if not divisor.is_constant:
+                raise LoweringError("division by a non-constant", e)
+            if divisor.constant_value() == 0:
+                raise LoweringError("division by zero", e)
+            return walk(e.left) / divisor.constant_value()
+        left, right = walk(e.left), walk(e.right)
+        if e.op == "+":
+            return left + right
+        if e.op == "-":
+            return left - right
+        return left * right
+
+    return walk(node)

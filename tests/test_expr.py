@@ -362,6 +362,12 @@ def test_lower_rejects_non_polynomial_constructs():
         lower_to_polynomial(parse("x + q"), ("x",))
 
 
+def test_lower_zero_summand_leaves_no_entry_in_the_term_order():
+    # terms keep the order in which their monomials first occur
+    assert list(as_poly("0*x*y + x^2 + x*y").terms) == [(2, 0), (1, 1)]
+    assert list(as_poly("(x - x)^2*x*y + x^2 + x*y").terms) == [(2, 0), (1, 1)]
+
+
 def test_lower_respects_variable_registry_order():
     p = as_poly("y + x", ("x", "y"))
     assert p.vars == ("x", "y")
@@ -428,3 +434,99 @@ def test_lowering_preserves_exact_value(node, point):
 def test_lowering_is_linear_over_addition(a, b):
     combined = lower_to_polynomial(BinOp("+", a, b), ("x", "y"))
     assert combined == lower_to_polynomial(a, ("x", "y")) + lower_to_polynomial(b, ("x", "y"))
+
+
+# sums of monomial summands, which lowering folds into one term each, with
+# the shapes it must hand on: multi-term powers and a (y + 1) factor
+_constants = st.integers(0, 9).map(lambda n: Const(Fraction(n)))
+_variables = st.sampled_from("xyz").map(Var)
+
+
+def _chain(op, nodes):
+    node = nodes[0]
+    for right in nodes[1:]:
+        node = BinOp(op, node, right)
+    return node
+
+
+_monomials = st.lists(st.one_of(_constants, _variables), min_size=1, max_size=3).map(
+    lambda factors: _chain("*", factors)
+)
+_two_term = st.tuples(_monomials, st.sampled_from("+-"), _monomials).map(lambda t: BinOp(t[1], t[0], t[2]))
+_powers = st.tuples(st.one_of(_monomials, _two_term), st.integers(0, 4)).map(
+    lambda t: BinOp("^", t[0], Const(Fraction(t[1])))
+)
+_Y_PLUS_1 = BinOp("+", Var("y"), Const(Fraction(1)))
+_factors = st.tuples(
+    st.integers(0, 11).flatmap(lambda k: st.just(_Y_PLUS_1) if k == 0 else st.one_of(_constants, _variables, _powers)),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(1, 7)),
+)
+
+
+def _summand(factors):
+    """Multiply the factors left to right, each one negated or followed by a
+    division by a nonzero literal as drawn."""
+    node = None
+    for factor, negate, divisor in factors:
+        factor = Neg(factor) if negate else factor
+        node = factor if node is None else BinOp("*", node, factor)
+        if divisor is not None:
+            node = BinOp("/", node, Const(Fraction(divisor)))
+    return node
+
+
+def _sum(pieces):
+    """Add or subtract the summands left to right, as drawn."""
+    node = pieces[0][1]
+    for op, summand in pieces[1:]:
+        node = BinOp(op, node, summand)
+    return node
+
+
+_summands = st.lists(_factors, min_size=1, max_size=4).map(_summand)
+monomial_sums = st.lists(st.tuples(st.sampled_from("+-"), _summands), min_size=1, max_size=30).map(_sum)
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_sums)
+def test_lowering_a_sum_of_products_equals_the_factor_by_factor_product(node):
+    from conftest import oracle_lower
+
+    names = ("x", "y", "z")
+    assert lower_to_polynomial(node, names) == oracle_lower(node, names)
+
+
+_BROKEN = ["q", "x/0", "x/y", "x^y", "x^(1/2)", "sin(x)"]
+_POSITIONS = ["{b}", "2*{b}", "{b}*y", "x*{b}*y^2", "-{b}*x", "x^2*y/3*{b}", "y + 3*{b}*x",
+              "{b}*x^(1/2)", "x^(1/2)*{b}", "{b}/0", "(x + 1)^2*{b}", "x^2 - y*{b}"]
+
+
+@pytest.mark.parametrize("position", _POSITIONS)
+@pytest.mark.parametrize("broken", _BROKEN)
+def test_lowering_a_broken_summand_raises_the_factor_by_factor_error(broken, position):
+    from conftest import oracle_lower
+
+    node = parse(position.format(b=broken))
+    with pytest.raises(LoweringError) as expected:
+        oracle_lower(node, ("x", "y"))
+    with pytest.raises(LoweringError) as raised:
+        lower_to_polynomial(node, ("x", "y"))
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("source, message", [
+    ("x*q*y^2", "unregistered variable 'q'"),
+    ("x^(1/2)*q", "exponent must be a nonnegative integer literal in 'x^(1/2)'"),
+    ("x^y*x^(1/2)", "exponent must be a nonnegative integer literal in 'x^y'"),
+    ("-x/0*x", "division by zero in '-x/0'"),
+    ("x^(1/2)/0", "division by zero in 'x^(1/2)/0'"),
+    ("x/y/0", "division by zero in 'x/y/0'"),
+    ("y + 3*x/y*x", "division by a non-constant in '3*x/y'"),
+    ("(x + 1)^2*sin(x)", "function calls have no polynomial form in 'sin(x)'"),
+])
+def test_lowering_error_messages_and_which_error_wins(source, message):
+    with pytest.raises(LoweringError) as raised:
+        lower_to_polynomial(parse(source), ("x", "y"))
+    assert str(raised.value) == message

@@ -63,6 +63,17 @@ def test_mismatched_registries_align_by_name():
     assert combined == P("x*y + x + y + 1")
 
 
+@pytest.mark.parametrize("exponent", [0, 1, 3])
+@pytest.mark.parametrize("base", [Polynomial.zero(("x", "y")), P("-2/3*x^2*y"), P("x - 2*y")])
+def test_power_equals_repeated_multiplication(base, exponent):
+    expected = Polynomial.constant(1, base.vars)
+    for _ in range(exponent):
+        expected = expected * base
+    power = base ** exponent
+    assert power == expected
+    assert power.vars == base.vars
+
+
 @settings(max_examples=60)
 @given(polynomials(), polynomials(), polynomials())
 def test_ring_axioms(a, b, c):
