@@ -33,6 +33,11 @@ The differential route decides pairs by exact evaluation (Schwartz, J. ACM
 The same slice identity yields the factors, for singletons (total
 separation) and for any partition alike.  It compares every coefficient,
 so an emitted factorization multiplies back to F by construction.
+
+Both the witnesses and the slice identity run on Python integers: F is
+scaled once by D, the lcm of its coefficient denominators.  Both sides of
+the identity have degree r in the coefficients, so scaling by D changes no
+verdict and no violation index, and the factors' constant is divided by D.
 """
 
 from __future__ import annotations
@@ -177,13 +182,9 @@ def finest_partition(poly: Polynomial) -> SepMatrixReport:
     not, the symbolic entry decides every pair still in different
     components.
     """
-    _require_nonzero(poly)
     n = poly.var_count
-    scale = math.lcm(*(c.denominator for c in poly.terms.values()))
-    terms = [
-        (c.numerator * (scale // c.denominator), [(i, e) for i, e in enumerate(exps) if e])
-        for exps, c in poly.terms.items()
-    ]
+    _, cleared = _cleared(poly)
+    terms = [(c, [(i, e) for i, e in enumerate(exps) if e]) for exps, c in cleared.items()]
     uf = UnionFind(n)
     components = n
     witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -199,7 +200,7 @@ def finest_partition(poly: Polynomial) -> SepMatrixReport:
                         uf.union(i, j)
                         components -= 1
     partition = uf.partition()
-    if components > 1 and _slice_identity(poly, partition)[2] is not None:
+    if components > 1 and _slice_identity(cleared, partition)[2] is not None:
         for i in range(n):
             for j in range(i + 1, n):
                 if uf.find(i) != uf.find(j) and not sep_matrix_entry(poly, i, j).is_zero:
@@ -208,10 +209,19 @@ def finest_partition(poly: Polynomial) -> SepMatrixReport:
     return SepMatrixReport(names=poly.vars, partition=partition, witnesses=witnesses)
 
 
+def _cleared(poly: Polynomial) -> tuple[int, dict[tuple[int, ...], int]]:
+    """(D, G) with D the lcm of F's coefficient denominators and G = D*F,
+    the denominator-free polynomial, as a map from exponents to integers."""
+    _require_nonzero(poly)
+    scale = math.lcm(*(c.denominator for c in poly.terms.values()))
+    return scale, {exps: c.numerator * (scale // c.denominator) for exps, c in poly.terms.items()}
+
+
 def _slice_identity(
-    poly: Polynomial, partition: Partition
-) -> tuple[Fraction, list[dict[tuple[int, ...], Fraction]], tuple[int, ...] | None]:
-    """(L, slices, violation) for F and blocks B_1, ..., B_r.
+    cleared: dict[tuple[int, ...], int], partition: Partition
+) -> tuple[int, list[dict[tuple[int, ...], int]], tuple[int, ...] | None]:
+    """(L, slices, violation) for G = D*F (see `_cleared`) and blocks
+    B_1, ..., B_r.
 
     A term's key is the tuple of its projections onto the blocks, compared
     lexicographically (for singletons, the exponent vector).  The corner's
@@ -221,7 +231,9 @@ def _slice_identity(
     term belongs to every slice).  A product of polynomials in disjoint
     variables never cancels, and its largest key is the product of the
     factors' largest keys, so F separates by the partition exactly when
-    L^(r-1) * c[key] == prod_k slices[k][key_k] at every key.
+    L^(r-1) * c[key] == prod_k slices[k][key_k] at every key.  Both sides
+    have degree r in the coefficients, so the identity holds for G exactly
+    when it holds for F, at the same keys, and it is checked on integers.
 
     violation is the first failing key, flattened in block order (for
     singletons the exponent index), or None.  When L is zero the left side
@@ -230,17 +242,16 @@ def _slice_identity(
     products are walked beside the sorted terms up to the first mismatch:
     at most T steps, O(T*n + T log T) work for T terms.
     """
-    _require_nonzero(poly)
     blocks = partition.blocks
     r = len(blocks)
     # the keys come from transposing twice, one column per variable and
     # then one projection per block, which leaves the per-term work to C
-    columns = list(zip(*poly.terms))
+    columns = list(zip(*cleared))
     projections = [zip(*[columns[i] for i in block]) for block in blocks]
-    keyed = [(row[:-1], row[-1]) for row in zip(*projections, poly.terms.values())]
+    keyed = [(row[:-1], row[-1]) for row in zip(*projections, cleared.values())]
     corner = tuple(map(max, zip(*(key for key, _ in keyed))))
-    leading = Fraction(0)
-    slices: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(r)]
+    leading = 0
+    slices: list[dict[tuple[int, ...], int]] = [{} for _ in range(r)]
     for key, c in keyed:
         off = [k for k in range(r) if key[k] != corner[k]]
         if not off:
@@ -253,7 +264,8 @@ def _slice_identity(
     if leading == 0:
         # reached only for r >= 2: a single block contains its largest term
         violation = tuple(min(s) for s in slices) if all(slices) else corner
-    else:
+    elif r:
+        # with no blocks F is the constant L, and L^-1 * L == 1 holds
         scale = leading ** (r - 1)
         expected = itertools.product(*(sorted(s.items()) for s in slices))
         # both sequences end with the corner, the largest key of both, so
@@ -271,12 +283,14 @@ def _slice_identity(
 def _factors(
     poly: Polynomial,
     partition: Partition,
-    leading: Fraction,
-    slices: list[dict[tuple[int, ...], Fraction]],
+    scale: int,
+    leading: int,
+    slices: list[dict[tuple[int, ...], int]],
 ) -> SeparationResult:
-    """F = L^(1-r) * prod_k slice_k, with each slice made monic by its
-    graded-lex leading coefficient and the scalars folded into the constant."""
-    constant = leading ** (1 - partition.block_count)
+    """F = G/D = L^(1-r)/D * prod_k slice_k for the slices of G = D*F, with
+    each slice made monic by its graded-lex leading coefficient and the
+    scalars folded into the constant."""
+    constant = Fraction(leading) ** (1 - partition.block_count) / scale
     factors = []
     for block, terms in zip(partition.blocks, slices):
         raw = Polynomial(tuple(poly.vars[i] for i in block), terms)
@@ -300,7 +314,7 @@ def coeff_criterion_total(poly: Polynomial) -> CriterionReport:
     vanishes too, the absent leading monomial x_1^N_1...x_n^N_n itself, since
     a totally separable polynomial always contains it.
     """
-    violation = _slice_identity(poly, Partition.singletons(poly.var_count))[2]
+    violation = _slice_identity(_cleared(poly)[1], Partition.singletons(poly.var_count))[2]
     if violation is None:
         return CriterionReport(Verdict.SEPARABLE)
     return CriterionReport(Verdict.NOT_SEPARABLE, violation=violation)
@@ -316,12 +330,13 @@ def separate_total(poly: Polynomial) -> SeparationResult:
     `coeff_criterion_total`).
     """
     partition = Partition.singletons(poly.var_count)
-    leading, slices, violation = _slice_identity(poly, partition)
+    scale, cleared = _cleared(poly)
+    leading, slices, violation = _slice_identity(cleared, partition)
     if violation is not None:
         raise NotSeparableError(
             f"not totally separable: coefficient condition fails at index {violation}"
         )
-    return _factors(poly, partition, leading, slices)
+    return _factors(poly, partition, scale, leading, slices)
 
 
 def separate_by_partition(poly: Polynomial, partition: Partition) -> SeparationResult:
@@ -337,18 +352,18 @@ def separate_by_partition(poly: Polynomial, partition: Partition) -> SeparationR
     were scaled.  When F does not separate it raises NotSeparableError,
     naming the finest partition, which is derived only on this path.
     """
-    _require_nonzero(poly)
+    scale, cleared = _cleared(poly)
     n = poly.var_count
     if partition.var_count != n:
         raise ValueError(f"partition covers {partition.var_count} variables, polynomial has {n}")
-    leading, slices, violation = _slice_identity(poly, partition)
+    leading, slices, violation = _slice_identity(cleared, partition)
     if violation is not None:
         finest = finest_partition(poly).partition
         raise NotSeparableError(
             f"polynomial does not separate according to {partition.blocks}; "
             f"finest partition is {finest.blocks}"
         )
-    return _factors(poly, partition, leading, slices)
+    return _factors(poly, partition, scale, leading, slices)
 
 
 def additive_separability(poly: Polynomial) -> Verdict:

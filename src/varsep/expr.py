@@ -19,6 +19,17 @@ exponents each open one nesting level, and more than MAX_NESTING levels is a
 parse error, so nesting alone cannot exhaust the stack of the recursive
 parser or of the passes over its tree.  Sums and products open no level.
 
+Scanning: tokenize runs one compiled regular expression that matches the
+whitespace before a token (exactly what str.isspace accepts) and then
+the token, one match per token.  A match that ends without a token is the
+end of the input or an unexpected character; the character after a number
+is checked for a missing decimal digit and for implicit multiplication.
+Tokens are ASCII, so byte offsets grow by the token lengths plus the UTF-8
+length of the skipped whitespace, in time linear in the input.  The parser
+reads its lookahead as the lexeme at an index into the token list, with an
+empty lexeme after the last token: operators and parentheses are single
+characters that no number or identifier equals.
+
 Float evaluation: eval_float walks the AST and is the reference, with one
 set of domain rules (ln of a non-positive value, division by zero, and math
 errors all raise EvalDomainError naming the subexpression).  compile_float
@@ -34,9 +45,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .poly import Polynomial
 
@@ -61,8 +73,7 @@ class TokenKind(enum.Enum):
     PAREN = "paren"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     lexeme: str
     position: int
@@ -104,62 +115,49 @@ ExprNode = Union[Const, Var, Neg, BinOp, Call]
 
 # --------------------------------------------------------------------- lexer
 
-
-def _is_digit(c: str) -> bool:
-    return c.isascii() and c.isdigit()
+# The whitespace before one token, then the token, if any: a number, an
+# identifier, an operator or a parenthesis.  \s is exactly what str.isspace
+# accepts.  Every token is ASCII, so within a token one character is one byte.
+_TOKEN = re.compile(r"\s*([0-9]+(?:\.[0-9]+)?|[A-Za-z][A-Za-z0-9_]*|[-+*/^()])?")
+# the kind of a token by its first character
+_KINDS = {
+    **dict.fromkeys("0123456789", TokenKind.NUMBER),
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz", TokenKind.IDENT),
+    **dict.fromkeys("+-*/^", TokenKind.OP),
+    **dict.fromkeys("()", TokenKind.PAREN),
+}
 
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i, n = 0, len(source)
-    # the byte offset of a character index: ASCII text has one byte per
-    # character, and re-encoding the prefix at every token would make
-    # tokenizing quadratic in the input length
-    if source.isascii():
-        def offset(index: int) -> int:
-            return index
-    else:
-        def offset(index: int) -> int:
-            return len(source[:index].encode("utf-8"))
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        pos = offset(i)
-        if _is_digit(c):
-            start = i
-            while i < n and _is_digit(source[i]):
-                i += 1
-            if i < n and source[i] == ".":
-                if i + 1 >= n or not _is_digit(source[i + 1]):
-                    raise ParseError("expected digits after decimal point", offset(i))
-                i += 1
-                while i < n and _is_digit(source[i]):
-                    i += 1
+    n = len(source)
+    is_ascii = source.isascii()
+    # `wide` counts the bytes beyond one per character before the current
+    # token; only whitespace can hold them, so offsets cost time linear in
+    # the input length
+    wide = 0
+    # each match starts where the previous one ended, since the token is
+    # optional; a match without one is the end of the input or an error
+    for m in _TOKEN.finditer(source):
+        lexeme = m[1]
+        if lexeme is None:
+            i = m.end()
+            if i == n:
+                break
+            raise ParseError(f"unexpected character {source[i]!r}", len(source[:i].encode("utf-8")))
+        start, end = m.span(1)
+        if not is_ascii:
+            skipped = source[m.start():start]
+            wide += len(skipped.encode("utf-8")) - len(skipped)
+        kind = _KINDS[lexeme[0]]
+        if kind is TokenKind.NUMBER and end < n:
+            c = source[end]
+            if c == "." and "." not in lexeme:
+                raise ParseError("expected digits after decimal point", end + wide)
             # reject implicit multiplication such as "2x"
-            if i < n and (source[i].isalpha() or source[i] == "_"):
-                raise ParseError(
-                    "implicit multiplication is not allowed, write an explicit '*'",
-                    offset(i),
-                )
-            tokens.append(Token(TokenKind.NUMBER, source[start:i], pos))
-            continue
-        if c.isalpha() and c.isascii():
-            start = i
-            while i < n and (source[i].isalnum() and source[i].isascii() or source[i] == "_"):
-                i += 1
-            tokens.append(Token(TokenKind.IDENT, source[start:i], pos))
-            continue
-        if c in "+-*/^":
-            tokens.append(Token(TokenKind.OP, c, pos))
-            i += 1
-            continue
-        if c in "()":
-            tokens.append(Token(TokenKind.PAREN, c, pos))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", pos)
+            if c.isalpha() or c == "_":
+                raise ParseError("implicit multiplication is not allowed, write an explicit '*'", end + wide)
+        tokens.append(Token(kind, lexeme, start + wide))
     return tokens
 
 
@@ -174,38 +172,41 @@ def _decimal_to_fraction(lexeme: str) -> Fraction:
 # --------------------------------------------------------------------- parser
 
 
+# the lexeme after the last token; no token has an empty lexeme
+_END = ""
+
+
 class _Parser:
+    """Recursive descent over the token list, one method per grammar rule.
+    The lookahead is the lexeme at the current index (see the module
+    docstring)."""
+
     def __init__(self, source: str, tokens: list[Token]):
         self.source = source
         self.tokens = tokens
+        self.lexemes = [t.lexeme for t in tokens]
+        self.lexemes.append(_END)
         self.index = 0
         self.depth = 0
 
     def _eof_position(self) -> int:
         return len(self.source.encode("utf-8"))
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
+    def _unexpected(self, index: int) -> ParseError:
+        return ParseError(f"unexpected token {self.lexemes[index]!r}", self.tokens[index].position)
 
-    def advance(self) -> Token:
-        token = self.peek()
-        if token is None:
-            raise ParseError("unexpected end of input", self._eof_position())
+    def expect(self, lexeme: str) -> None:
+        found = self.lexemes[self.index]
+        if found != lexeme:
+            if found == _END:
+                raise ParseError(f"expected {lexeme!r} before end of input", self._eof_position())
+            raise ParseError(f"expected {lexeme!r}, found {found!r}", self.tokens[self.index].position)
         self.index += 1
-        return token
 
-    def expect(self, lexeme: str) -> Token:
-        token = self.peek()
-        if token is None:
-            raise ParseError(f"expected {lexeme!r} before end of input", self._eof_position())
-        if token.lexeme != lexeme:
-            raise ParseError(f"expected {lexeme!r}, found {token.lexeme!r}", token.position)
-        return self.advance()
-
-    def nested(self, opener: Token, parse_inner: Callable[[], ExprNode]) -> ExprNode:
-        """Parse one nesting level, opened by the token `opener`."""
+    def nested(self, opener: int, parse_inner: Callable[[], ExprNode]) -> ExprNode:
+        """Parse one nesting level, opened by the token at index `opener`."""
         if self.depth == MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", opener.position)
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.tokens[opener].position)
         self.depth += 1
         node = parse_inner()
         self.depth -= 1
@@ -213,63 +214,69 @@ class _Parser:
 
     def parse(self) -> ExprNode:
         node = self.sum_expr()
-        token = self.peek()
-        if token is not None:
-            raise ParseError(f"unexpected token {token.lexeme!r}", token.position)
+        if self.lexemes[self.index] != _END:
+            raise self._unexpected(self.index)
         return node
 
     def sum_expr(self) -> ExprNode:
         node = self.term()
-        while (token := self.peek()) and token.kind is TokenKind.OP and token.lexeme in _SUM_OPS:
-            self.advance()
-            node = BinOp(token.lexeme, node, self.term())
+        lexemes = self.lexemes
+        while (op := lexemes[self.index]) == "+" or op == "-":
+            self.index += 1
+            node = BinOp(op, node, self.term())
         return node
 
     def term(self) -> ExprNode:
         node = self.unary()
-        while (token := self.peek()) and token.kind is TokenKind.OP and token.lexeme in _TERM_OPS:
-            self.advance()
-            node = BinOp(token.lexeme, node, self.unary())
+        lexemes = self.lexemes
+        while (op := lexemes[self.index]) == "*" or op == "/":
+            self.index += 1
+            node = BinOp(op, node, self.unary())
         return node
 
     def unary(self) -> ExprNode:
-        token = self.peek()
-        if token and token.kind is TokenKind.OP and token.lexeme == "-":
-            self.advance()
-            return Neg(self.nested(token, self.unary))
+        index = self.index
+        if self.lexemes[index] == "-":
+            self.index = index + 1
+            return Neg(self.nested(index, self.unary))
         return self.power()
 
     def power(self) -> ExprNode:
         node = self.atom()
-        token = self.peek()
-        if token and token.kind is TokenKind.OP and token.lexeme == "^":
-            self.advance()
+        index = self.index
+        if self.lexemes[index] == "^":
+            self.index = index + 1
             # right associative; the exponent is a power, not a unary,
             # so a negative exponent needs parentheses: x^(-2)
-            node = BinOp("^", node, self.nested(token, self.power))
+            node = BinOp("^", node, self.nested(index, self.power))
         return node
 
     def atom(self) -> ExprNode:
-        token = self.advance()
-        if token.kind is TokenKind.NUMBER:
-            return Const(_decimal_to_fraction(token.lexeme))
-        if token.kind is TokenKind.IDENT:
-            nxt = self.peek()
-            if nxt and nxt.lexeme == "(":
-                if token.lexeme not in SUPPORTED_FUNCTIONS:
-                    raise ParseError(
-                        f"unknown function {token.lexeme!r} (supported: {', '.join(SUPPORTED_FUNCTIONS)})",
-                        token.position,
-                    )
-                arg = self.nested(self.advance(), self.sum_expr)
-                self.expect(")")
-                return Call(token.lexeme, arg)
-            return Var(token.lexeme)
-        if token.lexeme == "(":
-            node = self.nested(token, self.sum_expr)
+        index = self.index
+        lexeme = self.lexemes[index]
+        if lexeme == _END:
+            raise ParseError("unexpected end of input", self._eof_position())
+        self.index = index + 1
+        first = lexeme[0]
+        if "0" <= first <= "9":
+            return Const(_decimal_to_fraction(lexeme))
+        if first.isalpha():
+            if self.lexemes[index + 1] != "(":
+                return Var(lexeme)
+            if lexeme not in SUPPORTED_FUNCTIONS:
+                raise ParseError(
+                    f"unknown function {lexeme!r} (supported: {', '.join(SUPPORTED_FUNCTIONS)})",
+                    self.tokens[index].position,
+                )
+            self.index = index + 2
+            arg = self.nested(index + 1, self.sum_expr)
+            self.expect(")")
+            return Call(lexeme, arg)
+        if lexeme == "(":
+            node = self.nested(index, self.sum_expr)
             self.expect(")")
             return node
-        raise ParseError(f"unexpected token {token.lexeme!r}", token.position)
+        raise self._unexpected(index)
 
 
 def parse(source: str) -> ExprNode:

@@ -1,6 +1,8 @@
 """Shared fixtures: reference polynomials, random generators, the
-margin-identity brute-force oracle used to cross-check partition logic, and
-a factor-by-factor lowering oracle."""
+margin-identity brute-force oracle used to cross-check partition logic, a
+factor-by-factor lowering oracle, a character-loop lexer and a
+method-per-token parser for the expression front end, and the slice
+identity on Fraction coefficients."""
 
 from __future__ import annotations
 
@@ -12,7 +14,20 @@ from fractions import Fraction
 import pytest
 
 from varsep import Partition, Polynomial, parse_polynomial
-from varsep.expr import BinOp, Call, Const, LoweringError, Neg, Var
+from varsep.exact import SeparationResult
+from varsep.expr import (
+    MAX_NESTING,
+    SUPPORTED_FUNCTIONS,
+    BinOp,
+    Call,
+    Const,
+    LoweringError,
+    Neg,
+    ParseError,
+    Token,
+    TokenKind,
+    Var,
+)
 
 # Coefficient matrix of the 20-term reference polynomial: rows are x^4 down
 # to x^0, columns are y^3 down to y^0.  It is the outer product of its first
@@ -257,3 +272,230 @@ def oracle_lower(node, names) -> Polynomial:
         return left * right
 
     return walk(node)
+
+
+# --------------------------------------------------------------------- front-end oracles
+
+
+def _is_digit(c: str) -> bool:
+    return c.isascii() and c.isdigit()
+
+
+def oracle_tokenize(source: str) -> list[Token]:
+    """The lexer as a loop over characters, with byte offsets from
+    re-encoding the prefix of a non-ASCII source at every token."""
+    tokens: list[Token] = []
+    i, n = 0, len(source)
+    if source.isascii():
+        def offset(index: int) -> int:
+            return index
+    else:
+        def offset(index: int) -> int:
+            return len(source[:index].encode("utf-8"))
+    while i < n:
+        c = source[i]
+        if c.isspace():
+            i += 1
+            continue
+        pos = offset(i)
+        if _is_digit(c):
+            start = i
+            while i < n and _is_digit(source[i]):
+                i += 1
+            if i < n and source[i] == ".":
+                if i + 1 >= n or not _is_digit(source[i + 1]):
+                    raise ParseError("expected digits after decimal point", offset(i))
+                i += 1
+                while i < n and _is_digit(source[i]):
+                    i += 1
+            if i < n and (source[i].isalpha() or source[i] == "_"):
+                raise ParseError(
+                    "implicit multiplication is not allowed, write an explicit '*'",
+                    offset(i),
+                )
+            tokens.append(Token(TokenKind.NUMBER, source[start:i], pos))
+            continue
+        if c.isalpha() and c.isascii():
+            start = i
+            while i < n and (source[i].isalnum() and source[i].isascii() or source[i] == "_"):
+                i += 1
+            tokens.append(Token(TokenKind.IDENT, source[start:i], pos))
+            continue
+        if c in "+-*/^":
+            tokens.append(Token(TokenKind.OP, c, pos))
+            i += 1
+            continue
+        if c in "()":
+            tokens.append(Token(TokenKind.PAREN, c, pos))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {c!r}", pos)
+    return tokens
+
+
+def _oracle_decimal(lexeme: str) -> Fraction:
+    whole, _, frac = lexeme.partition(".")
+    return Fraction(int(whole + frac), 10 ** len(frac))
+
+
+class OracleParser:
+    """The grammar of `varsep.expr` with a method per token: peek() and
+    advance() calls and kind checks on every lookahead."""
+
+    def __init__(self, source: str, tokens: list[Token]):
+        self.source = source
+        self.tokens = tokens
+        self.index = 0
+        self.depth = 0
+
+    def _eof_position(self) -> int:
+        return len(self.source.encode("utf-8"))
+
+    def peek(self) -> Token | None:
+        return self.tokens[self.index] if self.index < len(self.tokens) else None
+
+    def advance(self) -> Token:
+        token = self.peek()
+        if token is None:
+            raise ParseError("unexpected end of input", self._eof_position())
+        self.index += 1
+        return token
+
+    def expect(self, lexeme: str) -> Token:
+        token = self.peek()
+        if token is None:
+            raise ParseError(f"expected {lexeme!r} before end of input", self._eof_position())
+        if token.lexeme != lexeme:
+            raise ParseError(f"expected {lexeme!r}, found {token.lexeme!r}", token.position)
+        return self.advance()
+
+    def nested(self, opener: Token, parse_inner):
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", opener.position)
+        self.depth += 1
+        node = parse_inner()
+        self.depth -= 1
+        return node
+
+    def parse(self):
+        node = self.sum_expr()
+        token = self.peek()
+        if token is not None:
+            raise ParseError(f"unexpected token {token.lexeme!r}", token.position)
+        return node
+
+    def sum_expr(self):
+        node = self.term()
+        while (token := self.peek()) and token.kind is TokenKind.OP and token.lexeme in ("+", "-"):
+            self.advance()
+            node = BinOp(token.lexeme, node, self.term())
+        return node
+
+    def term(self):
+        node = self.unary()
+        while (token := self.peek()) and token.kind is TokenKind.OP and token.lexeme in ("*", "/"):
+            self.advance()
+            node = BinOp(token.lexeme, node, self.unary())
+        return node
+
+    def unary(self):
+        token = self.peek()
+        if token and token.kind is TokenKind.OP and token.lexeme == "-":
+            self.advance()
+            return Neg(self.nested(token, self.unary))
+        return self.power()
+
+    def power(self):
+        node = self.atom()
+        token = self.peek()
+        if token and token.kind is TokenKind.OP and token.lexeme == "^":
+            self.advance()
+            node = BinOp("^", node, self.nested(token, self.power))
+        return node
+
+    def atom(self):
+        token = self.advance()
+        if token.kind is TokenKind.NUMBER:
+            return Const(_oracle_decimal(token.lexeme))
+        if token.kind is TokenKind.IDENT:
+            nxt = self.peek()
+            if nxt and nxt.lexeme == "(":
+                if token.lexeme not in SUPPORTED_FUNCTIONS:
+                    raise ParseError(
+                        f"unknown function {token.lexeme!r} (supported: {', '.join(SUPPORTED_FUNCTIONS)})",
+                        token.position,
+                    )
+                arg = self.nested(self.advance(), self.sum_expr)
+                self.expect(")")
+                return Call(token.lexeme, arg)
+            return Var(token.lexeme)
+        if token.lexeme == "(":
+            node = self.nested(token, self.sum_expr)
+            self.expect(")")
+            return node
+        raise ParseError(f"unexpected token {token.lexeme!r}", token.position)
+
+
+def oracle_parse(source: str):
+    """`varsep.expr.parse` through the character-loop lexer and the
+    method-per-token parser."""
+    if not source.strip():
+        raise ParseError("empty expression", 0)
+    return OracleParser(source, oracle_tokenize(source)).parse()
+
+
+# --------------------------------------------------------------------- slice-identity oracle
+
+
+def oracle_slice_identity(poly: Polynomial, partition: Partition):
+    """(L, slices, violation) of the slice identity, computed on F's own
+    Fraction coefficients: L^(r-1) * c[key] == prod_k slices[k][key_k] at
+    every key, walked beside the sorted terms up to the first mismatch."""
+    blocks = partition.blocks
+    r = len(blocks)
+    keyed = [
+        (tuple(tuple(exps[i] for i in block) for block in blocks), c)
+        for exps, c in poly.terms.items()
+    ]
+    corner = tuple(map(max, zip(*(key for key, _ in keyed))))
+    leading = Fraction(0)
+    slices = [{} for _ in range(r)]
+    for key, c in keyed:
+        off = [k for k in range(r) if key[k] != corner[k]]
+        if not off:
+            leading = c
+            for k in range(r):
+                slices[k][corner[k]] = c
+        elif len(off) == 1:
+            slices[off[0]][key[off[0]]] = c
+    violation = None
+    if leading == 0:
+        violation = tuple(min(s) for s in slices) if all(slices) else corner
+    else:
+        scale = leading ** (r - 1)
+        expected = itertools.product(*(sorted(s.items()) for s in slices))
+        for e, (key, c) in zip(expected, sorted(keyed)):
+            index = tuple(p for p, _ in e)
+            if index != key or scale * c != math.prod(v for _, v in e):
+                violation = min(index, key)
+                break
+    if violation is not None:
+        violation = tuple(itertools.chain.from_iterable(violation))
+    return leading, slices, violation
+
+
+def oracle_slice_factors(poly: Polynomial, partition: Partition) -> SeparationResult | None:
+    """F = L^(1-r) * prod_k slice_k from `oracle_slice_identity`, each slice
+    made monic by its graded-lex leading coefficient; None when F does not
+    separate by the partition."""
+    leading, slices, violation = oracle_slice_identity(poly, partition)
+    if violation is not None:
+        return None
+    constant = leading ** (1 - partition.block_count)
+    factors = []
+    for block, terms in zip(partition.blocks, slices):
+        raw = Polynomial(tuple(poly.vars[i] for i in block), terms)
+        lead = raw.leading_coefficient()
+        constant *= lead
+        factors.append((block, raw / lead))
+    return SeparationResult(constant=constant, factors=tuple(factors), verified=True)

@@ -16,6 +16,8 @@ from conftest import (
     oracle_finest,
     oracle_margin_factors,
     oracle_partition_valid,
+    oracle_slice_factors,
+    oracle_slice_identity,
     rand_block_separable,
     rand_poly,
     rand_separable_product,
@@ -617,6 +619,97 @@ def test_coarsening_contract_randomized():
             else:
                 with pytest.raises(NotSeparableError):
                     separate_by_partition(product, candidate_partition)
+
+
+# --------------------------------------------------------------------- integer slice identity
+
+# small denominators and two large primes, so D can exceed 2^64
+_DENOMINATORS = (1, 2, 3, 7, 12, 2**31 - 1, 2**61 - 1)
+
+
+def _mixed_denominators(rng, poly):
+    return Polynomial(poly.vars, {e: c / rng.choice(_DENOMINATORS) for e, c in poly.terms.items()})
+
+
+def _check_against_the_fraction_oracle(poly, partition):
+    """The integer identity on G = D*F against the Fraction identity on F:
+    L and the slices divided by D, the violation, and the factors of
+    separate_by_partition (and separate_total for singletons)."""
+    scale, cleared = exact._cleared(poly)
+    assert all(type(c) is int for c in cleared.values())
+    leading, slices, violation = exact._slice_identity(cleared, partition)
+    oracle_leading, oracle_slices, oracle_violation = oracle_slice_identity(poly, partition)
+    assert Fraction(leading, scale) == oracle_leading
+    assert [{k: Fraction(v, scale) for k, v in s.items()} for s in slices] == oracle_slices
+    assert violation == oracle_violation
+    expected = oracle_slice_factors(poly, partition)
+    separations = [lambda: separate_by_partition(poly, partition)]
+    if partition.is_all_singletons:
+        separations.append(lambda: separate_total(poly))
+        assert coeff_criterion_total(poly).violation == oracle_violation
+    for separate in separations:
+        if expected is None:
+            with pytest.raises(NotSeparableError):
+                separate()
+        else:
+            result = separate()
+            assert (result.constant, result.factors) == (expected.constant, expected.factors)
+    return scale, oracle_leading, expected
+
+
+def test_integer_slice_identity_matches_the_fraction_oracle_on_random_inputs():
+    rng = random.Random(4099)
+    kinds = Counter()
+    for _ in range(400):
+        poly, partition, _ = _random_partition_input(rng)
+        if poly.is_zero:
+            continue
+        if rng.random() < 0.5:
+            poly = _mixed_denominators(rng, poly)
+        if rng.random() < 0.2:
+            partition = Partition.singletons(poly.var_count)
+        scale, leading, expected = _check_against_the_fraction_oracle(poly, partition)
+        kinds["tested"] += 1
+        kinds["separable" if expected is not None else "not separable"] += 1
+        kinds["L = 0"] += leading == 0
+        kinds["D > 2^64"] += scale > 2**64
+        kinds["singletons"] += partition.is_all_singletons
+    assert kinds["tested"] >= 350 and min(kinds.values()) >= 30, kinds
+
+
+def test_integer_slice_identity_with_a_common_denominator_beyond_64_bits():
+    names = ("x", "y", "z")
+    poly = P(f"(x/{2**61 - 1} + 1/3)*(y^2 + y/{2**31 - 1})*(7*z + 1/1000000007)", names)
+    scale, _, expected = _check_against_the_fraction_oracle(poly, Partition.singletons(3))
+    assert scale > 2**64 and expected is not None
+    assert expected.product(names) == poly
+    assert finest_partition(poly).partition.is_all_singletons
+    # one perturbed term breaks the identity at the same index for F and D*F
+    perturbed = poly + P(f"x*y/{2**61 - 1}", names)
+    _check_against_the_fraction_oracle(perturbed, Partition.singletons(3))
+    _check_against_the_fraction_oracle(perturbed, Partition(((0, 1), (2,))))
+    assert coeff_criterion_total(perturbed).verdict is Verdict.NOT_SEPARABLE
+
+
+@pytest.mark.parametrize("source", ["5", "93.5", "843.5", "12781/7", "-2/3"])
+def test_integer_slice_identity_on_a_constant(source):
+    # no variables, so no blocks: the identity L^-1 * L == 1 holds at once
+    poly = P(source)
+    assert poly.var_count == 0
+    expected = _check_against_the_fraction_oracle(poly, Partition.singletons(0))[2]
+    assert expected.constant == poly.constant_value() and expected.factors == ()
+    assert coeff_criterion_total(poly).verdict is Verdict.SEPARABLE
+
+
+@pytest.mark.parametrize("source, vars, blocks", [
+    ("x^2*y^4/3 + x^3*y^3/5", ("x", "y"), ((0,), (1,))),
+    ("x^3*y^3/7 + x*y^4/2", ("x", "y"), ((0,), (1,))),
+    ("x/3 + z/4", ("x", "y", "z"), ((0, 1), (2,))),
+    ("x*y^2/5 + x^2*y/6 + z*y/7", ("x", "y", "z"), ((0, 2), (1,))),
+])
+def test_integer_slice_identity_on_a_vanishing_corner(source, vars, blocks):
+    leading = _check_against_the_fraction_oracle(P(source, vars), Partition(blocks))[1]
+    assert leading == 0
 
 
 # --------------------------------------------------------------------- derivative refutation and identities

@@ -2,12 +2,14 @@ import inspect
 import itertools
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import OracleParser, oracle_parse, oracle_tokenize
 from varsep.expr import (
     MAX_NESTING,
     BinOp,
@@ -57,6 +59,67 @@ def test_unexpected_character_reports_byte_offset():
     # e-acute is byte 9
     with pytest.raises(ParseError, match="byte 9"):
         tokenize("x +\u00a0y + \u00e9")
+
+
+@pytest.mark.parametrize("space", ["\u00a0", "\u3000", "\u00a0\t\u3000"])
+def test_offsets_after_wide_whitespace_are_utf8_prefix_lengths(space):
+    lexemes = ["x", "+", "12", "*", "y", "^", "2", "-", "(", "z", ")"]
+    source, starts = "", []
+    for k, lexeme in enumerate(lexemes):
+        source += space if k % 2 == 0 else ""
+        starts.append(len(source))
+        source += lexeme
+    tokens = tokenize(source)
+    assert [t.lexeme for t in tokens] == lexemes
+    assert [t.position for t in tokens] == [len(source[:i].encode("utf-8")) for i in starts]
+    for bad in ("\u00e9", "$"):
+        text = source + space + bad
+        with pytest.raises(ParseError) as info:
+            tokenize(text)
+        assert info.value.position == len(text[:-1].encode("utf-8"))
+
+
+@pytest.mark.parametrize("source, index, message", [
+    ("\u00a0 2\u00e9", 3, "implicit multiplication"),
+    ("\u3000 2.5_", 5, "implicit multiplication"),
+    ("\u00e9", 0, "unexpected character"),
+    ("x +\u3000 1.", 6, "expected digits after decimal point"),
+    ("x +\u00a0 1.x", 6, "expected digits after decimal point"),
+])
+def test_error_offsets_after_wide_whitespace(source, index, message):
+    with pytest.raises(ParseError, match=message) as info:
+        tokenize(source)
+    assert info.value.position == len(source[:index].encode("utf-8"))
+
+
+def test_the_scanner_skips_exactly_what_isspace_accepts():
+    from varsep.expr import _TOKEN
+
+    token_starts = set("0123456789+-*/^()abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+    differ = [
+        hex(code) for code in range(sys.maxunicode + 1)
+        if chr(code) not in token_starts and _TOKEN.match(chr(code)).end() != chr(code).isspace()
+    ]
+    assert differ == []
+
+
+def test_a_leading_wide_space_keeps_tokenizing_linear():
+    # one non-ASCII character must not make every later offset re-encode
+    # the prefix
+    ascii_sum = " + ".join(f"{k % 97}*x{k % 7}" for k in range(40_000))
+
+    def best_of_3(source):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            tokens = tokenize(source)
+            times.append(time.perf_counter() - start)
+        return min(times), tokens
+
+    ascii_time, ascii_tokens = best_of_3(ascii_sum)
+    wide_time, wide_tokens = best_of_3("\u00a0" + ascii_sum)
+    assert [t.position + 1 for t in ascii_tokens] == [t.position - 1 for t in wide_tokens]
+    assert wide_time < 5 * ascii_time
 
 
 # --------------------------------------------------------------------- parser
@@ -186,6 +249,56 @@ def test_round_trip_of_reference_sources():
     for source in ("x*y", "x^4*y^3 + 2*x^4*y^2", "sin(x)/cos(y)", "-(x + y)^2/3"):
         node = parse(source)
         assert parse(to_source(node)) == node
+
+
+# --------------------------------------------------------------------- front end against the oracles
+
+# fragments of random sources: ASCII digits, the decimal point, letters,
+# "_", operators, parentheses and function names, with Unicode whitespace,
+# a non-ASCII letter, a superscript digit and an Arabic-Indic digit
+_FRAGMENTS = [
+    *"0123456789.xyzAB_+-*/^()", "12", "3.5", "x_1", " ", "  ", "\t", "\u00a0", "\u3000",
+    "\u00e9", "\u00b2", "\u0663", *SUPPORTED_FUNCTIONS, "sin(", "foo(",
+]
+mixed_sources = st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join)
+_SPACES = st.sampled_from(["", " ", "\t", "\u00a0", "\u3000"])
+
+
+@st.composite
+def spaced_sources(draw):
+    """Printed ASTs with random whitespace between characters, so most of
+    them parse."""
+    text = to_source(draw(ast_nodes))
+    return "".join(c + draw(_SPACES) for c in text)
+
+
+def _front_end_outcome(function, source):
+    try:
+        return "ok", function(source)
+    except ParseError as exc:
+        return "error", str(exc), exc.position
+
+
+@settings(max_examples=600)
+@given(st.one_of(mixed_sources, spaced_sources()))
+def test_tokenize_agrees_with_the_character_loop_oracle(source):
+    assert _front_end_outcome(tokenize, source) == _front_end_outcome(oracle_tokenize, source)
+
+
+@settings(max_examples=600)
+@given(st.one_of(mixed_sources, spaced_sources()))
+def test_parse_agrees_with_the_method_per_token_oracle(source):
+    assert _front_end_outcome(parse, source) == _front_end_outcome(oracle_parse, source)
+
+
+@pytest.mark.parametrize("kind", sorted(NESTING_OPENERS))
+@pytest.mark.parametrize("levels", [MAX_NESTING, MAX_NESTING + 1])
+def test_nesting_limit_agrees_with_the_oracle(kind, levels):
+    opener, closer = NESTING_OPENERS[kind]
+    for source in (opener * levels + "y" + closer * levels, "\u00a0" + opener * levels + "y" + closer * levels):
+        assert _front_end_outcome(parse, source) == _front_end_outcome(oracle_parse, source)
+        tokens = tokenize(source)
+        assert _front_end_outcome(lambda s: OracleParser(s, tokens).parse(), source) == _front_end_outcome(parse, source)
 
 
 # --------------------------------------------------------------------- float evaluation
