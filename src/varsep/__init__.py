@@ -51,7 +51,7 @@ from .numeric import (
     parse_grid_spec,
 )
 from .partition import Partition
-from .poly import Polynomial, ZeroPolynomialError, aligned
+from .poly import Polynomial, ZeroPolynomialError
 
 __version__ = "0.1.0"
 

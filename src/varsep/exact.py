@@ -48,7 +48,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .partition import Partition, UnionFind
 from .poly import Polynomial, ZeroPolynomialError
@@ -96,12 +95,6 @@ class SeparationResult:
     constant: Fraction
     factors: tuple[tuple[tuple[int, ...], Polynomial], ...]
     verified: bool
-
-    def product(self, vars: Sequence[str]) -> Polynomial:
-        result = Polynomial.constant(self.constant, vars)
-        for _, factor in self.factors:
-            result = result * factor
-        return result
 
 
 def _require_nonzero(poly: Polynomial) -> None:

@@ -9,6 +9,11 @@ The zero polynomial is the empty term map.  Values are immutable after
 construction and every operation returns a new instance, so polynomials are
 safe to share across threads.
 
+One registry per polynomial: ``+``, ``-`` and ``*`` combine only polynomials
+over the same registry, in the same order, and raise ``ValueError``
+otherwise; ``==`` across registries is False.  Scalars (``int`` and
+``Fraction``) lift to constants over the other operand's registry.
+
 Canonical text form: terms in graded-lexicographic descending order (total
 degree first, exponent vector as tie break), coefficients printed as integers
 or ``p/q``, explicit ``*`` and ``^``.  The result re-parses through the
@@ -66,10 +71,6 @@ class Polynomial:
     # ------------------------------------------------------------------ constructors
 
     @classmethod
-    def zero(cls, vars: Sequence[str]) -> Polynomial:
-        return cls(vars, {})
-
-    @classmethod
     def constant(cls, value: Scalar, vars: Sequence[str] = ()) -> Polynomial:
         names = tuple(vars)
         return cls(names, {(0,) * len(names): value})
@@ -102,15 +103,6 @@ class Polynomial:
             raise ValueError(f"{self} is not a constant polynomial")
         return self.terms.get((0,) * len(self.vars), Fraction(0))
 
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
-    def degree_vector(self) -> tuple[int, ...]:
-        """Per-variable maximum exponents; errors on the zero polynomial."""
-        if self.is_zero:
-            raise ZeroPolynomialError("degree vector of the zero polynomial is undefined")
-        return tuple(max(exps[i] for exps in self.terms) for i in range(len(self.vars)))
-
     def leading_monomial(self) -> ExponentVector:
         """Greatest exponent vector under graded-lex; errors on the zero polynomial."""
         if self.is_zero:
@@ -120,36 +112,18 @@ class Polynomial:
     def leading_coefficient(self) -> Fraction:
         return self.terms[self.leading_monomial()]
 
-    def monic(self) -> Polynomial:
-        """Divide by the leading graded-lex coefficient."""
-        return self / self.leading_coefficient()
-
     # ------------------------------------------------------------------ ring operations
-
-    def _embed(self, names: tuple[str, ...]) -> Polynomial:
-        if names == self.vars:
-            return self
-        where = {v: i for i, v in enumerate(names)}
-        slots = [where[v] for v in self.vars]
-        terms: dict[ExponentVector, Fraction] = {}
-        for exps, coef in self.terms.items():
-            new = [0] * len(names)
-            for slot, e in zip(slots, exps):
-                new[slot] = e
-            terms[tuple(new)] = coef
-        return Polynomial(names, terms)
 
     def __add__(self, other) -> Polynomial:
         other = _lift(other, self.vars)
         if other is NotImplemented:
             return NotImplemented
-        a, b = aligned(self, other)
-        terms = dict(a.terms)
-        for exps, coef in b.terms.items():
+        if other.vars != self.vars:
+            raise ValueError(f"registries differ: {self.vars} and {other.vars}")
+        terms = dict(self.terms)
+        for exps, coef in other.terms.items():
             terms[exps] = terms.get(exps, Fraction(0)) + coef
-        return Polynomial(a.vars, terms)
-
-    __radd__ = __add__
+        return Polynomial(self.vars, terms)
 
     def __neg__(self) -> Polynomial:
         return Polynomial(self.vars, {exps: -coef for exps, coef in self.terms.items()})
@@ -160,23 +134,18 @@ class Polynomial:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> Polynomial:
-        other = _lift(other, self.vars)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> Polynomial:
         other = _lift(other, self.vars)
         if other is NotImplemented:
             return NotImplemented
-        a, b = aligned(self, other)
+        if other.vars != self.vars:
+            raise ValueError(f"registries differ: {self.vars} and {other.vars}")
         terms: dict[ExponentVector, Fraction] = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
                 key = tuple(x + y for x, y in zip(e1, e2))
                 terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return Polynomial(a.vars, terms)
+        return Polynomial(self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -200,14 +169,9 @@ class Polynomial:
         other = _lift(other, self.vars)
         if other is NotImplemented:
             return NotImplemented
-        a, b = aligned(self, other)
-        return a.terms == b.terms
+        return self.vars == other.vars and self.terms == other.terms
 
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    # ------------------------------------------------------------------ calculus and substitution
+    # ------------------------------------------------------------------ calculus
 
     def partial_derivative(self, i: int) -> Polynomial:
         """Exact termwise partial derivative with respect to the i-th variable."""
@@ -220,49 +184,6 @@ class Polynomial:
                 key = exps[:i] + (e - 1,) + exps[i + 1:]
                 terms[key] = terms.get(key, Fraction(0)) + coef * e
         return Polynomial(self.vars, terms)
-
-    def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value at a rational point (one coordinate per registered variable)."""
-        if len(point) != len(self.vars):
-            raise ValueError(f"point has {len(point)} coordinates, registry has {len(self.vars)} variables")
-        coords = [_fraction(v) for v in point]
-        total = Fraction(0)
-        for exps, coef in self.terms.items():
-            value = coef
-            for x, e in zip(coords, exps):
-                if e:
-                    value *= x**e
-            total += value
-        return total
-
-    def margin(self, fixed: Mapping[int, Scalar]) -> Polynomial:
-        """Substitute exact values for the given variable indices.
-
-        Returns a polynomial in the remaining variables; the registry shrinks
-        accordingly.  An empty mapping returns the polynomial unchanged.
-        """
-        if not fixed:
-            return self
-        values: dict[int, Fraction] = {}
-        for i, v in fixed.items():
-            if not 0 <= i < len(self.vars):
-                raise IndexError(f"variable index {i} out of range for {len(self.vars)} variables")
-            values[i] = _fraction(v)
-        keep = [i for i in range(len(self.vars)) if i not in values]
-        names = tuple(self.vars[i] for i in keep)
-        terms: dict[ExponentVector, Fraction] = {}
-        for exps, coef in self.terms.items():
-            value = coef
-            for i, x in values.items():
-                if exps[i]:
-                    value *= x ** exps[i]
-            key = tuple(exps[i] for i in keep)
-            acc = terms.get(key, Fraction(0)) + value
-            if acc:
-                terms[key] = acc
-            elif key in terms:
-                del terms[key]
-        return Polynomial(names, terms)
 
     # ------------------------------------------------------------------ presentation
 
@@ -309,14 +230,3 @@ def _lift(value, vars: tuple[str, ...]):
         return Polynomial.constant(value, vars)
     return NotImplemented
 
-
-def aligned(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Embed both polynomials into the union registry.
-
-    The merged registry keeps p's variables in order followed by q's new
-    names in q's order, so independently built polynomials can be combined.
-    """
-    if p.vars == q.vars:
-        return p, q
-    merged = p.vars + tuple(v for v in q.vars if v not in p.vars)
-    return p._embed(merged), q._embed(merged)

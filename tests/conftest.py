@@ -1,8 +1,9 @@
-"""Shared fixtures: reference polynomials, random generators, the
-margin-identity brute-force oracle used to cross-check partition logic, a
-factor-by-factor lowering oracle, a character-loop lexer and a
-method-per-token parser for the expression front end, and the slice
-identity on Fraction coefficients."""
+"""Shared fixtures: reference polynomials, exact reference arithmetic
+(evaluation, substitution, degree vector, registry embedding,
+re-multiplication), random generators, the margin-identity brute-force
+oracle used to cross-check partition logic, a factor-by-factor lowering
+oracle, a character-loop lexer and a method-per-token parser for the
+expression front end, and the slice identity on Fraction coefficients."""
 
 from __future__ import annotations
 
@@ -73,6 +74,59 @@ def p234() -> Polynomial:
     return build_p234()
 
 
+# --------------------------------------------------------------------- exact reference arithmetic
+
+
+def evaluate(poly: Polynomial, point) -> Fraction:
+    """Exact value of F at a rational point, one coordinate per variable."""
+    if len(point) != poly.var_count:
+        raise ValueError(f"point has {len(point)} coordinates, F has {poly.var_count} variables")
+    return sum(
+        (c * math.prod(Fraction(x) ** e for x, e in zip(point, exps)) for exps, c in poly.terms.items()),
+        Fraction(0),
+    )
+
+
+def substitute(poly: Polynomial, fixed: dict) -> Polynomial:
+    """The margin of F: exact values substituted for the variable indexes in
+    `fixed`, over the registry of the remaining variables."""
+    for i in fixed:
+        if not 0 <= i < poly.var_count:
+            raise IndexError(f"variable index {i} out of range for {poly.var_count} variables")
+    keep = [i for i in range(poly.var_count) if i not in fixed]
+    terms: dict = {}
+    for exps, c in poly.terms.items():
+        key = tuple(exps[i] for i in keep)
+        terms[key] = terms.get(key, 0) + c * math.prod(Fraction(x) ** exps[i] for i, x in fixed.items())
+    return Polynomial(tuple(poly.vars[i] for i in keep), terms)
+
+
+def degree_vector(poly: Polynomial) -> tuple[int, ...]:
+    """Per-variable maximum exponents of a nonzero F."""
+    return tuple(max(exps[i] for exps in poly.terms) for i in range(poly.var_count))
+
+
+def embed(poly: Polynomial, names) -> Polynomial:
+    """F over the registry `names`, which holds every variable of F."""
+    names = tuple(names)
+    slots = [names.index(v) for v in poly.vars]
+    terms = {}
+    for exps, c in poly.terms.items():
+        new = [0] * len(names)
+        for slot, e in zip(slots, exps):
+            new[slot] = e
+        terms[tuple(new)] = c
+    return Polynomial(names, terms)
+
+
+def remultiply(result: SeparationResult, names) -> Polynomial:
+    """constant * the product of the factors, each embedded into `names`."""
+    product = Polynomial.constant(result.constant, names)
+    for _, factor in result.factors:
+        product = product * embed(factor, names)
+    return product
+
+
 # --------------------------------------------------------------------- random generators
 
 
@@ -107,7 +161,7 @@ def rand_separable_product(rng: random.Random, names, max_deg=4, lo=-5, hi=5):
     factors = [rand_monic_univariate(rng, name, rng.randint(1, max_deg), lo, hi) for name in names]
     product = Polynomial.constant(constant, tuple(names))
     for factor in factors:
-        product = product * factor
+        product = product * embed(factor, names)
     return product, Fraction(constant), factors
 
 
@@ -116,7 +170,7 @@ def rand_block_separable(rng: random.Random, names, blocks, max_deg=2, max_terms
     product = Polynomial.constant(1, tuple(names))
     for block in blocks:
         sub = rand_poly(rng, tuple(names[i] for i in block), max_deg, max_terms)
-        product = product * sub
+        product = product * embed(sub, names)
     return product
 
 
@@ -151,26 +205,26 @@ def oracle_coeff_violation(poly: Polynomial):
     the product of the axis slices through the leading corner N; N itself when
     L = c[N] is zero and no index differs; None when F is totally separable.
     Its cost is the whole box, so use it only for small degrees."""
-    degrees = poly.degree_vector()
+    degrees = degree_vector(poly)
     n = len(degrees)
-    leading = poly.coefficient(degrees)
+    coefficient = poly.terms.get
+    leading = coefficient(degrees, 0)
     slices = [
-        [poly.coefficient(degrees[:r] + (i,) + degrees[r + 1:]) for i in range(nr + 1)]
+        [coefficient(degrees[:r] + (i,) + degrees[r + 1:], 0) for i in range(nr + 1)]
         for r, nr in enumerate(degrees)
     ]
     scale = leading ** (n - 1)
     for index in itertools.product(*(range(nr + 1) for nr in degrees)):
-        if scale * poly.coefficient(index) != math.prod(slices[r][i] for r, i in enumerate(index)):
+        if scale * coefficient(index, 0) != math.prod(slices[r][i] for r, i in enumerate(index)):
             return index
     return degrees if leading == 0 else None
 
 
 def oracle_anchor(poly: Polynomial) -> tuple[Fraction, ...]:
     """Independent anchor scan: first small-integer point where F != 0."""
-    degrees = poly.degree_vector()
-    for candidate in itertools.product(*(range(d + 1) for d in degrees)):
+    for candidate in itertools.product(*(range(d + 1) for d in degree_vector(poly))):
         point = tuple(Fraction(c) for c in candidate)
-        if poly.evaluate(point) != 0:
+        if evaluate(poly, point) != 0:
             return point
     raise AssertionError(f"no nonzero grid point for {poly}")
 
@@ -182,13 +236,13 @@ def oracle_partition_valid(poly: Polynomial, blocks, anchor=None) -> bool:
     if anchor is None:
         anchor = oracle_anchor(poly)
     r = len(blocks)
-    value = poly.evaluate(anchor)
+    value = evaluate(poly, anchor)
     assert value != 0, (poly, anchor)
     lhs = poly * value ** (r - 1)
     rhs = Polynomial.constant(1, poly.vars)
     for block in blocks:
         fixed = {i: anchor[i] for i in range(poly.var_count) if i not in set(block)}
-        rhs = rhs * poly.margin(fixed)
+        rhs = rhs * embed(substitute(poly, fixed), poly.vars)
     return lhs == rhs
 
 
@@ -201,12 +255,13 @@ def oracle_margin_factors(poly: Polynomial, blocks, anchor=None):
         anchor = oracle_anchor(poly)
     if not oracle_partition_valid(poly, blocks, anchor):
         return None
-    constant = poly.evaluate(anchor) ** (1 - len(blocks))
+    constant = evaluate(poly, anchor) ** (1 - len(blocks))
     factors = []
     for block in blocks:
-        margin = poly.margin({i: anchor[i] for i in range(poly.var_count) if i not in set(block)})
-        constant *= margin.leading_coefficient()
-        factors.append(margin.monic())
+        margin = substitute(poly, {i: anchor[i] for i in range(poly.var_count) if i not in set(block)})
+        lead = margin.leading_coefficient()
+        constant *= lead
+        factors.append(margin / lead)
     return constant, factors
 
 

@@ -44,10 +44,11 @@ def test_separate_text_output(capsys):
 def test_separate_json_round_trips_to_the_input(capsys):
     code, out, _ = run_cli(["separate", P43_SOURCE, "--format", "json"], capsys)
     payload = json.loads(out)
-    product = parse_polynomial(payload["constant"])
+    expected = parse_polynomial(P43_SOURCE)
+    product = parse_polynomial(payload["constant"], expected.vars)
     for factor in payload["factors"]:
-        product = product * parse_polynomial(factor)
-    assert product == parse_polynomial(P43_SOURCE)
+        product = product * parse_polynomial(factor, expected.vars)
+    assert product == expected
 
 
 def test_separate_not_separable_exits_1(capsys):
@@ -400,3 +401,12 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "separable"
+
+
+def test_package_runs_as_a_module():
+    result = subprocess.run(
+        [sys.executable, "-m", "varsep", "check", "x + y"],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout) == (1, "not separable\n")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import OracleParser, oracle_parse, oracle_tokenize
+from conftest import OracleParser, evaluate, oracle_parse, oracle_tokenize
 from varsep.expr import (
     MAX_NESTING,
     BinOp,
@@ -539,7 +539,7 @@ def exact_eval(node, env):
 def test_lowering_preserves_exact_value(node, point):
     lowered = lower_to_polynomial(node, ("x", "y"))
     env = {"x": point[0], "y": point[1]}
-    assert lowered.evaluate(point) == exact_eval(node, env)
+    assert evaluate(lowered, point) == exact_eval(node, env)
 
 
 @settings(max_examples=60)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_poly
+from conftest import evaluate, rand_poly
 from varsep import numeric, parse, parse_polynomial
 from varsep.exact import finest_partition
 from varsep.expr import BinOp, Const
@@ -66,8 +66,8 @@ def test_residual_scale_invariance_exact_shadow():
         inside = set(block)
         mixed_i = [point[k] if k in inside else anchor[k] for k in range(len(anchor))]
         mixed_j = [anchor[k] if k in inside else point[k] for k in range(len(anchor))]
-        lhs = poly.evaluate(anchor) * poly.evaluate(point)
-        rhs = poly.evaluate(mixed_i) * poly.evaluate(mixed_j)
+        lhs = evaluate(poly, anchor) * evaluate(poly, point)
+        rhs = evaluate(poly, mixed_i) * evaluate(poly, mixed_j)
         denominator = max(abs(lhs), abs(rhs))
         return abs(lhs - rhs) / denominator if denominator else Fraction(0)
 

@@ -1,11 +1,12 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import P43_FACTOR_X, P43_FACTOR_Y
-from varsep import Polynomial, ZeroPolynomialError, aligned, parse_polynomial
+from conftest import P43_FACTOR_X, P43_FACTOR_Y, degree_vector, evaluate, substitute
+from varsep import Polynomial, ZeroPolynomialError, parse_polynomial
 
 
 def P(source, vars=None):
@@ -38,14 +39,14 @@ def test_mul_difference_of_squares():
 
 
 def test_mul_expands_the_20_term_reference_product(p43):
-    product = parse_polynomial(P43_FACTOR_X, ("x",)) * parse_polynomial(P43_FACTOR_Y, ("y",))
+    product = parse_polynomial(P43_FACTOR_X, p43.vars) * parse_polynomial(P43_FACTOR_Y, p43.vars)
     assert len(product.terms) == 20
     assert product == p43
 
 
 def test_additive_inverse():
     p = P("3*x^2*y - 7*x + 1/2")
-    assert p + (Polynomial.zero(p.vars) - p) == Polynomial.zero(p.vars)
+    assert p + (Polynomial(p.vars) - p) == Polynomial(p.vars)
 
 
 def test_scalar_arithmetic():
@@ -53,18 +54,26 @@ def test_scalar_arithmetic():
     assert 2 * p == P("2*x + 2")
     assert p - 1 == P("x")
     assert p / Fraction(1, 2) == P("2*x + 2")
+    assert Polynomial.constant(3, ("x", "y")) == 3
 
 
-def test_mismatched_registries_align_by_name():
-    p = parse_polynomial("x + 1", ("x",))
-    q = parse_polynomial("y + 1", ("y",))
-    combined = p * q
-    assert combined.vars == ("x", "y")
-    assert combined == P("x*y + x + y + 1")
+@pytest.mark.parametrize(
+    "q",
+    [P("y + 1", ("y",)), P("x + 1", ("x",)), P("x + 1", ("y", "x"))],
+    ids=["disjoint", "subset", "reordered"],
+)
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["add", "sub", "mul"])
+def test_one_registry_per_polynomial(op, q):
+    p = P("x + 1", ("x", "y"))
+    with pytest.raises(ValueError, match="registries differ"):
+        op(p, q)
+    with pytest.raises(ValueError, match="registries differ"):
+        op(q, p)
+    assert not p == q and p != q
 
 
 @pytest.mark.parametrize("exponent", [0, 1, 3])
-@pytest.mark.parametrize("base", [Polynomial.zero(("x", "y")), P("-2/3*x^2*y"), P("x - 2*y")])
+@pytest.mark.parametrize("base", [Polynomial(("x", "y")), P("-2/3*x^2*y"), P("x - 2*y")])
 def test_power_equals_repeated_multiplication(base, exponent):
     expected = Polynomial.constant(1, base.vars)
     for _ in range(exponent):
@@ -87,8 +96,8 @@ def test_ring_axioms(a, b, c):
 @settings(max_examples=60)
 @given(polynomials(), polynomials(), points)
 def test_evaluation_is_a_ring_homomorphism(a, b, point):
-    assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
-    assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
+    assert evaluate(a * b, point) == evaluate(a, point) * evaluate(b, point)
+    assert evaluate(a + b, point) == evaluate(a, point) + evaluate(b, point)
 
 
 # --------------------------------------------------------------------- derivatives
@@ -120,67 +129,65 @@ def test_mixed_partials_commute(p):
     assert dxy == dyx
 
 
-# --------------------------------------------------------------------- evaluation and margins
+# --------------------------------------------------------------------- the oracles' reference helpers
 
 
 def test_evaluate_examples(p43, p234):
-    assert P("x^2 + y^2").evaluate([1, 2]) == 5
-    assert p43.evaluate([0, 0]) == 21
-    assert p234.evaluate([0, 0, 0]) == 0
+    assert evaluate(P("x^2 + y^2"), [1, 2]) == 5
+    assert evaluate(p43, [0, 0]) == 21
+    assert evaluate(p234, [0, 0, 0]) == 0
 
 
 def test_evaluate_length_mismatch():
     with pytest.raises(ValueError):
-        P("x + y").evaluate([1])
+        evaluate(P("x + y"), [1])
 
 
 def test_margin_of_reference_polynomial(p43):
-    assert p43.margin({1: 0}) == parse_polynomial("3*x^4 - 9*x^3 + 15*x^2 + 6*x + 21", ("x",))
+    assert substitute(p43, {1: 0}) == parse_polynomial("3*x^4 - 9*x^3 + 15*x^2 + 6*x + 21", ("x",))
 
 
 def test_margin_annihilates_product(p43):
-    m = P("x*y").margin({0: 0})
+    m = substitute(P("x*y"), {0: 0})
     assert m.vars == ("y",)
     assert m.is_zero
 
 
 def test_margin_empty_is_identity(p43):
-    assert p43.margin({}) is p43
+    assert substitute(p43, {}) == p43
 
 
 def test_margin_out_of_range():
     with pytest.raises(IndexError):
-        P("x*y").margin({5: 1})
+        substitute(P("x*y"), {5: 1})
 
 
 @settings(max_examples=60)
 @given(polynomials(("x", "y", "z"), max_deg=2), st.tuples(*[st.fractions(min_value=-2, max_value=2, max_denominator=3)] * 3))
 def test_margin_commutes_with_evaluation(p, point):
-    partial = p.margin({0: point[0], 2: point[2]})
+    partial = substitute(p, {0: point[0], 2: point[2]})
     assert partial.vars == ("y",)
-    assert partial.evaluate([point[1]]) == p.evaluate(point)
-
-
-# --------------------------------------------------------------------- degrees and leading data
+    assert evaluate(partial, [point[1]]) == evaluate(p, point)
 
 
 def test_degree_vector_examples(p43):
-    assert P("x^2*y^3*z^4 + x*y", ("x", "y", "z")).degree_vector() == (2, 3, 4)
-    assert p43.degree_vector() == (4, 3)
-    assert parse_polynomial("5", ("x", "y")).degree_vector() == (0, 0)
+    assert degree_vector(P("x^2*y^3*z^4 + x*y", ("x", "y", "z"))) == (2, 3, 4)
+    assert degree_vector(p43) == (4, 3)
+    assert degree_vector(parse_polynomial("5", ("x", "y"))) == (0, 0)
 
 
-def test_degree_vector_of_zero_errors():
+# --------------------------------------------------------------------- leading data
+
+
+def test_leading_monomial_of_zero_errors():
     with pytest.raises(ZeroPolynomialError):
-        Polynomial.zero(("x",)).degree_vector()
-    with pytest.raises(ZeroPolynomialError):
-        Polynomial.zero(("x",)).leading_monomial()
+        Polynomial(("x",)).leading_monomial()
 
 
 def test_monic_normalization():
     p = P("4*x^2 + 2*x")
-    assert p.monic() == P("x^2 + 1/2*x")
     assert p.leading_coefficient() == 4
+    assert p / p.leading_coefficient() == P("x^2 + 1/2*x")
 
 
 # --------------------------------------------------------------------- text form
@@ -189,7 +196,7 @@ def test_monic_normalization():
 def test_canonical_string_is_graded_lex_descending():
     assert str(P("1 + x + x*y")) == "x*y + x + 1"
     assert str(P(P43_FACTOR := "x^4 - 3*x^3 + 5*x^2 + 2*x + 7")) == P43_FACTOR
-    assert str(Polynomial.zero(("x",))) == "0"
+    assert str(Polynomial(("x",))) == "0"
     assert str(P("-x + 1/2")) == "-x + 1/2"
 
 
@@ -200,10 +207,3 @@ def test_canonical_string_reparses_to_the_same_polynomial(p):
         return
     assert parse_polynomial(str(p), p.vars) == p
 
-
-def test_aligned_orders_first_registry_then_new_names():
-    p = parse_polynomial("x*z", ("x", "z"))
-    q = parse_polynomial("y + z", ("y", "z"))
-    a, b = aligned(p, q)
-    assert a.vars == b.vars == ("x", "z", "y")
-    assert a == p and b == q
