@@ -1,0 +1,30 @@
+"""Value semantics for the package's small immutable records.
+
+AST nodes, partitions, grids and reports are plain classes with `__slots__`
+and a hand-written `__init__`; this base gives them equality by type and
+fields, a hash consistent with it, and a repr naming the fields.  Fields
+are the class's `__slots__`, in order.  Nothing stops assignment to a
+field: records are immutable by convention, and no code in the package
+mutates one after construction.
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Sequence
 
@@ -53,6 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def emit_json(payload: dict) -> str:
     """Render a command's payload as schema-versioned JSON, fields in order."""
+    # imported here: only --format json needs it, and every process pays
+    # for what the CLI imports at start
+    import json
+
     return json.dumps({"schema": SCHEMA, **payload})
 
 
@@ -71,7 +74,8 @@ def _is_identifier(name: str) -> bool:
 
 
 def _variable_order(args, node) -> list[str]:
-    if args.vars:
+    # an empty --vars is a usage error like any other bad name, not a missing flag
+    if args.vars is not None:
         names = [name.strip() for name in args.vars.split(",")]
         for name in names:
             if not _is_identifier(name):

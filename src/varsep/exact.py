@@ -46,9 +46,9 @@ import enum
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .partition import Partition, UnionFind
 from .poly import Polynomial, ZeroPolynomialError
 
@@ -62,16 +62,17 @@ class NotSeparableError(Exception):
     """The requested factorization does not exist for this input."""
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(Record):
     """Outcome of the coefficient-tensor criterion."""
 
-    verdict: Verdict
-    violation: tuple[int, ...] | None = None
+    __slots__ = ("verdict", "violation")
+
+    def __init__(self, verdict: Verdict, violation: tuple[int, ...] | None = None):
+        self.verdict = verdict
+        self.violation = violation
 
 
-@dataclass(frozen=True)
-class SepMatrixReport:
+class SepMatrixReport(Record):
     """The finest partition derived from the pair entries F*F_ij - F_i*F_j.
 
     `witnesses` maps each edge (i, j), i < j, found by evaluation to the
@@ -79,22 +80,37 @@ class SepMatrixReport:
     blocks has an identically zero entry.
     """
 
-    names: tuple[str, ...]
-    partition: Partition
-    witnesses: dict[tuple[int, int], tuple[int, ...]]
+    __slots__ = ("names", "partition", "witnesses")
+
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        partition: Partition,
+        witnesses: dict[tuple[int, int], tuple[int, ...]],
+    ):
+        self.names = names
+        self.partition = partition
+        self.witnesses = witnesses
 
 
-@dataclass(frozen=True)
-class SeparationResult:
+class SeparationResult(Record):
     """A verified factorization: constant * product of monic block factors.
 
     `verified` is True on every result: the slice identity that produced it
     compares every coefficient of F.
     """
 
-    constant: Fraction
-    factors: tuple[tuple[tuple[int, ...], Polynomial], ...]
-    verified: bool
+    __slots__ = ("constant", "factors", "verified")
+
+    def __init__(
+        self,
+        constant: Fraction,
+        factors: tuple[tuple[tuple[int, ...], Polynomial], ...],
+        verified: bool,
+    ):
+        self.constant = constant
+        self.factors = factors
+        self.verified = verified
 
 
 def _require_nonzero(poly: Polynomial) -> None:

@@ -46,10 +46,10 @@ import enum
 import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
+from ._record import Record
 from .poly import Polynomial
 
 SUPPORTED_FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "abs")
@@ -81,33 +81,47 @@ class Token(NamedTuple):
 
 # --------------------------------------------------------------------- AST
 
-
-@dataclass(frozen=True)
-class Const:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
+# Values (see _record.Record).  Each __init__ assigns its fields directly,
+# with no loop over __slots__ and no guard against later assignment: the
+# parser builds one node per token.
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "ExprNode"
+class Const(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "ExprNode"
-    right: "ExprNode"
+class Var(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "ExprNode"
+class Neg(Record):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: ExprNode):
+        self.operand = operand
+
+
+class BinOp(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: ExprNode, right: ExprNode):
+        self.op = op
+        self.left = left
+        self.right = right
+
+
+class Call(Record):
+    __slots__ = ("func", "arg")
+
+    def __init__(self, func: str, arg: ExprNode):
+        self.func = func
+        self.arg = arg
 
 
 ExprNode = Union[Const, Var, Neg, BinOp, Call]

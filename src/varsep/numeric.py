@@ -22,10 +22,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import ClassVar, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import expr
+from ._record import Record
 from .expr import EvalDomainError, ExprNode
 from .partition import Partition, UnionFind
 
@@ -78,8 +78,7 @@ def parse_grid_spec(spec: str) -> tuple[str, tuple[float, ...]]:
     return name.strip(), linspace(start, stop, count)
 
 
-@dataclass(frozen=True)
-class SampleGrid:
+class SampleGrid(Record):
     """Per-variable sample coordinates.
 
     `sample` walks full coordinate products while they fit its cap and
@@ -90,13 +89,14 @@ class SampleGrid:
     pairs.  A grid spec may give an axis at most `budget` coordinates.
     """
 
-    coords: tuple[tuple[float, ...], ...]
-    budget: ClassVar[int] = 4096
+    __slots__ = ("coords",)
+    budget = 4096
 
-    def __post_init__(self):
-        for axis in self.coords:
+    def __init__(self, coords: tuple[tuple[float, ...], ...]):
+        for axis in coords:
             if len(set(axis)) < 2:
                 raise ValueError("each variable needs at least 2 distinct coordinates")
+        self.coords = coords
 
     @classmethod
     def default(cls, var_count: int) -> SampleGrid:
@@ -129,8 +129,7 @@ class SampleGrid:
         return list(zip(*(rng.choices(axis, k=cap) for axis in coords)))
 
 
-@dataclass(frozen=True)
-class NumericVerdict:
+class NumericVerdict(Record):
     """Residual matrix, anchor, tolerance, and the derived partition.
 
     `skipped` counts sample evaluations lost to domain errors or to
@@ -138,15 +137,30 @@ class NumericVerdict:
     cancellation noise (both products far below the pair's dominant scale).
     """
 
-    names: tuple[str, ...]
-    residuals: tuple[tuple[float, ...], ...]
-    anchor: tuple[float, ...]
-    tolerance: float
-    verdict: str
-    partition: Partition
-    evaluated: int
-    skipped: int
-    discarded: int
+    __slots__ = ("names", "residuals", "anchor", "tolerance", "verdict", "partition",
+                 "evaluated", "skipped", "discarded")
+
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        residuals: tuple[tuple[float, ...], ...],
+        anchor: tuple[float, ...],
+        tolerance: float,
+        verdict: str,
+        partition: Partition,
+        evaluated: int,
+        skipped: int,
+        discarded: int,
+    ):
+        self.names = names
+        self.residuals = residuals
+        self.anchor = anchor
+        self.tolerance = tolerance
+        self.verdict = verdict
+        self.partition = partition
+        self.evaluated = evaluated
+        self.skipped = skipped
+        self.discarded = discarded
 
 
 def margin_residual(

@@ -2,23 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class Partition:
+
+class Partition(Record):
     """Disjoint, exhaustive blocks of variable indices.
 
     Blocks are stored normalized: each block sorted ascending, blocks ordered
     by their smallest member, and the union equal to {0, ..., n-1}.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
+    def __init__(self, blocks: tuple[tuple[int, ...], ...]):
         seen: set[int] = set()
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise ValueError("partition blocks must be nonempty")
             if list(block) != sorted(block):
@@ -28,8 +28,9 @@ class Partition:
             seen.update(block)
         if seen != set(range(len(seen))):
             raise ValueError(f"blocks must cover a contiguous index range, got {sorted(seen)}")
-        if list(self.blocks) != sorted(self.blocks, key=lambda b: b[0]):
+        if list(blocks) != sorted(blocks, key=lambda b: b[0]):
             raise ValueError("blocks must be ordered by smallest member")
+        self.blocks = blocks
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> Partition:

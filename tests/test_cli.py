@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from conftest import P43_FACTOR_X, P43_FACTOR_Y, build_p43
+import varsep
 from varsep import CriterionReport, Verdict, exact, parse_polynomial
 from varsep.cli import build_parser, run
 
@@ -370,6 +372,14 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(["--help"], capsys)[0] == 0
 
 
+def test_empty_vars_is_a_usage_error(capsys):
+    for command in ("check", "numeric"):
+        for flag in (["--vars", ""], ["--vars="]):
+            code, out, err = run_cli([command, "x*y", *flag], capsys)
+            assert (code, out) == (2, ""), (command, flag)
+            assert err == "error: invalid variable name '' in --vars ''\n"
+
+
 def test_unknown_grid_variable_exits_2(capsys):
     code, _, err = run_cli(["numeric", "x*y", "--grid", "q=0:1:5"], capsys)
     assert code == 2
@@ -410,3 +420,22 @@ def test_package_runs_as_a_module():
         text=True,
     )
     assert (result.returncode, result.stdout) == (1, "not separable\n")
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_json():
+    # the modules `import varsep.cli` adds to a bare isolated interpreter;
+    # comparing against one keeps modules a site hook preloads out of it
+    src = os.path.dirname(os.path.dirname(varsep.__file__))
+    listing = "print(*sys.modules)"
+    bare = subprocess.run(
+        [sys.executable, "-I", "-c", f"import sys; {listing}"],
+        capture_output=True, text=True, check=True,
+    )
+    cli = subprocess.run(
+        [sys.executable, "-I", "-c",
+         f"import sys; sys.path.insert(0, {src!r}); import varsep.cli; varsep.cli.build_parser(); {listing}"],
+        capture_output=True, text=True, check=True,
+    )
+    added = set(cli.stdout.split()) - set(bare.stdout.split())
+    assert "varsep.cli" in added
+    assert not added & {"dataclasses", "inspect", "json"}, sorted(added)

@@ -29,9 +29,11 @@ from conftest import (
     substitute,
 )
 from varsep import (
+    CriterionReport,
     NotSeparableError,
     Partition,
     Polynomial,
+    SeparationResult,
     Verdict,
     ZeroPolynomialError,
     additive_separability,
@@ -95,6 +97,39 @@ def test_pair_identity_holds_on_separable_inputs():
         for i in range(3):
             for j in range(i + 1, 3):
                 assert sep_matrix_entry(product, i, j).is_zero
+
+
+# --------------------------------------------------------------------- partitions and reports
+
+
+@pytest.mark.parametrize("blocks, message", [
+    (((0, 1), (1, 2)), "block (1, 2) overlaps another block"),
+    (((1, 0),), "block (1, 0) is not sorted"),
+    (((0,), (2,)), "blocks must cover a contiguous index range, got [0, 2]"),
+    (((1,), (0,)), "blocks must be ordered by smallest member"),
+    (((0,), ()), "partition blocks must be nonempty"),
+])
+def test_partition_rejects_malformed_blocks(blocks, message):
+    for construct in (lambda: Partition(blocks), lambda: Partition(blocks=blocks)):
+        with pytest.raises(ValueError) as info:
+            construct()
+        assert str(info.value) == message
+
+
+def test_partitions_and_reports_compare_as_values():
+    partition = Partition(((0, 1), (2,)))
+    assert partition == Partition.from_blocks([[2], [1, 0]]) == Partition(blocks=((0, 1), (2,)))
+    assert hash(partition) == hash(Partition.from_blocks([[2], [1, 0]]))
+    assert partition != Partition.singletons(3) and partition != ((0, 1), (2,))
+    assert CriterionReport(Verdict.SEPARABLE).violation is None
+    assert CriterionReport(Verdict.NOT_SEPARABLE, (1, 1)) == CriterionReport(
+        verdict=Verdict.NOT_SEPARABLE, violation=(1, 1)
+    )
+    assert finest_partition(FOUR_VAR_PRODUCT) == finest_partition(FOUR_VAR_PRODUCT)
+    result = separate_total(P("6*x*y"))
+    assert SeparationResult(result.constant, result.factors, True) == result
+    assert SeparationResult(constant=result.constant, factors=result.factors, verified=True) == result
+    assert SeparationResult(result.constant * 2, result.factors, True) != result
 
 
 # --------------------------------------------------------------------- finest partition

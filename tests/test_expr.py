@@ -232,7 +232,23 @@ ast_nodes = st.recursive(_leaves, _compound, max_leaves=20)
 @settings(max_examples=200)
 @given(ast_nodes)
 def test_print_parse_round_trip(node):
-    assert parse(to_source(node)) == node
+    reparsed = parse(to_source(node))
+    assert reparsed == node
+    assert hash(reparsed) == hash(node)
+    assert {node: "value"}[reparsed] == "value"
+
+
+def test_nodes_of_different_types_never_compare_equal():
+    x = Var("x")
+    nodes = [Const(Fraction(1)), x, Neg(x), BinOp("*", x, x), Call("sin", x), Var("y"), BinOp("+", x, x)]
+    for a, b in itertools.product(nodes, repeat=2):
+        assert (a == b) is (a is b) and (a != b) is (a is not b), (a, b)
+    # fields only equal as values: a node never equals a tuple of its fields
+    assert Var("x") != ("x",) and Call("sin", x) != ("sin", x)
+    assert BinOp(op="*", left=x, right=Const(Fraction(2))) == parse("x*2")
+    assert repr(BinOp("*", x, Const(Fraction(2)))) == (
+        "BinOp(op='*', left=Var(name='x'), right=Const(value=Fraction(2, 1)))"
+    )
 
 
 def test_printer_renders_long_chains_without_recursing_per_operand():

@@ -223,8 +223,12 @@ def test_numeric_routes_validate_their_arguments():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        SampleGrid(coords=((1.0, 1.0),))
+    message = "each variable needs at least 2 distinct coordinates"
+    with pytest.raises(ValueError, match=message):
+        SampleGrid(((1.0, 1.0),))
+    with pytest.raises(ValueError, match=message):
+        SampleGrid(coords=((0.0, 1.0), (1.0, 1.0)))
+    assert SampleGrid.budget == GRID_2.budget == 4096
 
 
 def test_grid_from_specs_rejects_unknown_variable():
