@@ -9,7 +9,7 @@ expressions.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .exact import (
     CriterionReport,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import exact, expr, numeric
 from .exact import NotSeparableError, Verdict
@@ -170,7 +170,12 @@ def _run_additive(args) -> int:
 def _run_numeric(args) -> int:
     node = expr.parse(_read_expression(args.expression))
     names = _variable_order(args, node)
-    specs = dict(numeric.parse_grid_spec(spec) for spec in args.grid)
+    specs = {}
+    for spec in args.grid:
+        name, axis = numeric.parse_grid_spec(spec)
+        if name in specs:
+            raise ValueError(f"grid given twice for variable {name!r}")
+        specs[name] = axis
     grid = SampleGrid.from_specs(names, specs)
     verdict = numeric.numeric_finest_partition(node, grid, args.tol, names=names)
     blocks = verdict.partition.name_blocks(verdict.names)
@@ -213,16 +218,12 @@ def run(argv: Sequence[str]) -> int:
         return code if code in (EXIT_OK, EXIT_USAGE) else EXIT_USAGE
     try:
         return _HANDLERS[args.command](args)
-    except (expr.ParseError, expr.LoweringError, expr.UnboundVariableError, ValueError) as exc:
-        # ZeroPolynomialError subclasses ValueError; keep its own exit code
-        if isinstance(exc, ZeroPolynomialError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DEGENERATE
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DegenerateAnchorError, DomainCoverageError) as exc:
+    except (ZeroPolynomialError, DegenerateAnchorError, DomainCoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except (expr.ParseError, expr.LoweringError, expr.UnboundVariableError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

@@ -46,8 +46,9 @@ import enum
 import functools
 import math
 import re
+from collections import namedtuple
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from ._record import Record
 from .poly import Polynomial
@@ -73,10 +74,7 @@ class TokenKind(enum.Enum):
     PAREN = "paren"
 
 
-class Token(NamedTuple):
-    kind: TokenKind
-    lexeme: str
-    position: int
+Token = namedtuple("Token", ("kind", "lexeme", "position"))
 
 
 # --------------------------------------------------------------------- AST
@@ -124,7 +122,7 @@ class Call(Record):
         self.arg = arg
 
 
-ExprNode = Union[Const, Var, Neg, BinOp, Call]
+ExprNode = Const | Var | Neg | BinOp | Call
 
 
 # --------------------------------------------------------------------- lexer
@@ -361,7 +359,7 @@ def to_source(node: ExprNode) -> str:
     if node.op == "^":
         left = wrap(node.left, _prec(node.left) <= mine)
         return f"{left}^{wrap(node.right, _prec(node.right) < mine)}"
-    # walk the left spine of a chain of one precedence, as lower_sum does,
+    # walk the left spine of a chain of one precedence, as lowering does,
     # so a long sum or product does not recurse once per operand
     spine = []
     while isinstance(node, BinOp) and _prec(node) == mine:
@@ -593,13 +591,17 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
     ^ with a nonnegative integer literal exponent, and / by an expression
     that lowers to a nonzero constant.  Anything else raises LoweringError.
 
-    The expression is lowered as a sum of summands (a single product is a
-    sum of one), added into one term map.  A summand that is a product of
-    constants, registered variables, unary minus, / by a nonzero constant
-    literal and ^ factors folds straight into its one term, with no
-    polynomial per factor; only its ^ factors are lowered, and x^k still
-    costs k - 1 products.  Any other summand is lowered factor by factor.
-    Either way the result and any LoweringError are the same.
+    One walk lowers everything.  The expression is a sum of summands (a
+    single product is a sum of one), added into one term map, and each
+    summand is a product walked left factor first.  Constants, registered
+    variables and unary minus fold into the summand's one term.  A divisor,
+    the base of a ^ and a parenthesised sum are lowered by the same walk; a
+    result of one term folds in, and only results of more terms are
+    multiplied out.  Powers go through Polynomial.__pow__, so x^k costs
+    k - 1 products, on purpose until the benchmark's deadline test gets a
+    stall of its own (ROADMAP item 1).  Each error is raised when its factor
+    is visited: a divisor before its dividend, an exponent before its base,
+    a left factor before a right one.
     """
     names = tuple(vars) if vars is not None else tuple(free_variables(node))
     if len(set(names)) != len(names):
@@ -607,80 +609,6 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
     slots = {name: i for i, name in enumerate(names)}
 
     def lower(e: ExprNode) -> Polynomial:
-        if isinstance(e, Const):
-            return Polynomial.constant(e.value, names)
-        if isinstance(e, Var):
-            if e.name not in slots:
-                raise LoweringError(f"unregistered variable {e.name!r}")
-            return Polynomial.variable(e.name, names)
-        if isinstance(e, Neg):
-            return -lower(e.operand)
-        if isinstance(e, Call):
-            raise LoweringError("function calls have no polynomial form", e)
-        if e.op in _SUM_OPS:
-            return lower_sum(e)
-        if e.op == "*":
-            return lower(e.left) * lower(e.right)
-        if e.op == "/":
-            divisor = lower(e.right)
-            if not divisor.is_constant:
-                raise LoweringError("division by a non-constant", e)
-            value = divisor.constant_value()
-            if value == 0:
-                raise LoweringError("division by zero", e)
-            return lower(e.left) / value
-        # exponent must be a nonnegative integer literal
-        if not isinstance(e.right, Const) or e.right.value.denominator != 1:
-            raise LoweringError("exponent must be a nonnegative integer literal", e)
-        return lower(e.left) ** int(e.right.value)
-
-    def summand_terms(e: ExprNode):
-        """The (exps, coef) items of one summand.
-
-        The product is walked with a stack, left factor first.  Its shape is
-        checked before anything is lowered: on any factor that is not a
-        constant, a registered variable, a unary minus, a / by a nonzero
-        constant literal or a ^, the summand goes to `lower` whole.  Only
-        the ^ factors can raise, and they are lowered in the order `lower`
-        visits them, so errors are the same.  A ^ factor of one term is
-        folded in; one with more (or no) terms is multiplied in.
-        """
-        exps = [0] * len(names)
-        coef = Fraction(1)
-        powers = []
-        stack = [e]
-        while stack:
-            f = stack.pop()
-            if isinstance(f, Const):
-                coef *= f.value
-            elif isinstance(f, Var) and f.name in slots:
-                exps[slots[f.name]] += 1
-            elif isinstance(f, Neg):
-                coef = -coef
-                stack.append(f.operand)
-            elif isinstance(f, BinOp) and f.op == "*":
-                stack += (f.right, f.left)
-            elif isinstance(f, BinOp) and f.op == "/" and isinstance(f.right, Const) and f.right.value:
-                coef /= f.right.value
-                stack.append(f.left)
-            elif isinstance(f, BinOp) and f.op == "^":
-                powers.append(f)
-            else:
-                return lower(e).terms.items()
-        rest = None
-        for f in powers:
-            power = lower(f)
-            if len(power.terms) == 1:
-                ((p, c),) = power.terms.items()
-                exps = [a + b for a, b in zip(exps, p)]
-                coef *= c
-            else:
-                rest = power if rest is None else rest * power
-        if rest is not None:
-            return (rest * Polynomial(names, {tuple(exps): coef})).terms.items()
-        return ((tuple(exps), coef),) if coef else ()
-
-    def lower_sum(e: ExprNode) -> Polynomial:
         # walk the left spine of a +/- chain and add the terms of every
         # summand into one term map, so a long sum costs time linear in its
         # length; a summand that is a monomial costs one entry
@@ -695,4 +623,54 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
                 terms[exps] = terms.get(exps, 0) + (-coef if negate else coef)
         return Polynomial(names, terms)
 
-    return lower_sum(node)
+    def summand_terms(e: ExprNode):
+        """The (exps, coef) items of one summand, a product walked with a
+        stack.  A factor of one term folds into (exps, coef); the product
+        of the factors of more terms is `rest`."""
+        exps = [0] * len(names)
+        coef = Fraction(1)
+        rest = None
+        stack = [e]
+        while stack:
+            f = stack.pop()
+            if isinstance(f, Const):
+                coef *= f.value
+            elif isinstance(f, Var):
+                if f.name not in slots:
+                    raise LoweringError(f"unregistered variable {f.name!r}")
+                exps[slots[f.name]] += 1
+            elif isinstance(f, Neg):
+                coef = -coef
+                stack.append(f.operand)
+            elif isinstance(f, Call):
+                raise LoweringError("function calls have no polynomial form", f)
+            elif f.op == "*":
+                stack += (f.right, f.left)
+            elif f.op == "/":
+                divisor = lower(f.right)
+                if not divisor.is_constant:
+                    raise LoweringError("division by a non-constant", f)
+                value = divisor.constant_value()
+                if value == 0:
+                    raise LoweringError("division by zero", f)
+                coef /= value
+                stack.append(f.left)
+            else:
+                # a power or a parenthesised sum
+                if f.op == "^":
+                    if not isinstance(f.right, Const) or f.right.value.denominator != 1:
+                        raise LoweringError("exponent must be a nonnegative integer literal", f)
+                    factor = lower(f.left) ** int(f.right.value)
+                else:
+                    factor = lower(f)
+                if len(factor.terms) == 1:
+                    ((p, c),) = factor.terms.items()
+                    exps = [a + b for a, b in zip(exps, p)]
+                    coef *= c
+                else:
+                    rest = factor if rest is None else rest * factor
+        if rest is not None:
+            return (rest * Polynomial(names, {tuple(exps): coef})).terms.items()
+        return ((tuple(exps), coef),) if coef else ()
+
+    return lower(node)

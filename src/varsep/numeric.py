@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from . import expr
 from ._record import Record
@@ -75,7 +75,11 @@ def parse_grid_spec(spec: str) -> tuple[str, tuple[float, ...]]:
         raise ValueError(f"grid spec {spec!r} has more than {SampleGrid.budget} coordinates")
     if stop == start:
         raise ValueError(f"grid spec {spec!r} has coinciding endpoints")
-    return name.strip(), linspace(start, stop, count)
+    coords = linspace(start, stop, count)
+    # finite endpoints more than the float range apart give an infinite step
+    if not all(map(math.isfinite, coords)):
+        raise ValueError(f"grid spec {spec!r} needs finite endpoints less than the float range apart")
+    return name.strip(), coords
 
 
 class SampleGrid(Record):

@@ -22,10 +22,10 @@ expression front end to an equal polynomial.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 ExponentVector = tuple[int, ...]
 
 
@@ -74,14 +74,6 @@ class Polynomial:
     def constant(cls, value: Scalar, vars: Sequence[str] = ()) -> Polynomial:
         names = tuple(vars)
         return cls(names, {(0,) * len(names): value})
-
-    @classmethod
-    def variable(cls, name: str, vars: Sequence[str]) -> Polynomial:
-        names = tuple(vars)
-        if name not in names:
-            raise ValueError(f"variable {name!r} is not in the registry {names}")
-        exps = tuple(1 if v == name else 0 for v in names)
-        return cls(names, {exps: 1})
 
     # ------------------------------------------------------------------ basic queries
 

@@ -298,7 +298,7 @@ def oracle_lower(node, names) -> Polynomial:
         if isinstance(e, Var):
             if e.name not in names:
                 raise LoweringError(f"unregistered variable {e.name!r}")
-            return Polynomial.variable(e.name, names)
+            return Polynomial(names, {tuple(int(v == e.name) for v in names): 1})
         if isinstance(e, Neg):
             return -walk(e.operand)
         if isinstance(e, Call):

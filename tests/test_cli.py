@@ -290,7 +290,7 @@ def test_numeric_literal_beyond_float_range_exits_3(source, capsys):
 
 
 def test_numeric_rejects_non_finite_grid_endpoints(capsys):
-    for spec in ("x=0:inf:5", "x=nan:1:5", "x=-inf:0:3", "x=-1e400:1:3"):
+    for spec in ("x=0:inf:5", "x=nan:1:5", "x=-inf:0:3", "x=-1e400:1:3", "x=-1e308:1e308:3"):
         code, out, err = run_cli(["numeric", "x*y", "--grid", spec], capsys)
         assert code == 2, spec
         assert out == ""
@@ -386,6 +386,12 @@ def test_unknown_grid_variable_exits_2(capsys):
     assert "unknown variable" in err
 
 
+def test_grid_given_twice_for_one_variable_exits_2(capsys):
+    code, out, err = run_cli(["numeric", "x*y", "--grid", "x=0:1:2", "--grid", "x=5:6:2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: grid given twice for variable 'x'\n"
+
+
 def test_fuzzed_argv_never_crashes(capsys):
     pool = [
         "check", "separate", "partition", "numeric", "additive",
@@ -424,18 +430,19 @@ def test_package_runs_as_a_module():
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
     # the modules `import varsep.cli` adds to a bare isolated interpreter;
-    # comparing against one keeps modules a site hook preloads out of it
+    # -S keeps out the site module and any hook of it that preloads, say,
+    # typing, and comparing against the bare run keeps out the rest
     src = os.path.dirname(os.path.dirname(varsep.__file__))
     listing = "print(*sys.modules)"
     bare = subprocess.run(
-        [sys.executable, "-I", "-c", f"import sys; {listing}"],
+        [sys.executable, "-I", "-S", "-c", f"import sys; {listing}"],
         capture_output=True, text=True, check=True,
     )
     cli = subprocess.run(
-        [sys.executable, "-I", "-c",
+        [sys.executable, "-I", "-S", "-c",
          f"import sys; sys.path.insert(0, {src!r}); import varsep.cli; varsep.cli.build_parser(); {listing}"],
         capture_output=True, text=True, check=True,
     )
     added = set(cli.stdout.split()) - set(bare.stdout.split())
     assert "varsep.cli" in added
-    assert not added & {"dataclasses", "inspect", "json"}, sorted(added)
+    assert not added & {"dataclasses", "inspect", "json", "typing"}, sorted(added)

@@ -566,7 +566,8 @@ def test_lowering_is_linear_over_addition(a, b):
 
 
 # sums of monomial summands, which lowering folds into one term each, with
-# the shapes it must hand on: multi-term powers and a (y + 1) factor
+# the factors it must multiply out: multi-term powers and sums, each one
+# maybe negated, and divisions by a constant literal or a constant sum
 _constants = st.integers(0, 9).map(lambda n: Const(Fraction(n)))
 _variables = st.sampled_from("xyz").map(Var)
 
@@ -586,22 +587,28 @@ _powers = st.tuples(st.one_of(_monomials, _two_term), st.integers(0, 4)).map(
     lambda t: BinOp("^", t[0], Const(Fraction(t[1])))
 )
 _Y_PLUS_1 = BinOp("+", Var("y"), Const(Fraction(1)))
+_constant_sums = st.tuples(st.integers(1, 4), st.integers(0, 3)).map(
+    lambda t: BinOp("+", Const(Fraction(t[0])), Const(Fraction(t[1])))
+)
 _factors = st.tuples(
-    st.integers(0, 11).flatmap(lambda k: st.just(_Y_PLUS_1) if k == 0 else st.one_of(_constants, _variables, _powers)),
+    st.integers(0, 11).flatmap(
+        lambda k: st.one_of(st.just(_Y_PLUS_1), _two_term) if k == 0
+        else st.one_of(_constants, _variables, _powers)
+    ),
     st.booleans(),
-    st.one_of(st.none(), st.integers(1, 7)),
+    st.one_of(st.none(), st.integers(1, 7).map(lambda n: Const(Fraction(n))), _constant_sums),
 )
 
 
 def _summand(factors):
     """Multiply the factors left to right, each one negated or followed by a
-    division by a nonzero literal as drawn."""
+    division by a nonzero constant as drawn."""
     node = None
     for factor, negate, divisor in factors:
         factor = Neg(factor) if negate else factor
         node = factor if node is None else BinOp("*", node, factor)
         if divisor is not None:
-            node = BinOp("/", node, Const(Fraction(divisor)))
+            node = BinOp("/", node, divisor)
     return node
 
 
@@ -628,7 +635,8 @@ def test_lowering_a_sum_of_products_equals_the_factor_by_factor_product(node):
 
 _BROKEN = ["q", "x/0", "x/y", "x^y", "x^(1/2)", "sin(x)"]
 _POSITIONS = ["{b}", "2*{b}", "{b}*y", "x*{b}*y^2", "-{b}*x", "x^2*y/3*{b}", "y + 3*{b}*x",
-              "{b}*x^(1/2)", "x^(1/2)*{b}", "{b}/0", "(x + 1)^2*{b}", "x^2 - y*{b}"]
+              "{b}*x^(1/2)", "x^(1/2)*{b}", "{b}/0", "(x + 1)^2*{b}", "x^2 - y*{b}",
+              "(x + 1)*{b}", "{b}*(y - 1)", "x/(1 + 1)*{b}", "-(x + {b})*y"]
 
 
 @pytest.mark.parametrize("position", _POSITIONS)
@@ -654,6 +662,7 @@ def test_lowering_a_broken_summand_raises_the_factor_by_factor_error(broken, pos
     ("x/y/0", "division by zero in 'x/y/0'"),
     ("y + 3*x/y*x", "division by a non-constant in '3*x/y'"),
     ("(x + 1)^2*sin(x)", "function calls have no polynomial form in 'sin(x)'"),
+    ("x/(y - y)*q", "division by zero in 'x/(y - y)'"),
 ])
 def test_lowering_error_messages_and_which_error_wins(source, message):
     with pytest.raises(LoweringError) as raised:
