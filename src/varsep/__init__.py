@@ -12,11 +12,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .exact import (
-    CriterionReport,
     NotSeparableError,
     SeparationResult,
     SepMatrixReport,
-    Verdict,
     additive_separability,
     coeff_criterion_total,
     finest_partition,

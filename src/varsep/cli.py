@@ -1,5 +1,8 @@
 """Command-line front end.
 
+The library's routes return evidence (a partition, a violation index, a
+bool); this module is the one place that words a verdict from it.
+
 Exit codes: 0 separable / success, 1 not separable (check and separate),
 2 parse or usage error, 3 degenerate input, 4 the two exact routes disagreed.
 """
@@ -12,7 +15,7 @@ import sys
 from collections.abc import Sequence
 
 from . import exact, expr, numeric
-from .exact import NotSeparableError, Verdict
+from .exact import NotSeparableError
 from .numeric import DegenerateAnchorError, DomainCoverageError, SampleGrid
 from .poly import Polynomial, ZeroPolynomialError
 
@@ -99,9 +102,9 @@ def _print_partition_text(blocks: list[list[str]]) -> str:
 def _run_check(args) -> int:
     poly = _lower(args)
     report = exact.finest_partition(poly)
-    criterion = exact.coeff_criterion_total(poly)
+    violation = exact.coeff_criterion_total(poly)
     matrix_separable = report.partition.is_all_singletons
-    criterion_separable = criterion.verdict is Verdict.SEPARABLE
+    criterion_separable = violation is None
     if matrix_separable != criterion_separable:
         print(
             "internal inconsistency: the differential and coefficient routes disagree "
@@ -113,7 +116,7 @@ def _run_check(args) -> int:
         print(emit_json({
             "separable": matrix_separable,
             "partition": report.partition.name_blocks(report.names),
-            "violation": list(criterion.violation) if criterion.violation else None,
+            "violation": list(violation) if violation else None,
             "witnesses": [
                 {"pair": [report.names[i], report.names[j]], "point": list(point)}
                 for (i, j), point in sorted(report.witnesses.items())
@@ -158,8 +161,7 @@ def _run_partition(args) -> int:
 
 def _run_additive(args) -> int:
     poly = _lower(args)
-    verdict = exact.additive_separability(poly)
-    separable = verdict is Verdict.SEPARABLE
+    separable = exact.additive_separability(poly)
     if args.format == "json":
         print(emit_json({"additively_separable": separable}))
     else:
@@ -178,10 +180,12 @@ def _run_numeric(args) -> int:
         specs[name] = axis
     grid = SampleGrid.from_specs(names, specs)
     verdict = numeric.numeric_finest_partition(node, grid, args.tol, names=names)
+    word = ("separable" if verdict.partition.is_all_singletons
+            else "not separable" if verdict.partition.block_count == 1 else "partition")
     blocks = verdict.partition.name_blocks(verdict.names)
     if args.format == "json":
         print(emit_json({
-            "verdict": verdict.verdict,
+            "verdict": word,
             "blocks": blocks,
             "residuals": [list(row) for row in verdict.residuals],
             "tolerance": verdict.tolerance,
@@ -192,7 +196,7 @@ def _run_numeric(args) -> int:
         }))
     else:
         worst = max((r for row in verdict.residuals for r in row), default=0.0)
-        print(f"verdict: {verdict.verdict}")
+        print(f"verdict: {word}")
         print(f"partition: {_print_partition_text(blocks)}")
         print(f"max residual: {worst:.3e} (tolerance {verdict.tolerance:.1e})")
         if verdict.skipped:

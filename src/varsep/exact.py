@@ -38,11 +38,13 @@ Both the witnesses and the slice identity run on Python integers: F is
 scaled once by D, the lcm of its coefficient denominators.  Both sides of
 the identity have degree r in the coefficients, so scaling by D changes no
 verdict and no violation index, and the factors' constant is divided by D.
+
+The routes return evidence (a partition with witnesses, a violation index
+or None, a factorization, a bool); the CLI words the verdict.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 import random
@@ -53,23 +55,8 @@ from .partition import Partition, UnionFind
 from .poly import Polynomial, ZeroPolynomialError
 
 
-class Verdict(enum.Enum):
-    SEPARABLE = "separable"
-    NOT_SEPARABLE = "not separable"
-
-
 class NotSeparableError(Exception):
     """The requested factorization does not exist for this input."""
-
-
-class CriterionReport(Record):
-    """Outcome of the coefficient-tensor criterion."""
-
-    __slots__ = ("verdict", "violation")
-
-    def __init__(self, verdict: Verdict, violation: tuple[int, ...] | None = None):
-        self.verdict = verdict
-        self.violation = violation
 
 
 class SepMatrixReport(Record):
@@ -309,24 +296,21 @@ def _factors(
     return SeparationResult(constant=constant, factors=tuple(factors), verified=True)
 
 
-def coeff_criterion_total(poly: Polynomial) -> CriterionReport:
+def coeff_criterion_total(poly: Polynomial) -> tuple[int, ...] | None:
     """Coefficient-tensor test for total separability.
 
     F is totally separable exactly when L^(n-1) * c[i_1,...,i_n] ==
     prod_r c[N_1,...,i_r,...,N_n] at every index, where N is the degree
     vector and L = c[N] the leading product coefficient; the homogenized form
     avoids normalizing the input.  Only the supports of the two sides are
-    visited, by a sparse walk that takes at most |supp F| steps.  The
-    reported violation is the lexicographically first index where the
-    identity fails.  When L is zero (anomalous polynomials) it is the first
-    index whose slice product is nonzero or, when every slice product
-    vanishes too, the absent leading monomial x_1^N_1...x_n^N_n itself, since
-    a totally separable polynomial always contains it.
+    visited, by a sparse walk that takes at most |supp F| steps.  Returns
+    None when F is totally separable, else the violation: the first index,
+    in lexicographic order, where the identity fails.  When L is zero
+    (anomalous polynomials) it is the first index whose slice product is
+    nonzero or, when every slice product vanishes too, the absent leading
+    monomial x_1^N_1...x_n^N_n, which a totally separable F contains.
     """
-    violation = _slice_identity(_cleared(poly)[1], Partition.singletons(poly.var_count))[2]
-    if violation is None:
-        return CriterionReport(Verdict.SEPARABLE)
-    return CriterionReport(Verdict.NOT_SEPARABLE, violation=violation)
+    return _slice_identity(_cleared(poly)[1], Partition.singletons(poly.var_count))[2]
 
 
 def separate_total(poly: Polynomial) -> SeparationResult:
@@ -375,10 +359,7 @@ def separate_by_partition(poly: Polynomial, partition: Partition) -> SeparationR
     return _factors(poly, partition, scale, leading, slices)
 
 
-def additive_separability(poly: Polynomial) -> Verdict:
-    """SEPARABLE when the polynomial is a sum of univariate pieces,
+def additive_separability(poly: Polynomial) -> bool:
+    """True when the polynomial is a sum of univariate pieces,
     i.e. every monomial involves at most one variable."""
-    for exps in poly.terms:
-        if sum(1 for e in exps if e > 0) > 1:
-            return Verdict.NOT_SEPARABLE
-    return Verdict.SEPARABLE
+    return all(sum(1 for e in exps if e > 0) <= 1 for exps in poly.terms)

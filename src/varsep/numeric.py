@@ -103,11 +103,6 @@ class SampleGrid(Record):
         self.coords = coords
 
     @classmethod
-    def default(cls, var_count: int) -> SampleGrid:
-        axis = linspace(*DEFAULT_GRID_RANGE, DEFAULT_GRID_COUNT)
-        return cls(coords=(axis,) * var_count)
-
-    @classmethod
     def from_specs(cls, names: Sequence[str], specs: Mapping[str, tuple[float, ...]]) -> SampleGrid:
         unknown = set(specs) - set(names)
         if unknown:
@@ -134,14 +129,14 @@ class SampleGrid(Record):
 
 
 class NumericVerdict(Record):
-    """Residual matrix, anchor, tolerance, and the derived partition.
+    """Residual matrix, anchor, tolerance and partition; the CLI words the verdict.
 
     `skipped` counts sample evaluations lost to domain errors or to
     products that overflow; `discarded` counts test points dropped as
     cancellation noise (both products far below the pair's dominant scale).
     """
 
-    __slots__ = ("names", "residuals", "anchor", "tolerance", "verdict", "partition",
+    __slots__ = ("names", "residuals", "anchor", "tolerance", "partition",
                  "evaluated", "skipped", "discarded")
 
     def __init__(
@@ -150,7 +145,6 @@ class NumericVerdict(Record):
         residuals: tuple[tuple[float, ...], ...],
         anchor: tuple[float, ...],
         tolerance: float,
-        verdict: str,
         partition: Partition,
         evaluated: int,
         skipped: int,
@@ -160,7 +154,6 @@ class NumericVerdict(Record):
         self.residuals = residuals
         self.anchor = anchor
         self.tolerance = tolerance
-        self.verdict = verdict
         self.partition = partition
         self.evaluated = evaluated
         self.skipped = skipped
@@ -195,25 +188,36 @@ def margin_residual(
     f_xj = expr.eval_float(f, bind(mixed_j))
     lhs = fa * fx
     rhs = f_xi * f_xj
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), DEGENERACY_FLOOR)
+    return _residual(lhs, rhs, max(abs(lhs), abs(rhs)))
 
 
-def _scan_anchor(evaluate: expr.CompiledFloat, grid: SampleGrid) -> tuple[tuple[float, ...], int, int]:
+def _residual(lhs: float, rhs: float, scale: float) -> float:
+    """|lhs - rhs| / max(scale, DEGENERACY_FLOOR) for finite products of magnitude
+    at most `scale`; a difference that overflows is divided term by term, in [1, 2]."""
+    scale = max(scale, DEGENERACY_FLOOR)
+    difference = abs(lhs - rhs)
+    if difference == math.inf:
+        return abs(lhs) / scale + abs(rhs) / scale
+    return difference / scale
+
+
+def _scan_anchor(evaluate: expr.CompiledFloat, grid: SampleGrid) -> tuple[tuple[float, ...], float, int, int]:
+    """(point, f(point), evaluated, skipped) for the sampled point of largest |f|."""
     best: tuple[float, ...] | None = None
-    best_value = 0.0
+    best_value = best_abs = 0.0
     evaluated = skipped = 0
     for point in grid.sample(range(grid.var_count), grid.budget, 0):
         try:
-            value = abs(expr.eval_float(evaluate, point))
+            value = expr.eval_float(evaluate, point)
         except EvalDomainError:
             skipped += 1
             continue
         evaluated += 1
-        if value > best_value:
-            best, best_value = point, value
-    if best is None or best_value <= DEGENERACY_FLOOR:
+        if abs(value) > best_abs:
+            best, best_abs, best_value = point, abs(value), value
+    if best is None or best_abs <= DEGENERACY_FLOOR:
         raise DegenerateAnchorError("no sampled grid point keeps |f| above the degeneracy floor")
-    return best, evaluated, skipped
+    return best, best_value, evaluated, skipped
 
 
 def numeric_finest_partition(
@@ -248,8 +252,7 @@ def numeric_finest_partition(
     if grid.budget < n * (n - 1) // 2:
         raise ValueError(f"budget {grid.budget} is below the {n * (n - 1) // 2} pair tests")
     evaluate = expr.compile_float(f, names)
-    anchor, evaluated, skipped = _scan_anchor(evaluate, grid)
-    fa = expr.eval_float(evaluate, anchor)
+    anchor, fa, evaluated, skipped = _scan_anchor(evaluate, grid)
 
     cache: dict[tuple[int, float], float] = {}
 
@@ -297,27 +300,19 @@ def numeric_finest_partition(
             if scale <= noise:
                 discarded += 1
                 continue
-            worst = max(worst, abs(lhs - rhs) / max(scale, DEGENERACY_FLOOR))
+            worst = max(worst, _residual(lhs, rhs, scale))
         residuals[i][j] = residuals[j][i] = worst
         if worst > tol:
             uf.union(i, j)
     total = evaluated + skipped
     if total and skipped > total / 2:
         raise DomainCoverageError(f"{skipped} of {total} sample evaluations left the domain or overflowed")
-    partition = uf.partition()
-    if partition.is_all_singletons:
-        verdict = "separable"
-    elif partition.block_count == 1 and n > 1:
-        verdict = "not separable"
-    else:
-        verdict = "partition"
     return NumericVerdict(
         names=names,
         residuals=tuple(tuple(row) for row in residuals),
         anchor=anchor,
         tolerance=tol,
-        verdict=verdict,
-        partition=partition,
+        partition=uf.partition(),
         evaluated=evaluated,
         skipped=skipped,
         discarded=discarded,

@@ -54,16 +54,6 @@ class Partition(Record):
     def is_all_singletons(self) -> bool:
         return all(len(b) == 1 for b in self.blocks)
 
-    def is_coarsening_of(self, finer: Partition) -> bool:
-        """True when every block of `finer` lies inside one of this partition's blocks."""
-        if self.var_count != finer.var_count:
-            return False
-        owner = {}
-        for k, block in enumerate(self.blocks):
-            for i in block:
-                owner[i] = k
-        return all(len({owner[i] for i in block}) == 1 for block in finer.blocks)
-
     def name_blocks(self, names: Sequence[str]) -> list[list[str]]:
         return [[names[i] for i in block] for block in self.blocks]
 

@@ -1,6 +1,7 @@
 """Shared fixtures: reference polynomials, exact reference arithmetic
 (evaluation, substitution, degree vector, registry embedding,
-re-multiplication), random generators, the margin-identity brute-force
+re-multiplication), random generators, the default numeric sample grid, the
+coarsening order on partitions, the margin-identity brute-force
 oracle used to cross-check partition logic, a factor-by-factor lowering
 oracle, a character-loop lexer and a method-per-token parser for the
 expression front end, and the slice identity on Fraction coefficients."""
@@ -29,6 +30,7 @@ from varsep.expr import (
     TokenKind,
     Var,
 )
+from varsep.numeric import SampleGrid
 
 # Coefficient matrix of the 20-term reference polynomial: rows are x^4 down
 # to x^0, columns are y^3 down to y^0.  It is the outer product of its first
@@ -265,6 +267,20 @@ def oracle_margin_factors(poly: Polynomial, blocks, anchor=None):
     return constant, factors
 
 
+def default_grid(var_count: int) -> SampleGrid:
+    """The grid the CLI uses when no --grid is given: the 9-point axis on
+    [-1.3, 1.7] for each variable."""
+    return SampleGrid.from_specs([f"x{k}" for k in range(var_count)], {})
+
+
+def is_coarsening(coarse: Partition, finer: Partition) -> bool:
+    """True when every block of `finer` lies inside one block of `coarse`."""
+    if coarse.var_count != finer.var_count:
+        return False
+    owner = {i: k for k, block in enumerate(coarse.blocks) for i in block}
+    return all(len({owner[i] for i in block}) == 1 for block in finer.blocks)
+
+
 def oracle_finest(poly: Polynomial) -> Partition:
     """Finest valid partition by exhaustive enumeration (use only for small n)."""
     valid = [
@@ -276,7 +292,7 @@ def oracle_finest(poly: Polynomial) -> Partition:
     finest_partition = Partition.from_blocks(finest)
     # the finest valid partition must refine every other valid one
     for blocks in valid:
-        assert Partition.from_blocks(blocks).is_coarsening_of(finest_partition)
+        assert is_coarsening(Partition.from_blocks(blocks), finest_partition)
     return finest_partition
 
 

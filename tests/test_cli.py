@@ -9,7 +9,7 @@ import pytest
 
 from conftest import P43_FACTOR_X, P43_FACTOR_Y, build_p43
 import varsep
-from varsep import CriterionReport, Verdict, exact, parse_polynomial
+from varsep import exact, parse_polynomial
 from varsep.cli import build_parser, run
 
 P43_SOURCE = str(build_p43())
@@ -107,7 +107,7 @@ def test_check_json_names_a_witness_per_edge(capsys):
 def test_check_exits_4_when_the_exact_routes_disagree(capsys, monkeypatch):
     # a coefficient route that wrongly calls x + y separable is caught: the
     # pair route witnesses the edge (x, y) on its own
-    monkeypatch.setattr(exact, "coeff_criterion_total", lambda poly: CriterionReport(Verdict.SEPARABLE))
+    monkeypatch.setattr(exact, "coeff_criterion_total", lambda poly: None)
     for fmt in ("text", "json"):
         code, out, err = run_cli(["check", "x + y", "--format", fmt], capsys)
         assert code == 4
@@ -232,6 +232,42 @@ def test_numeric_overflowing_scale_is_not_called_separable(capsys):
     assert code == 3
     assert out == ""
     assert err == "error: every sample for pair (x, y) left the domain or overflowed\n"
+
+
+@pytest.mark.parametrize(
+    "source, word, blocks",
+    [
+        ("(x*y + 1)*exp(z)", "partition", [["x", "y"], ["z"]]),
+        ("x + y", "not separable", [["x", "y"]]),
+        ("5", "separable", []),
+    ],
+)
+def test_numeric_words_the_verdict_from_the_partition(source, word, blocks, capsys):
+    code, out, _ = run_cli(["numeric", source], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == f"verdict: {word}"
+    code, out, _ = run_cli(["numeric", source, "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == word and payload["blocks"] == blocks
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_numeric_residual_stays_finite_when_the_difference_overflows(capsys):
+    # f(a)*f(x) and f(x_I,a_J)*f(a_I,x_J) are finite near 1e308 with opposite
+    # signs, so their difference overflows; the residual must stay valid JSON
+    argv = ["numeric", "10^154*(x - y)*1.3", "--grid", "x=-1:1:5", "--grid", "y=-1:1:5"]
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["verdict"] == "not separable"
+    assert 1.0 <= payload["residuals"][0][1] <= 2.0
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert "inf" not in out
 
 
 def test_numeric_grid_axis_is_bounded_by_the_sample_budget(capsys):
