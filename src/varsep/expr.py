@@ -12,12 +12,13 @@ Grammar (EBNF, whitespace between tokens ignored):
 
 Precedence from loosest to tightest: + -, * /, unary -, ^.  Implicit
 multiplication ("2x") is rejected.  Function calls take exactly one argument
-and the name must be one of sin, cos, tan, exp, ln, abs.  Decimal literals
-become exact rationals (0.25 -> 1/4).  Input is UTF-8; error positions are
-byte offsets.  Parenthesised groups, call arguments, unary minus and "^"
-exponents each open one nesting level, and more than MAX_NESTING levels is a
-parse error, so nesting alone cannot exhaust the stack of the recursive
-parser or of the passes over its tree.  Sums and products open no level.
+and the name must be one of sin, cos, tan, exp, ln, abs.  An integer literal
+is an int and a decimal literal an exact Fraction (0.25 -> 1/4).  Input is
+UTF-8; error positions are byte offsets.  Parenthesised groups, call
+arguments, unary minus and "^" exponents each open one nesting level, and
+more than MAX_NESTING levels is a parse error, so nesting alone cannot
+exhaust the stack of the recursive parser or of the passes over its tree.
+Sums and products open no level.
 
 Scanning: tokenize runs one compiled regular expression that matches the
 whitespace before a token (exactly what str.isspace accepts) and then
@@ -85,9 +86,12 @@ Token = namedtuple("Token", ("kind", "lexeme", "position"))
 
 
 class Const(Record):
+    """A literal: the parser gives an int for an integer lexeme ("12") and
+    a Fraction only for a decimal one ("0.25" is Fraction(1, 4))."""
+
     __slots__ = ("value",)
 
-    def __init__(self, value: Fraction):
+    def __init__(self, value: int | Fraction):
         self.value = value
 
 
@@ -142,6 +146,11 @@ _KINDS = {
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
+    append = tokens.append
+    # Token(...) runs the namedtuple's Python-level __new__; tuple.__new__
+    # builds the same instance in C
+    new = tuple.__new__
+    NUMBER = TokenKind.NUMBER
     n = len(source)
     is_ascii = source.isascii()
     # `wide` counts the bytes beyond one per character before the current
@@ -157,25 +166,27 @@ def tokenize(source: str) -> list[Token]:
             if i == n:
                 break
             raise ParseError(f"unexpected character {source[i]!r}", len(source[:i].encode("utf-8")))
-        start, end = m.span(1)
+        start = m.start(1)
         if not is_ascii:
             skipped = source[m.start():start]
             wide += len(skipped.encode("utf-8")) - len(skipped)
         kind = _KINDS[lexeme[0]]
-        if kind is TokenKind.NUMBER and end < n:
+        # the token ends the match, so m.end() is the character after it
+        if kind is NUMBER and (end := m.end()) < n:
             c = source[end]
             if c == "." and "." not in lexeme:
                 raise ParseError("expected digits after decimal point", end + wide)
             # reject implicit multiplication such as "2x"
             if c.isalpha() or c == "_":
                 raise ParseError("implicit multiplication is not allowed, write an explicit '*'", end + wide)
-        tokens.append(Token(kind, lexeme, start + wide))
+        append(new(Token, (kind, lexeme, start + wide)))
     return tokens
 
 
-def _decimal_to_fraction(lexeme: str) -> Fraction:
+def _literal_value(lexeme: str) -> int | Fraction:
+    """An integer lexeme is an int; only a decimal one becomes a Fraction."""
     if "." not in lexeme:
-        return Fraction(int(lexeme))
+        return int(lexeme)
     whole, frac = lexeme.split(".")
     scale = 10 ** len(frac)
     return Fraction(int(whole) * scale + int(frac), scale)
@@ -271,7 +282,7 @@ class _Parser:
         self.index = index + 1
         first = lexeme[0]
         if "0" <= first <= "9":
-            return Const(_decimal_to_fraction(lexeme))
+            return Const(_literal_value(lexeme))
         if first.isalpha():
             if self.lexemes[index + 1] != "(":
                 return Var(lexeme)
@@ -315,7 +326,7 @@ def _prec(node: ExprNode) -> int:
     return _PREC_ATOM
 
 
-def _const_str(value: Fraction) -> str:
+def _const_str(value: int | Fraction) -> str:
     if value < 0:
         # parser constants are nonnegative (minus is a unary operator);
         # keep manually built negatives parseable
@@ -602,6 +613,14 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
     stall of its own (ROADMAP item 1).  Each error is raised when its factor
     is visited: a divisor before its dividend, an exponent before its base,
     a left factor before a right one.
+
+    Coefficients are folded as Python ints while they are integers: integer
+    literals are ints, a folded factor whose coefficient is 1 costs no
+    multiply, and a coefficient becomes a Fraction only through a / or a
+    factor with a fractional coefficient.  Each sum is built once, through
+    the trusted constructor Polynomial._trusted, which turns the summed
+    coefficients into Fractions and drops zeros without re-checking the
+    exponent vectors the walk built itself.
     """
     names = tuple(vars) if vars is not None else tuple(free_variables(node))
     if len(set(names)) != len(names):
@@ -621,14 +640,14 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
         for negate, piece in reversed(pieces):
             for exps, coef in summand_terms(piece):
                 terms[exps] = terms.get(exps, 0) + (-coef if negate else coef)
-        return Polynomial(names, terms)
+        return Polynomial._trusted(names, terms)
 
     def summand_terms(e: ExprNode):
         """The (exps, coef) items of one summand, a product walked with a
         stack.  A factor of one term folds into (exps, coef); the product
         of the factors of more terms is `rest`."""
         exps = [0] * len(names)
-        coef = Fraction(1)
+        coef = 1
         rest = None
         stack = [e]
         while stack:
@@ -666,7 +685,8 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
                 if len(factor.terms) == 1:
                     ((p, c),) = factor.terms.items()
                     exps = [a + b for a, b in zip(exps, p)]
-                    coef *= c
+                    if c != 1:
+                        coef *= c
                 else:
                     rest = factor if rest is None else rest * factor
         if rest is not None:

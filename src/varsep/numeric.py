@@ -171,7 +171,10 @@ def margin_residual(
 
     Returns |f(a)f(x) - f(x_I,a_J)f(a_I,x_J)| / max(|f(a)f(x)|,
     |f(x_I,a_J)f(a_I,x_J)|, DEGENERACY_FLOOR); zero in exact arithmetic
-    whenever f separates across the split (I = `block`, J = the rest).
+    whenever f separates across the split (I = `block`, J = the rest).  A
+    product that overflows has no scale to compare against, so it raises
+    EvalDomainError naming f, as a domain error at the point would; the
+    pair sweep of numeric_finest_partition skips such points.
     """
     inside = set(block)
 
@@ -188,6 +191,8 @@ def margin_residual(
     f_xj = expr.eval_float(f, bind(mixed_j))
     lhs = fa * fx
     rhs = f_xi * f_xj
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise EvalDomainError("a product of values overflows", f)
     return _residual(lhs, rhs, max(abs(lhs), abs(rhs)))
 
 

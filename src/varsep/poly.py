@@ -71,6 +71,20 @@ class Polynomial:
     # ------------------------------------------------------------------ constructors
 
     @classmethod
+    def _trusted(cls, names: tuple[str, ...], terms: dict[ExponentVector, Scalar]) -> Polynomial:
+        """A polynomial from terms its caller built itself, with no checks.
+
+        The caller vouches that `names` are distinct and that every key is a
+        tuple of nonnegative ints of registry length.  Coefficients become
+        Fractions here and zeros are dropped, as in __init__.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "vars", names)
+        clean = {key: coef if type(coef) is Fraction else Fraction(coef) for key, coef in terms.items() if coef}
+        object.__setattr__(self, "terms", clean)
+        return self
+
+    @classmethod
     def constant(cls, value: Scalar, vars: Sequence[str] = ()) -> Polynomial:
         names = tuple(vars)
         return cls(names, {(0,) * len(names): value})

@@ -30,6 +30,7 @@ from varsep.expr import (
     to_source,
     tokenize,
 )
+from varsep.poly import Polynomial
 
 # --------------------------------------------------------------------- lexer
 
@@ -631,6 +632,33 @@ def test_lowering_a_sum_of_products_equals_the_factor_by_factor_product(node):
 
     names = ("x", "y", "z")
     assert lower_to_polynomial(node, names) == oracle_lower(node, names)
+
+
+def test_integer_literals_are_ints_and_decimal_literals_fractions():
+    assert type(parse("12").value) is int and parse("12").value == 12
+    assert type(parse("0.25").value) is Fraction and parse("0.25").value == Fraction(1, 4)
+    for text in ("12", "0.25"):
+        assert to_source(parse(text)) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomial_sums)
+def test_lowered_terms_are_nonzero_fractions_under_int_exponent_tuples(node):
+    # `==` cannot tell an int coefficient from a Fraction, so check the types;
+    # the strategy's constants are Fractions, and reparsing its text turns
+    # the integer ones into the parser's ints
+    names = ("x", "y", "z")
+    for tree in (node, parse(to_source(node))):
+        p = lower_to_polynomial(tree, names)
+        for key, coef in p.terms.items():
+            assert type(coef) is Fraction and coef != 0
+            assert type(key) is tuple and len(key) == len(names)
+            assert all(type(e) is int and e >= 0 for e in key)
+        assert Polynomial(p.vars, p.terms) == p
+
+
+def test_lowering_cancels_equal_summands_to_one_term():
+    assert as_poly("x*y - x*y + x").terms == {(1, 0): Fraction(1)}
 
 
 _BROKEN = ["q", "x/0", "x/y", "x^y", "x^(1/2)", "sin(x)"]

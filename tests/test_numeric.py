@@ -6,7 +6,7 @@ import pytest
 from conftest import default_grid, evaluate, rand_poly
 from varsep import numeric, parse, parse_polynomial
 from varsep.exact import finest_partition
-from varsep.expr import BinOp, Const
+from varsep.expr import BinOp, Const, EvalDomainError
 from varsep.numeric import (
     DegenerateAnchorError,
     DomainCoverageError,
@@ -57,6 +57,17 @@ def test_residual_is_finite_when_the_difference_overflows():
     f = parse("10^154*(x - y)*1.3")
     r = margin_residual(f, ("x", "y"), [0], (-1.0, -0.5), (0.0, 1.0))
     assert 1.0 <= r <= 2.0
+
+
+@pytest.mark.parametrize("source", ["10^200*x*y", "10^200*(x^2 + y^2)"])
+def test_residual_raises_when_a_product_overflows(source):
+    # both products pass 1e400; a NaN residual would make the separable and
+    # the non-separable input read alike
+    f = parse(source)
+    with pytest.raises(EvalDomainError) as info:
+        margin_residual(f, ("x", "y"), [0], (1.0, 1.0), (2.0, 3.0))
+    assert info.value.node is f
+    assert str(info.value) == f"a product of values overflows in {source!r}"
 
 
 def test_residual_scale_invariance_in_floats():
