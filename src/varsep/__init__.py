@@ -20,7 +20,6 @@ from .exact import (
     finest_partition,
     sep_matrix_entry,
     separate_by_partition,
-    separate_total,
 )
 from .expr import (
     BinOp,
@@ -44,7 +43,6 @@ from .numeric import (
     DomainCoverageError,
     NumericVerdict,
     SampleGrid,
-    margin_residual,
     numeric_finest_partition,
     parse_grid_spec,
 )

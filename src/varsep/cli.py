@@ -1,7 +1,11 @@
 """Command-line front end.
 
 The library's routes return evidence (a partition, a violation index, a
-bool); this module is the one place that words a verdict from it.
+bool); this module is the one place that words a verdict from it.  Each
+command returns its exit code and its output, and `run` is the one writer:
+it writes the output once, or one error line on stderr.  When the reader of
+stdout has gone (a closed pipe), `run` still returns the command's own code
+and writes nothing to stderr.
 
 Exit codes: 0 separable / success, 1 not separable (check and separate),
 2 parse or usage error, 3 degenerate input, 4 the two exact routes disagreed.
@@ -11,13 +15,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from collections.abc import Sequence
 
 from . import exact, expr, numeric
 from .exact import NotSeparableError
 from .numeric import DegenerateAnchorError, DomainCoverageError, SampleGrid
-from .poly import Polynomial, ZeroPolynomialError
+from .partition import Partition
+from .poly import Polynomial, ZeroPolynomialError, scalar_str
 
 SCHEMA = "varsep/1"
 
@@ -26,6 +32,10 @@ EXIT_NOT_SEPARABLE = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_INTERNAL = 4
+
+
+class _RoutesDisagree(Exception):
+    """The two exact routes of `check` gave different verdicts."""
 
 
 @functools.cache
@@ -99,21 +109,20 @@ def _print_partition_text(blocks: list[list[str]]) -> str:
     return " ".join("{" + ",".join(block) + "}" for block in blocks)
 
 
-def _run_check(args) -> int:
+def _run_check(args) -> tuple[int, str]:
     poly = _lower(args)
     report = exact.finest_partition(poly)
     violation = exact.coeff_criterion_total(poly)
     matrix_separable = report.partition.is_all_singletons
     criterion_separable = violation is None
     if matrix_separable != criterion_separable:
-        print(
+        raise _RoutesDisagree(
             "internal inconsistency: the differential and coefficient routes disagree "
-            f"(matrix: {matrix_separable}, coefficients: {criterion_separable})",
-            file=sys.stderr,
+            f"(matrix: {matrix_separable}, coefficients: {criterion_separable})"
         )
-        return EXIT_INTERNAL
+    code = EXIT_OK if matrix_separable else EXIT_NOT_SEPARABLE
     if args.format == "json":
-        print(emit_json({
+        return code, emit_json({
             "separable": matrix_separable,
             "partition": report.partition.name_blocks(report.names),
             "violation": list(violation) if violation else None,
@@ -121,55 +130,44 @@ def _run_check(args) -> int:
                 {"pair": [report.names[i], report.names[j]], "point": list(point)}
                 for (i, j), point in sorted(report.witnesses.items())
             ],
-        }))
-    else:
-        print("separable" if matrix_separable else "not separable")
-    return EXIT_OK if matrix_separable else EXIT_NOT_SEPARABLE
+        })
+    return code, "separable" if matrix_separable else "not separable"
 
 
-def _run_separate(args) -> int:
+def _run_separate(args) -> tuple[int, str]:
     poly = _lower(args)
-    try:
-        result = exact.separate_total(poly)
-    except NotSeparableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_SEPARABLE
+    # a NotSeparableError is worded by `run`
+    result = exact.separate_by_partition(poly, Partition.singletons(poly.var_count))
     if args.format == "json":
-        print(emit_json({
-            "constant": str(result.constant),
+        return EXIT_OK, emit_json({
+            "constant": scalar_str(result.constant),
             "blocks": [list(factor.vars) for _, factor in result.factors],
             "factors": [str(factor) for _, factor in result.factors],
             "verified": result.verified,
-        }))
-    else:
-        print(f"constant: {result.constant}")
-        for _, factor in result.factors:
-            print(f"factor [{','.join(factor.vars)}]: {factor}")
-    return EXIT_OK
+        })
+    lines = [f"constant: {scalar_str(result.constant)}"]
+    lines += [f"factor [{','.join(factor.vars)}]: {factor}" for _, factor in result.factors]
+    return EXIT_OK, "\n".join(lines)
 
 
-def _run_partition(args) -> int:
+def _run_partition(args) -> tuple[int, str]:
     poly = _lower(args)
     report = exact.finest_partition(poly)
     blocks = report.partition.name_blocks(report.names)
     if args.format == "json":
-        print(emit_json({"blocks": blocks}))
-    else:
-        print(_print_partition_text(blocks))
-    return EXIT_OK
+        return EXIT_OK, emit_json({"blocks": blocks})
+    return EXIT_OK, _print_partition_text(blocks)
 
 
-def _run_additive(args) -> int:
+def _run_additive(args) -> tuple[int, str]:
     poly = _lower(args)
     separable = exact.additive_separability(poly)
     if args.format == "json":
-        print(emit_json({"additively_separable": separable}))
-    else:
-        print("additively separable" if separable else "not additively separable")
-    return EXIT_OK
+        return EXIT_OK, emit_json({"additively_separable": separable})
+    return EXIT_OK, "additively separable" if separable else "not additively separable"
 
 
-def _run_numeric(args) -> int:
+def _run_numeric(args) -> tuple[int, str]:
     node = expr.parse(_read_expression(args.expression))
     names = _variable_order(args, node)
     specs = {}
@@ -184,7 +182,7 @@ def _run_numeric(args) -> int:
             else "not separable" if verdict.partition.block_count == 1 else "partition")
     blocks = verdict.partition.name_blocks(verdict.names)
     if args.format == "json":
-        print(emit_json({
+        return EXIT_OK, emit_json({
             "verdict": word,
             "blocks": blocks,
             "residuals": [list(row) for row in verdict.residuals],
@@ -193,15 +191,16 @@ def _run_numeric(args) -> int:
             "evaluated": verdict.evaluated,
             "skipped": verdict.skipped,
             "discarded": verdict.discarded,
-        }))
-    else:
-        worst = max((r for row in verdict.residuals for r in row), default=0.0)
-        print(f"verdict: {word}")
-        print(f"partition: {_print_partition_text(blocks)}")
-        print(f"max residual: {worst:.3e} (tolerance {verdict.tolerance:.1e})")
-        if verdict.skipped:
-            print(f"skipped {verdict.skipped} of {verdict.skipped + verdict.evaluated} evaluations")
-    return EXIT_OK
+        })
+    worst = max((r for row in verdict.residuals for r in row), default=0.0)
+    lines = [
+        f"verdict: {word}",
+        f"partition: {_print_partition_text(blocks)}",
+        f"max residual: {worst:.3e} (tolerance {verdict.tolerance:.1e})",
+    ]
+    if verdict.skipped:
+        lines.append(f"skipped {verdict.skipped} of {verdict.skipped + verdict.evaluated} evaluations")
+    return EXIT_OK, "\n".join(lines)
 
 
 _HANDLERS = {
@@ -221,13 +220,30 @@ def run(argv: Sequence[str]) -> int:
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         return code if code in (EXIT_OK, EXIT_USAGE) else EXIT_USAGE
     try:
-        return _HANDLERS[args.command](args)
+        code, text = _HANDLERS[args.command](args)
+    except NotSeparableError as exc:
+        code, error = EXIT_NOT_SEPARABLE, (
+            f"error: not totally separable: coefficient condition fails at index {exc.violation}"
+        )
+    except _RoutesDisagree as exc:
+        code, error = EXIT_INTERNAL, str(exc)
     except (ZeroPolynomialError, DegenerateAnchorError, DomainCoverageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        code, error = EXIT_DEGENERATE, f"error: {exc}"
     except (expr.ParseError, expr.LoweringError, expr.UnboundVariableError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, error = EXIT_USAGE, f"error: {exc}"
+    else:
+        try:
+            sys.stdout.write(text + "\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone: stdout leads to devnull from here on, so
+            # neither this write nor the flush at exit prints a traceback
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return code
+    print(error, file=sys.stderr)
+    return code
 
 
 def main() -> None:

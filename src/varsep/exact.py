@@ -30,9 +30,10 @@ The differential route decides pairs by exact evaluation (Schwartz, J. ACM
 * fallback: otherwise the symbolic entry F*F_ij - F_i*F_j decides every pair
   the witnesses left open, so the route never rests on chance.
 
-The same slice identity yields the factors, for singletons (total
-separation) and for any partition alike.  It compares every coefficient,
-so an emitted factorization multiplies back to F by construction.
+The same slice identity yields the factors through `separate_by_partition`,
+for singletons (total separation) and for any partition alike.  It compares
+every coefficient, so an emitted factorization multiplies back to F by
+construction.
 
 Both the witnesses and the slice identity run on Python integers: F is
 scaled once by D, the lcm of its coefficient denominators.  Both sides of
@@ -40,7 +41,8 @@ the identity have degree r in the coefficients, so scaling by D changes no
 verdict and no violation index, and the factors' constant is divided by D.
 
 The routes return evidence (a partition with witnesses, a violation index
-or None, a factorization, a bool); the CLI words the verdict.
+or None, a factorization or a NotSeparableError carrying its violation, a
+bool); the CLI words the verdict.
 """
 
 from __future__ import annotations
@@ -56,7 +58,14 @@ from .poly import Polynomial, ZeroPolynomialError
 
 
 class NotSeparableError(Exception):
-    """The requested factorization does not exist for this input."""
+    """F does not separate by `partition`: the slice identity fails at
+    `violation`, its first failing key flattened in block order (for
+    singletons the index `coeff_criterion_total` returns)."""
+
+    def __init__(self, partition: Partition, violation: tuple[int, ...]):
+        super().__init__(f"no separation by {partition.blocks}: slice identity fails at {violation}")
+        self.partition = partition
+        self.violation = violation
 
 
 class SepMatrixReport(Record):
@@ -313,25 +322,6 @@ def coeff_criterion_total(poly: Polynomial) -> tuple[int, ...] | None:
     return _slice_identity(_cleared(poly)[1], Partition.singletons(poly.var_count))[2]
 
 
-def separate_total(poly: Polynomial) -> SeparationResult:
-    """Extract univariate factors of a totally separable polynomial.
-
-    The singleton case of `separate_by_partition`: the factor for variable r
-    is the coefficient slice through the leading corner, normalized monic,
-    and the leading product coefficient becomes the overall constant.
-    Deciding separability and reading the slices is one sparse pass (see
-    `coeff_criterion_total`).
-    """
-    partition = Partition.singletons(poly.var_count)
-    scale, cleared = _cleared(poly)
-    leading, slices, violation = _slice_identity(cleared, partition)
-    if violation is not None:
-        raise NotSeparableError(
-            f"not totally separable: coefficient condition fails at index {violation}"
-        )
-    return _factors(poly, partition, scale, leading, slices)
-
-
 def separate_by_partition(poly: Polynomial, partition: Partition) -> SeparationResult:
     """Factor the polynomial according to a partition of its variables.
 
@@ -342,8 +332,9 @@ def separate_by_partition(poly: Polynomial, partition: Partition) -> SeparationR
     coefficient, so it proves what re-multiplication would, without
     multiplying.  Each slice is normalized monic and the scalars are folded
     into the constant, so the result does not depend on how the factors
-    were scaled.  When F does not separate it raises NotSeparableError,
-    naming the finest partition, which is derived only on this path.
+    were scaled.  For singletons this is total separation.  When F does not
+    separate it raises NotSeparableError carrying the partition and the
+    violation; nothing else is derived on that path.
     """
     scale, cleared = _cleared(poly)
     n = poly.var_count
@@ -351,11 +342,7 @@ def separate_by_partition(poly: Polynomial, partition: Partition) -> SeparationR
         raise ValueError(f"partition covers {partition.var_count} variables, polynomial has {n}")
     leading, slices, violation = _slice_identity(cleared, partition)
     if violation is not None:
-        finest = finest_partition(poly).partition
-        raise NotSeparableError(
-            f"polynomial does not separate according to {partition.blocks}; "
-            f"finest partition is {finest.blocks}"
-        )
+        raise NotSeparableError(partition, violation)
     return _factors(poly, partition, scale, leading, slices)
 
 

@@ -52,7 +52,7 @@ from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 
 from ._record import Record
-from .poly import Polynomial
+from .poly import Polynomial, scalar_str
 
 SUPPORTED_FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "abs")
 
@@ -186,10 +186,20 @@ def tokenize(source: str) -> list[Token]:
 def _literal_value(lexeme: str) -> int | Fraction:
     """An integer lexeme is an int; only a decimal one becomes a Fraction."""
     if "." not in lexeme:
-        return int(lexeme)
+        return _digits_value(lexeme)
     whole, frac = lexeme.split(".")
-    scale = 10 ** len(frac)
-    return Fraction(int(whole) * scale + int(frac), scale)
+    return Fraction(_digits_value(whole + frac), 10 ** len(frac))
+
+
+def _digits_value(digits: str) -> int:
+    """int(digits) for a digit string of any length.  CPython's int() reads
+    at most sys.get_int_max_str_digits() digits (a ValueError past that), so
+    only then are the halves read apart; the limit itself is never changed."""
+    try:
+        return int(digits)
+    except ValueError:
+        half = len(digits) // 2
+        return _digits_value(digits[:half]) * 10 ** (len(digits) - half) + _digits_value(digits[half:])
 
 
 # --------------------------------------------------------------------- parser
@@ -332,7 +342,7 @@ def _const_str(value: int | Fraction) -> str:
         # keep manually built negatives parseable
         return f"(0 - {_const_str(-value)})"
     if value.denominator == 1:
-        return str(value.numerator)
+        return scalar_str(value)
     # parser constants come from decimal literals, so an exact decimal exists
     den = value.denominator
     twos = 0
@@ -344,10 +354,10 @@ def _const_str(value: int | Fraction) -> str:
         den //= 5
         fives += 1
     if den != 1:
-        return f"({value.numerator}/{value.denominator})"
+        return f"({scalar_str(value)})"
     digits = max(twos, fives)
     scaled = value.numerator * 10**digits // value.denominator
-    text = str(scaled).rjust(digits + 1, "0")
+    text = scalar_str(scaled).rjust(digits + 1, "0")
     return f"{text[:-digits]}.{text[-digits:]}"
 
 

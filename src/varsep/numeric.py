@@ -14,7 +14,6 @@ and f is compiled once with expr.compile_float into one generated function
 that takes points as coordinate sequences in variable order.  Every
 evaluation still goes through expr.eval_float, the one entry point to
 evaluation at a point, so a wrapper or profiler on it sees each sample.
-margin_residual, which makes four evaluations, walks the AST.
 """
 
 from __future__ import annotations
@@ -158,42 +157,6 @@ class NumericVerdict(Record):
         self.evaluated = evaluated
         self.skipped = skipped
         self.discarded = discarded
-
-
-def margin_residual(
-    f: ExprNode,
-    names: Sequence[str],
-    block: Sequence[int],
-    anchor: Sequence[float],
-    point: Sequence[float],
-) -> float:
-    """Scale-free residual of the separability identity at one test point.
-
-    Returns |f(a)f(x) - f(x_I,a_J)f(a_I,x_J)| / max(|f(a)f(x)|,
-    |f(x_I,a_J)f(a_I,x_J)|, DEGENERACY_FLOOR); zero in exact arithmetic
-    whenever f separates across the split (I = `block`, J = the rest).  A
-    product that overflows has no scale to compare against, so it raises
-    EvalDomainError naming f, as a domain error at the point would; the
-    pair sweep of numeric_finest_partition skips such points.
-    """
-    inside = set(block)
-
-    def bind(values: Sequence[float]) -> dict[str, float]:
-        return {name: float(v) for name, v in zip(names, values)}
-
-    fa = expr.eval_float(f, bind(anchor))
-    if abs(fa) <= DEGENERACY_FLOOR:
-        raise DegenerateAnchorError(f"|f(anchor)| = {abs(fa)!r} is below the degeneracy floor")
-    fx = expr.eval_float(f, bind(point))
-    mixed_i = [point[k] if k in inside else anchor[k] for k in range(len(names))]
-    mixed_j = [anchor[k] if k in inside else point[k] for k in range(len(names))]
-    f_xi = expr.eval_float(f, bind(mixed_i))
-    f_xj = expr.eval_float(f, bind(mixed_j))
-    lhs = fa * fx
-    rhs = f_xi * f_xj
-    if not (math.isfinite(lhs) and math.isfinite(rhs)):
-        raise EvalDomainError("a product of values overflows", f)
-    return _residual(lhs, rhs, max(abs(lhs), abs(rhs)))
 
 
 def _residual(lhs: float, rhs: float, scale: float) -> float:

@@ -16,8 +16,8 @@ otherwise; ``==`` across registries is False.  Scalars (``int`` and
 
 Canonical text form: terms in graded-lexicographic descending order (total
 degree first, exponent vector as tie break), coefficients printed as integers
-or ``p/q``, explicit ``*`` and ``^``.  The result re-parses through the
-expression front end to an equal polynomial.
+or ``p/q`` of any size (``scalar_str``), explicit ``*`` and ``^``.  The result
+re-parses through the expression front end to an equal polynomial.
 """
 
 from __future__ import annotations
@@ -39,6 +39,26 @@ def _fraction(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an int or Fraction coefficient, got {type(value).__name__}")
+
+
+def scalar_str(value: Scalar) -> str:
+    """str(value) for an int or Fraction of any size.  CPython's int-to-str
+    conversion refuses more than sys.get_int_max_str_digits() digits with a
+    ValueError; only then is the int split at a power of ten into halves
+    that each convert, so the limit itself is never changed."""
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    if value.denominator != 1:
+        return f"{scalar_str(value.numerator)}/{scalar_str(value.denominator)}"
+    value = value.numerator
+    if value < 0:
+        return "-" + scalar_str(-value)
+    # about half the decimal digits: log10(2) is a little over 3/10
+    half = value.bit_length() * 3 // 20
+    high, low = divmod(value, 10**half)
+    return scalar_str(high) + scalar_str(low).rjust(half, "0")
 
 
 def _grlex_key(exps: ExponentVector) -> tuple[int, ExponentVector]:
@@ -214,11 +234,11 @@ class Polynomial:
             monomial = self._monomial_str(exps)
             magnitude = abs(coef)
             if not monomial:
-                body = str(magnitude)
+                body = scalar_str(magnitude)
             elif magnitude == 1:
                 body = monomial
             else:
-                body = f"{magnitude}*{monomial}"
+                body = f"{scalar_str(magnitude)}*{monomial}"
             if not pieces:
                 pieces.append(body if coef > 0 else f"-{body}")
             else:

@@ -31,7 +31,6 @@ from varsep import (
     parse_polynomial,
     sep_matrix_entry,
     separate_by_partition,
-    separate_total,
 )
 from varsep.cli import run as run_cli
 from varsep.numeric import SampleGrid, linspace, numeric_finest_partition
@@ -46,7 +45,7 @@ def test_criterion_1_reference_two_variable_separation(capsys):
     p43 = build_p43()
     assert len(p43.terms) == 20
     start = time.perf_counter()
-    result = separate_total(p43)
+    result = separate_by_partition(p43, Partition.singletons(2))
     elapsed = time.perf_counter() - start
     exact = (
         result.constant == Fraction(1)
@@ -66,7 +65,7 @@ def test_criterion_1_reference_two_variable_separation(capsys):
 
 def test_criterion_2_reference_three_variable_separation():
     p234 = build_p234()
-    result = separate_total(p234)
+    result = separate_by_partition(p234, Partition.singletons(3))
     ok = result.constant == Fraction(1) and all(
         factor == parse_polynomial(expected)
         for (_, factor), expected in zip(result.factors, P234_FACTORS)
@@ -100,7 +99,7 @@ def test_criterion_4_round_trip_recovery():
         n = rng.choice((2, 3, 4))
         names = ("x1", "x2", "x3", "x4")[:n]
         product, constant, factors = rand_separable_product(rng, names, max_deg=4, lo=-5, hi=5)
-        result = separate_total(product)
+        result = separate_by_partition(product, Partition.singletons(n))
         if (
             result.verified
             and result.constant == constant

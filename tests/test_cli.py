@@ -54,9 +54,12 @@ def test_separate_json_round_trips_to_the_input(capsys):
 
 
 def test_separate_not_separable_exits_1(capsys):
-    code, _, err = run_cli(["separate", "x^2 + y^2"], capsys)
-    assert code == 1
-    assert "not totally separable" in err
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(["separate", "x^2 + y^2", "--format", fmt], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: not totally separable: coefficient condition fails at index (0, 0)\n"
+    code, _, err = run_cli(["separate", "x^2*y + x*y^2 + z"], capsys)
+    assert err == "error: not totally separable: coefficient condition fails at index (2, 2, 1)\n"
 
 
 def test_separate_json_for_minimal_product(capsys):
@@ -115,6 +118,79 @@ def test_check_exits_4_when_the_exact_routes_disagree(capsys, monkeypatch):
         assert "the differential and coefficient routes disagree" in err
         assert "(matrix: False, coefficients: True)" in err
         assert "Traceback" not in err
+
+
+# --------------------------------------------------------------------- integers of any size
+
+LONG_LITERAL = "7" * 5000
+
+
+def _int_max_str_digits():
+    # absent before the limit was introduced (3.10.7, 3.11)
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_integers_past_the_str_digit_limit_read_and_print_exactly(capsys):
+    limit = _int_max_str_digits()
+    power = "1" + "0" * 5000
+    cases = [
+        (["separate", "10^5000*x*y"], f"constant: {power}\nfactor [x]: x\nfactor [y]: y\n"),
+        (["separate", "x/10^5000"], f"constant: 1/{power}\nfactor [x]: x\n"),
+        (["separate", "x^2*y + 10^5000*y"], f"constant: 1\nfactor [x]: x^2 + {power}\nfactor [y]: y\n"),
+        # 777...7.5 is 1555...5/2
+        (["separate", f"x - {LONG_LITERAL}.5"], f"constant: 1\nfactor [x]: x - 1{'5' * 5000}/2\n"),
+        (["check", f"{LONG_LITERAL}*x"], "separable\n"),
+        (["partition", f"{LONG_LITERAL}*x*y"], "{x} {y}\n"),
+    ]
+    for argv, expected in cases:
+        assert run_cli(argv, capsys) == (0, expected, ""), argv[1][:20]
+    code, out, _ = run_cli(["separate", "10^5000*x*y", "--format", "json"], capsys)
+    assert (code, json.loads(out)["constant"]) == (0, power)
+    # an error message renders the literal through to_source
+    code, _, err = run_cli(["separate", f"sin({LONG_LITERAL}*x)"], capsys)
+    assert (code, err) == (2, f"error: function calls have no polynomial form in 'sin({LONG_LITERAL}*x)'\n")
+    assert _int_max_str_digits() == limit
+
+
+# --------------------------------------------------------------------- closed stdout
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv, code", [(["check", "x*y", "--format", "json"], 0), (["check", "x + y"], 1)])
+def test_closed_stdout_keeps_the_exit_code_and_writes_no_error(argv, code, capsys, monkeypatch):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(write))
+        assert run(argv) == code
+        # the descriptor now leads to devnull, so the flush at exit cannot fail
+        assert os.write(write, b"x") == 1
+    finally:
+        os.close(write)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, code", [(["check", "x*y", "--format", "json"], 0), (["check", "x + y"], 1)])
+def test_closed_stdout_pipe_in_a_subprocess(argv, code):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([sys.executable, "-m", "varsep", *argv], stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (code, b"")
 
 
 # --------------------------------------------------------------------- partition

@@ -41,7 +41,6 @@ from varsep import (
     parse_polynomial,
     sep_matrix_entry,
     separate_by_partition,
-    separate_total,
 )
 from varsep import exact
 from varsep.partition import UnionFind
@@ -121,7 +120,7 @@ def test_partitions_and_reports_compare_as_values():
     assert hash(partition) == hash(Partition.from_blocks([[2], [1, 0]]))
     assert partition != Partition.singletons(3) and partition != ((0, 1), (2,))
     assert finest_partition(FOUR_VAR_PRODUCT) == finest_partition(FOUR_VAR_PRODUCT)
-    result = separate_total(P("6*x*y"))
+    result = separate_by_partition(P("6*x*y"), Partition.singletons(2))
     assert SeparationResult(result.constant, result.factors, True) == result
     assert SeparationResult(constant=result.constant, factors=result.factors, verified=True) == result
     assert SeparationResult(result.constant * 2, result.factors, True) != result
@@ -310,10 +309,13 @@ def test_separate_by_partition_does_not_derive_the_finest_partition(monkeypatch)
     monkeypatch.setattr(exact, "finest_partition", counting)
     result = separate_by_partition(FOUR_VAR_PRODUCT, Partition(((0, 1), (2, 3))))
     assert result.verified
+    wrong = Partition(((0, 2), (1, 3)))
+    with pytest.raises(NotSeparableError) as info:
+        separate_by_partition(FOUR_VAR_PRODUCT, wrong)
+    # the failure carries its evidence instead of deriving the finest partition
     assert calls == []
-    with pytest.raises(NotSeparableError, match=r"finest partition is \(\(0, 1\), \(2, 3\)\)"):
-        separate_by_partition(FOUR_VAR_PRODUCT, Partition(((0, 2), (1, 3))))
-    assert len(calls) == 1
+    assert info.value.partition == wrong
+    assert info.value.violation == oracle_slice_identity(FOUR_VAR_PRODUCT, wrong)[2] == (1, 0, 1, 0)
 
 
 # --------------------------------------------------------------------- coefficient route
@@ -401,21 +403,22 @@ def test_coeff_criterion_matches_the_dense_oracle_on_random_inputs():
         assert coeff_criterion_total(poly) == expected, poly
         if poly.var_count and degree_vector(poly) not in poly.terms:
             kinds["vanishing corner"] += 1
+        singletons = Partition.singletons(poly.var_count)
         if expected is None:
             kinds["separable"] += 1
-            result = separate_total(poly)
+            result = separate_by_partition(poly, singletons)
             assert result.verified and remultiply(result, poly.vars) == poly
-            assert result == separate_by_partition(poly, Partition.singletons(poly.var_count))
         else:
-            with pytest.raises(NotSeparableError):
-                separate_total(poly)
+            with pytest.raises(NotSeparableError) as info:
+                separate_by_partition(poly, singletons)
+            assert (info.value.partition, info.value.violation) == (singletons, expected)
     assert tested >= 1000 and min(kinds.values()) >= 200, (tested, kinds)
 
 
 def test_separate_total_on_a_sparse_high_degree_product_is_bounded():
     # the dense box of this 4-term input has 3001^2 entries
     start = time.perf_counter()
-    result = separate_total(P("x^3000*y^3000 + x^3000 + y^3000 + 1"))
+    result = separate_by_partition(P("x^3000*y^3000 + x^3000 + y^3000 + 1"), Partition.singletons(2))
     assert time.perf_counter() - start < 1.0
     assert result.constant == 1
     assert [factor for _, factor in result.factors] == [P("x^3000 + 1"), P("y^3000 + 1")]
@@ -452,7 +455,7 @@ def test_route_equivalence_on_random_polynomials():
 
 
 def test_separate_total_reference(p43):
-    result = separate_total(p43)
+    result = separate_by_partition(p43, Partition.singletons(2))
     assert result.verified
     assert result.constant == 1
     assert result.factors[0][1] == P(P43_FACTOR_X)
@@ -460,22 +463,23 @@ def test_separate_total_reference(p43):
 
 
 def test_separate_total_three_variables(p234):
-    result = separate_total(p234)
+    result = separate_by_partition(p234, Partition.singletons(3))
     assert result.constant == 1
     for (block, factor), expected in zip(result.factors, P234_FACTORS):
         assert factor == P(expected)
 
 
 def test_separate_total_moves_scalar_into_constant():
-    result = separate_total(P("6*x*y"))
+    result = separate_by_partition(P("6*x*y"), Partition.singletons(2))
     assert result.constant == 6
     assert result.factors[0][1] == P("x")
     assert result.factors[1][1] == P("y")
 
 
 def test_separate_total_raises_on_non_separable():
-    with pytest.raises(NotSeparableError):
-        separate_total(P("x^2 + y^2"))
+    with pytest.raises(NotSeparableError) as info:
+        separate_by_partition(P("x^2 + y^2"), Partition.singletons(2))
+    assert info.value.violation == coeff_criterion_total(P("x^2 + y^2")) == (0, 0)
 
 
 def test_separate_total_round_trip_randomized():
@@ -484,7 +488,7 @@ def test_separate_total_round_trip_randomized():
         n = rng.randint(2, 4)
         names = ("x1", "x2", "x3", "x4")[:n]
         product, constant, factors = rand_separable_product(rng, names)
-        result = separate_total(product)
+        result = separate_by_partition(product, Partition.singletons(n))
         assert result.verified
         assert result.constant == constant
         for (_, recovered), original in zip(result.factors, factors):
@@ -493,7 +497,7 @@ def test_separate_total_round_trip_randomized():
 
 def test_factor_support_stays_inside_blocks():
     names = ("x", "y")
-    result = separate_total(P("6*x*y"))
+    result = separate_by_partition(P("6*x*y"), Partition.singletons(2))
     for block, factor in result.factors:
         assert set(factor.vars) <= {names[i] for i in block}
         assert factor.leading_coefficient() == 1
@@ -650,6 +654,36 @@ def test_coarsening_contract_randomized():
                     separate_by_partition(product, candidate_partition)
 
 
+def test_not_separable_error_carries_the_oracle_violation():
+    # a failed separation carries the violation of the Fraction oracle, and
+    # for singletons the coefficient route's violation as well
+    rng = random.Random(2027)
+    names = ("a", "b", "c", "d")
+    kinds = Counter()
+    for _ in range(400):
+        n = rng.randint(2, 4)
+        blocks = random_partition(rng, n, rng.randint(2, n))
+        partition = Partition.from_blocks(blocks)
+        if rng.random() < 0.2:
+            poly = rand_block_separable(rng, names[:n], blocks)
+        else:
+            poly = rand_poly(rng, names[:n])
+        violation = oracle_slice_identity(poly, partition)[2]
+        if violation is None:
+            kinds["separable"] += 1
+            assert separate_by_partition(poly, partition).verified
+            continue
+        with pytest.raises(NotSeparableError) as info:
+            separate_by_partition(poly, partition)
+        assert (info.value.partition, info.value.violation) == (partition, violation), (poly, partition)
+        if partition.is_all_singletons:
+            kinds["singletons"] += 1
+            assert info.value.violation == coeff_criterion_total(poly)
+        else:
+            kinds["blocks"] += 1
+    assert min(kinds.values()) >= 60, kinds
+
+
 # --------------------------------------------------------------------- integer slice identity
 
 # small denominators and two large primes, so D can exceed 2^64
@@ -663,7 +697,7 @@ def _mixed_denominators(rng, poly):
 def _check_against_the_fraction_oracle(poly, partition):
     """The integer identity on G = D*F against the Fraction identity on F:
     L and the slices divided by D, the violation, and the factors of
-    separate_by_partition (and separate_total for singletons)."""
+    separate_by_partition or the violation its failure carries."""
     scale, cleared = exact._cleared(poly)
     assert all(type(c) is int for c in cleared.values())
     leading, slices, violation = exact._slice_identity(cleared, partition)
@@ -672,17 +706,15 @@ def _check_against_the_fraction_oracle(poly, partition):
     assert [{k: Fraction(v, scale) for k, v in s.items()} for s in slices] == oracle_slices
     assert violation == oracle_violation
     expected = oracle_slice_factors(poly, partition)
-    separations = [lambda: separate_by_partition(poly, partition)]
     if partition.is_all_singletons:
-        separations.append(lambda: separate_total(poly))
         assert coeff_criterion_total(poly) == oracle_violation
-    for separate in separations:
-        if expected is None:
-            with pytest.raises(NotSeparableError):
-                separate()
-        else:
-            result = separate()
-            assert (result.constant, result.factors) == (expected.constant, expected.factors)
+    if expected is None:
+        with pytest.raises(NotSeparableError) as info:
+            separate_by_partition(poly, partition)
+        assert info.value.violation == oracle_violation
+    else:
+        result = separate_by_partition(poly, partition)
+        assert (result.constant, result.factors) == (expected.constant, expected.factors)
     return scale, oracle_leading, expected
 
 
@@ -816,4 +848,4 @@ def test_affine_image_of_product_is_not_separable():
     image = P("(x + y)*(x - y)")
     assert finest_partition(image).partition.blocks == ((0, 1),)
     with pytest.raises(NotSeparableError):
-        separate_total(image)
+        separate_by_partition(image, Partition.singletons(2))

@@ -6,13 +6,12 @@ import pytest
 from conftest import default_grid, evaluate, rand_poly
 from varsep import numeric, parse, parse_polynomial
 from varsep.exact import finest_partition
-from varsep.expr import BinOp, Const, EvalDomainError
+from varsep.expr import BinOp, Const
 from varsep.numeric import (
     DegenerateAnchorError,
     DomainCoverageError,
     SampleGrid,
     linspace,
-    margin_residual,
     numeric_finest_partition,
     parse_grid_spec,
 )
@@ -23,59 +22,66 @@ GRID_2 = SampleGrid(coords=(linspace(-1.2, 1.2, 9),) * 2)
 # --------------------------------------------------------------------- residual
 
 
+def _random_grid(rng, lo, hi, count=12):
+    return SampleGrid(tuple(tuple(rng.uniform(lo, hi) for _ in range(count)) for _ in range(2)))
+
+
 def test_residual_vanishes_for_separable_quotient():
-    f = parse("sin(x)/cos(y)")
     rng = random.Random(3)
-    for _ in range(20):
-        point = (rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
-        r = margin_residual(f, ("x", "y"), [0], (1.0, 0.0), point)
-        assert r <= 1e-12
+    verdict = numeric_finest_partition(parse("sin(x)/cos(y)"), _random_grid(rng, -1.2, 1.2))
+    assert verdict.evaluated > 100 and verdict.discarded == 0
+    assert verdict.residuals[0][1] <= 1e-12
 
 
 def test_residual_frozen_value_for_sum_of_squares():
-    # f(a)=2, f(x)=13, f(x_I,a_J)=5, f(a_I,x_J)=10:
-    # |2*13 - 5*10| / max(26, 50) = 24/50
-    f = parse("x^2 + y^2")
-    r = margin_residual(f, ("x", "y"), [0], (1.0, 1.0), (2.0, 3.0))
-    assert r == pytest.approx(24 / 50, abs=1e-15)
-    assert r > 0.1
+    # the anchor is the grid point of largest |f|, (2, 3), f(a) = 13; the
+    # pair point (1, 1) gives |13*2 - f(1, 3)*f(2, 1)| / max(26, 50) = 24/50,
+    # and every other pair point a smaller residual
+    verdict = numeric_finest_partition(parse("x^2 + y^2"), SampleGrid(((1.0, 2.0), (1.0, 3.0))))
+    assert verdict.anchor == (2.0, 3.0)
+    assert verdict.residuals[0][1] == 24 / 50
 
 
 def test_residual_zero_for_constants():
-    f = parse("7")
-    assert margin_residual(f, ("x", "y"), [0], (1.0, 2.0), (3.0, 4.0)) == 0.0
+    verdict = numeric_finest_partition(parse("7"), GRID_2, names=("x", "y"))
+    assert verdict.residuals == ((0.0, 0.0), (0.0, 0.0))
+    assert verdict.partition.is_all_singletons
 
 
 def test_residual_rejects_vanishing_anchor():
+    # |f| <= 1e-320 at every grid point, below the degeneracy floor
     with pytest.raises(DegenerateAnchorError):
-        margin_residual(parse("x*y"), ("x", "y"), [0], (0.0, 5.0), (1.0, 1.0))
+        numeric_finest_partition(parse("x*y"), SampleGrid(((0.0, 1e-160), (0.0, 1e-160))))
 
 
 def test_residual_is_finite_when_the_difference_overflows():
-    # f(a)*f(x) = 8.45e307 and f(x_I,a_J)*f(a_I,x_J) = -1.69e308 are finite,
+    # anchor (-1, 1), f(a) = -2.6e154; at the pair point (0, -0.5) the products
+    # f(a)*f(x) = -1.69e308 and f(x_I,a_J)*f(a_I,x_J) = 8.45e307 are finite,
     # their difference is not
     f = parse("10^154*(x - y)*1.3")
-    r = margin_residual(f, ("x", "y"), [0], (-1.0, -0.5), (0.0, 1.0))
-    assert 1.0 <= r <= 2.0
+    verdict = numeric_finest_partition(f, SampleGrid(((-1.0, 0.0), (-0.5, 1.0))))
+    assert verdict.anchor == (-1.0, 1.0)
+    assert 1.0 <= verdict.residuals[0][1] <= 2.0
+    assert 1.0 <= numeric._residual(-1.69e308, 8.45e307, 1.69e308) <= 2.0
 
 
 @pytest.mark.parametrize("source", ["10^200*x*y", "10^200*(x^2 + y^2)"])
 def test_residual_raises_when_a_product_overflows(source):
-    # both products pass 1e400; a NaN residual would make the separable and
-    # the non-separable input read alike
-    f = parse(source)
-    with pytest.raises(EvalDomainError) as info:
-        margin_residual(f, ("x", "y"), [0], (1.0, 1.0), (2.0, 3.0))
-    assert info.value.node is f
-    assert str(info.value) == f"a product of values overflows in {source!r}"
+    # both products pass 1e400 at every pair point; a NaN residual would make
+    # the separable and the non-separable input read alike, so the sweep
+    # skips each such point and raises when none is left
+    with pytest.raises(DomainCoverageError, match=r"every sample for pair \(x, y\)"):
+        numeric_finest_partition(parse(source), SampleGrid(((1.0, 2.0), (1.0, 3.0))))
 
 
 def test_residual_scale_invariance_in_floats():
     f = parse("x^2 + y^2")
     scaled = BinOp("*", Const(Fraction(37, 10)), f)
-    for point in ((2.0, 3.0), (0.7, -1.1), (-0.4, 0.9)):
-        r1 = margin_residual(f, ("x", "y"), [0], (1.0, 1.0), point)
-        r2 = margin_residual(scaled, ("x", "y"), [0], (1.0, 1.0), point)
+    for seed in range(3):
+        grid = _random_grid(random.Random(seed), -1.2, 1.2)
+        r1 = numeric_finest_partition(f, grid).residuals[0][1]
+        r2 = numeric_finest_partition(scaled, grid).residuals[0][1]
+        assert r1 > 0.1
         assert r2 == pytest.approx(r1, abs=1e-12)
 
 
@@ -100,15 +106,15 @@ def test_residual_scale_invariance_exact_shadow():
 
 
 def test_residual_anchor_independent_for_separable_functions():
+    # grids on different ranges put the anchor at different points
     f = parse("sin(x)/cos(y)")
     rng = random.Random(5)
+    anchors = set()
     for _ in range(5):
-        anchor = (rng.uniform(0.3, 1.2), rng.uniform(-1.0, 1.0))
-        worst = max(
-            margin_residual(f, ("x", "y"), [0], anchor, (rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)))
-            for _ in range(20)
-        )
-        assert worst <= 1e-12
+        verdict = numeric_finest_partition(f, _random_grid(rng, rng.uniform(-1.2, 0.0), rng.uniform(0.3, 1.2)))
+        anchors.add(verdict.anchor)
+        assert verdict.residuals[0][1] <= 1e-12
+    assert len(anchors) == 5
 
 
 # --------------------------------------------------------------------- partition detection

@@ -207,3 +207,12 @@ def test_canonical_string_reparses_to_the_same_polynomial(p):
         return
     assert parse_polynomial(str(p), p.vars) == p
 
+
+
+def test_coefficients_of_any_size_print_exactly_and_reparse():
+    # past CPython's default limit of 4300 digits for int-to-str conversion
+    big = 10**5000 + 7
+    digits = "1" + "0" * 4999 + "7"
+    p = Polynomial(("x", "y"), {(1, 0): Fraction(-big, 3), (0, 1): big, (0, 0): Fraction(1, big)})
+    assert str(p) == f"-{digits}/3*x + {digits}*y + 1/{digits}"
+    assert parse_polynomial(str(p), p.vars) == p
