@@ -4,8 +4,9 @@ The library's routes return evidence (a partition, a violation index, a
 bool); this module is the one place that words a verdict from it.  Each
 command returns its exit code and its output, and `run` is the one writer:
 it writes the output once, or one error line on stderr.  When the reader of
-stdout has gone (a closed pipe), `run` still returns the command's own code
-and writes nothing to stderr.
+stdout has gone (a closed pipe), or stderr cannot be written (a closed
+descriptor), `run` still returns the command's own code and writes nothing
+to stderr.
 
 Exit codes: 0 separable / success, 1 not separable (check and separate),
 2 parse or usage error, 3 degenerate input, 4 the two exact routes disagreed.
@@ -232,18 +233,30 @@ def run(argv: Sequence[str]) -> int:
     except (expr.ParseError, expr.LoweringError, expr.UnboundVariableError, ValueError) as exc:
         code, error = EXIT_USAGE, f"error: {exc}"
     else:
-        try:
-            sys.stdout.write(text + "\n")
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader has gone: stdout leads to devnull from here on, so
-            # neither this write nor the flush at exit prints a traceback
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        # output lost to a reader that has gone (a closed pipe) is no error;
+        # a full disk still raises
+        _write_line(sys.stdout, text, BrokenPipeError)
         return code
-    print(error, file=sys.stderr)
+    # the error line only words the code, which stands whatever keeps the
+    # line from stderr
+    _write_line(sys.stderr, error, OSError)
     return code
+
+
+def _write_line(stream, line: str, lost: type[OSError]) -> None:
+    """Write one line to `stream` and flush.  A stream whose descriptor was
+    closed before start is None and takes nothing.  On `lost`, the
+    descriptor leads to devnull from here on, so neither this write nor the
+    flush at exit raises or changes the exit code."""
+    if stream is None:
+        return
+    try:
+        stream.write(line + "\n")
+        stream.flush()
+    except lost:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
 
 
 def main() -> None:

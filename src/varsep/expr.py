@@ -20,16 +20,24 @@ more than MAX_NESTING levels is a parse error, so nesting alone cannot
 exhaust the stack of the recursive parser or of the passes over its tree.
 Sums and products open no level.
 
-Scanning: tokenize runs one compiled regular expression that matches the
-whitespace before a token (exactly what str.isspace accepts) and then
-the token, one match per token.  A match that ends without a token is the
-end of the input or an unexpected character; the character after a number
-is checked for a missing decimal digit and for implicit multiplication.
-Tokens are ASCII, so byte offsets grow by the token lengths plus the UTF-8
-length of the skipped whitespace, in time linear in the input.  The parser
-reads its lookahead as the lexeme at an index into the token list, with an
-empty lexeme after the last token: operators and parentheses are single
-characters that no number or identifier equals.
+Scanning: one compiled regular expression matches the whitespace before
+a token (exactly what str.isspace accepts) and then the token, one match
+per token.  parse reads an ASCII source with one findall call over the
+source without its trailing whitespace, which yields the lexemes and no
+positions.  The scan is clean when its only empty lexeme is the last one
+(an empty lexeme before it is an unexpected character) and no digit is
+followed at once by a letter or "_" (implicit multiplication).  Any other
+source goes through tokenize, which makes one Token with its byte offset
+per match and raises the ParseError: a match that ends without a token is
+the end of the input or an unexpected character, and the character after
+a number is checked for a missing decimal digit and for implicit
+multiplication.  Tokens are ASCII, so byte offsets grow by the token
+lengths plus the UTF-8 length of the skipped whitespace, in time linear in
+the input.  The parser reads its lookahead as the lexeme at an index into
+the lexeme list, with an empty lexeme after the last token: operators and
+parentheses are single characters that no number or identifier equals.  It
+computes positions only when it raises, by calling tokenize, so every
+error carries the offset tokenize gives.
 
 Float evaluation: eval_float walks the AST and is the reference, with one
 set of domain rules (ln of a non-positive value, division by zero, and math
@@ -207,48 +215,72 @@ def _digits_value(digits: str) -> int:
 
 # the lexeme after the last token; no token has an empty lexeme
 _END = ""
+# a digit followed at once by a letter or "_": in a source that scans
+# cleanly, the only place where tokenize finds implicit multiplication
+_IMPLICIT = re.compile(r"[0-9][A-Za-z_]")
+
+
+def _lexemes(source: str) -> list[str]:
+    """The lexemes of `source`, then _END.  An ASCII source that scans
+    cleanly is read by one findall; every other source goes through
+    tokenize, which raises its ParseError."""
+    if source.isascii():
+        # each match starts where the previous one ended, so the lexemes are
+        # the tokens in order; the last is the empty match at the end of the
+        # stripped input, and an empty one before it stops at a character
+        # no token starts with, such as "$" or a "." after a number
+        lexemes = _TOKEN.findall(source.rstrip())
+        if lexemes.index(_END) == len(lexemes) - 1 and not _IMPLICIT.search(source):
+            return lexemes
+    lexemes = [t.lexeme for t in tokenize(source)]
+    lexemes.append(_END)
+    return lexemes
 
 
 class _Parser:
-    """Recursive descent over the token list, one method per grammar rule.
-    The lookahead is the lexeme at the current index (see the module
-    docstring)."""
+    """Recursive descent over the lexemes, one method per grammar rule,
+    except that `factor` reads unary, power and the plain atoms (numbers,
+    and identifiers not followed by "(") itself; calls and groups go to
+    `atom`.  The lookahead is the lexeme at the current index (see the
+    module docstring).  Positions are computed only for an error: `error`
+    asks tokenize for them, which succeeds on every source the parser
+    reads."""
 
-    def __init__(self, source: str, tokens: list[Token]):
+    def __init__(self, source: str, lexemes: list[str]):
         self.source = source
-        self.tokens = tokens
-        self.lexemes = [t.lexeme for t in tokens]
-        self.lexemes.append(_END)
+        self.lexemes = lexemes
         self.index = 0
         self.depth = 0
 
-    def _eof_position(self) -> int:
-        return len(self.source.encode("utf-8"))
-
-    def _unexpected(self, index: int) -> ParseError:
-        return ParseError(f"unexpected token {self.lexemes[index]!r}", self.tokens[index].position)
+    def error(self, message: str, index: int) -> ParseError:
+        """A ParseError at the token at `index`, or at the end of the input
+        for the lexeme after the last token."""
+        if self.lexemes[index] == _END:
+            return ParseError(message, len(self.source.encode("utf-8")))
+        return ParseError(message, tokenize(self.source)[index].position)
 
     def expect(self, lexeme: str) -> None:
-        found = self.lexemes[self.index]
+        index = self.index
+        found = self.lexemes[index]
         if found != lexeme:
             if found == _END:
-                raise ParseError(f"expected {lexeme!r} before end of input", self._eof_position())
-            raise ParseError(f"expected {lexeme!r}, found {found!r}", self.tokens[self.index].position)
-        self.index += 1
+                raise self.error(f"expected {lexeme!r} before end of input", index)
+            raise self.error(f"expected {lexeme!r}, found {found!r}", index)
+        self.index = index + 1
 
-    def nested(self, opener: int, parse_inner: Callable[[], ExprNode]) -> ExprNode:
+    def nested(self, opener: int, parse_inner: Callable[..., ExprNode], *args) -> ExprNode:
         """Parse one nesting level, opened by the token at index `opener`."""
         if self.depth == MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.tokens[opener].position)
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels", opener)
         self.depth += 1
-        node = parse_inner()
+        node = parse_inner(*args)
         self.depth -= 1
         return node
 
     def parse(self) -> ExprNode:
         node = self.sum_expr()
-        if self.lexemes[self.index] != _END:
-            raise self._unexpected(self.index)
+        if (lexeme := self.lexemes[self.index]) != _END:
+            raise self.error(f"unexpected token {lexeme!r}", self.index)
         return node
 
     def sum_expr(self) -> ExprNode:
@@ -260,63 +292,66 @@ class _Parser:
         return node
 
     def term(self) -> ExprNode:
-        node = self.unary()
+        node = self.factor()
         lexemes = self.lexemes
         while (op := lexemes[self.index]) == "*" or op == "/":
             self.index += 1
-            node = BinOp(op, node, self.unary())
+            node = BinOp(op, node, self.factor())
         return node
 
-    def unary(self) -> ExprNode:
+    def factor(self, signed: bool = True) -> ExprNode:
+        """A unary, or with `signed` false a power: the exponent of "^" is a
+        power, so a negative exponent needs parentheses, x^(-2)."""
         index = self.index
-        if self.lexemes[index] == "-":
+        lexemes = self.lexemes
+        lexeme = lexemes[index]
+        first = lexeme[:1]
+        if "0" <= first <= "9":
+            node = Const(_literal_value(lexeme))
+            index += 1
+        elif first.isalpha() and lexemes[index + 1] != "(":
+            node = Var(lexeme)
+            index += 1
+        elif signed and lexeme == "-":
             self.index = index + 1
-            return Neg(self.nested(index, self.unary))
-        return self.power()
-
-    def power(self) -> ExprNode:
-        node = self.atom()
-        index = self.index
-        if self.lexemes[index] == "^":
+            return Neg(self.nested(index, self.factor))
+        else:
+            node = self.atom()
+            index = self.index
+        if lexemes[index] == "^":
+            # right associative
             self.index = index + 1
-            # right associative; the exponent is a power, not a unary,
-            # so a negative exponent needs parentheses: x^(-2)
-            node = BinOp("^", node, self.nested(index, self.power))
+            return BinOp("^", node, self.nested(index, self.factor, False))
+        self.index = index
         return node
 
     def atom(self) -> ExprNode:
+        """A call, a parenthesised group, or the error where an atom was due."""
         index = self.index
         lexeme = self.lexemes[index]
+        if lexeme == "(":
+            self.index = index + 1
+            node = self.nested(index, self.sum_expr)
+            self.expect(")")
+            return node
         if lexeme == _END:
-            raise ParseError("unexpected end of input", self._eof_position())
-        self.index = index + 1
-        first = lexeme[0]
-        if "0" <= first <= "9":
-            return Const(_literal_value(lexeme))
-        if first.isalpha():
-            if self.lexemes[index + 1] != "(":
-                return Var(lexeme)
+            raise self.error("unexpected end of input", index)
+        if lexeme[0].isalpha():
+            # factor reads an identifier not followed by "(" itself
             if lexeme not in SUPPORTED_FUNCTIONS:
-                raise ParseError(
-                    f"unknown function {lexeme!r} (supported: {', '.join(SUPPORTED_FUNCTIONS)})",
-                    self.tokens[index].position,
-                )
+                raise self.error(f"unknown function {lexeme!r} (supported: {', '.join(SUPPORTED_FUNCTIONS)})", index)
             self.index = index + 2
             arg = self.nested(index + 1, self.sum_expr)
             self.expect(")")
             return Call(lexeme, arg)
-        if lexeme == "(":
-            node = self.nested(index, self.sum_expr)
-            self.expect(")")
-            return node
-        raise self._unexpected(index)
+        raise self.error(f"unexpected token {lexeme!r}", index)
 
 
 def parse(source: str) -> ExprNode:
     """Parse an expression string into an AST."""
     if not source.strip():
         raise ParseError("empty expression", 0)
-    return _Parser(source, tokenize(source)).parse()
+    return _Parser(source, _lexemes(source)).parse()
 
 
 # --------------------------------------------------------------------- printer

@@ -193,6 +193,19 @@ def test_closed_stdout_pipe_in_a_subprocess(argv, code):
     assert (result.returncode, result.stderr) == (code, b"")
 
 
+@pytest.mark.parametrize("argv, code", [(["check", "2x"], 2), (["check", "0"], 3)])
+def test_closed_stderr_keeps_the_exit_code(argv, code):
+    # with descriptor 2 closed before start, sys.stderr is None; with it
+    # open read-only, the write raises OSError (EBADF)
+    closed = subprocess.run(["sh", "-c", 'exec "$0" -m varsep "$@" 2>&-', sys.executable, *argv],
+                            capture_output=True)
+    assert (closed.returncode, closed.stdout) == (code, b"")
+    with open(os.devnull, "rb") as read_only:
+        unwritable = subprocess.run([sys.executable, "-m", "varsep", *argv],
+                                    stdout=subprocess.PIPE, stderr=read_only)
+    assert (unwritable.returncode, unwritable.stdout) == (code, b"")
+
+
 # --------------------------------------------------------------------- partition
 
 

@@ -308,6 +308,39 @@ def test_parse_agrees_with_the_method_per_token_oracle(source):
     assert _front_end_outcome(parse, source) == _front_end_outcome(oracle_parse, source)
 
 
+# ASCII sources, which parse reads with one findall when they scan cleanly:
+# the ASCII fragments plus an exponent-like "1e5" and the ASCII whitespace
+# "\n" and "\x1f" (a unit separator, which str.isspace accepts)
+_ASCII_FRAGMENTS = [f for f in _FRAGMENTS if f.isascii()] + ["1e5", "\n", "\x1f"]
+ascii_sources = st.lists(st.sampled_from(_ASCII_FRAGMENTS), max_size=40).map("".join)
+
+
+@settings(max_examples=600)
+@given(ascii_sources)
+def test_ascii_sources_agree_with_the_oracles(source):
+    assert _front_end_outcome(parse, source) == _front_end_outcome(oracle_parse, source)
+    assert _front_end_outcome(tokenize, source) == _front_end_outcome(oracle_tokenize, source)
+
+
+@pytest.mark.parametrize("source", [
+    "2x", "1.5x", "1e5", "x1 2y", "1.", "1.2.3", "x_1.5", "x + )", "(x", "sin x",
+    "x*y \t\n\x1f", "x + ) \n", "(x  ",
+])
+def test_scan_corner_cases_agree_with_the_oracle(source):
+    assert _front_end_outcome(parse, source) == _front_end_outcome(oracle_parse, source)
+
+
+def test_an_864_term_expansion_parses_as_the_oracle_does():
+    # the eight-factor product of the benchmark's ref-n8-864 query, expanded
+    factors = ["(x1 + 1)", "(x2 - 1)", "(x3 + 2)", "(x4 - 2)", "(x5 + 3)",
+               "(x6^2 + x6 + 1)", "(x7^2 - 2*x7 + 3)", "(x8^3 + x8 - 2)"]
+    source = str(lower_to_polynomial(parse("*".join(factors))))
+    assert source.count("+") + source.count("-") == 863
+    # compared as printed text: == on Records recurses once per summand, and
+    # parse(to_source(node)) == node, so equal text means equal trees
+    assert to_source(parse(source)) == to_source(oracle_parse(source))
+
+
 @pytest.mark.parametrize("kind", sorted(NESTING_OPENERS))
 @pytest.mark.parametrize("levels", [MAX_NESTING, MAX_NESTING + 1])
 def test_nesting_limit_agrees_with_the_oracle(kind, levels):
