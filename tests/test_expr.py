@@ -315,10 +315,20 @@ _ASCII_FRAGMENTS = [f for f in _FRAGMENTS if f.isascii()] + ["1e5", "\n", "\x1f"
 ascii_sources = st.lists(st.sampled_from(_ASCII_FRAGMENTS), max_size=40).map("".join)
 
 
+def _assert_scan_agrees(source):
+    from varsep.expr import _lexemes
+
+    assert _front_end_outcome(parse, source) == _front_end_outcome(oracle_parse, source)
+    # the parser's lexemes are the oracle's tokens, then the empty end
+    # lexeme, and a source the oracle rejects never takes the one-call scan
+    oracle_lexemes = _front_end_outcome(lambda s: [t.lexeme for t in oracle_tokenize(s)] + [""], source)
+    assert _front_end_outcome(_lexemes, source) == oracle_lexemes
+
+
 @settings(max_examples=600)
 @given(ascii_sources)
 def test_ascii_sources_agree_with_the_oracles(source):
-    assert _front_end_outcome(parse, source) == _front_end_outcome(oracle_parse, source)
+    _assert_scan_agrees(source)
     assert _front_end_outcome(tokenize, source) == _front_end_outcome(oracle_tokenize, source)
 
 
@@ -327,7 +337,7 @@ def test_ascii_sources_agree_with_the_oracles(source):
     "x*y \t\n\x1f", "x + ) \n", "(x  ",
 ])
 def test_scan_corner_cases_agree_with_the_oracle(source):
-    assert _front_end_outcome(parse, source) == _front_end_outcome(oracle_parse, source)
+    _assert_scan_agrees(source)
 
 
 def test_an_864_term_expansion_parses_as_the_oracle_does():
