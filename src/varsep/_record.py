@@ -14,16 +14,28 @@ from __future__ import annotations
 class Record:
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def _flat(self) -> list:
+        """The type and fields of the record in preorder, nested records
+        walked with a stack, so a deep left spine (a long sum) costs no
+        recursion.  Each type has a fixed number of fields, so equal flat
+        lists mean equal records."""
+        flat, stack = [], [self]
+        while stack:
+            value = stack.pop()
+            if isinstance(value, Record):
+                flat.append(type(value))
+                stack += [getattr(value, name) for name in reversed(value.__slots__)]
+            else:
+                flat.append(value)
+        return flat
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._flat() == other._flat()
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(tuple(self._flat()))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

@@ -6,10 +6,12 @@ command returns its exit code and its output, and `run` is the one writer:
 it writes the output once, or one error line on stderr.  When the reader of
 stdout has gone (a closed pipe), or stderr cannot be written (a closed
 descriptor), `run` still returns the command's own code and writes nothing
-to stderr.
+to stderr.  When stdout cannot be written for any other reason (a full
+disk), `run` writes one error line on stderr and returns 4.
 
 Exit codes: 0 separable / success, 1 not separable (check and separate),
-2 parse or usage error, 3 degenerate input, 4 the two exact routes disagreed.
+2 parse or usage error, 3 degenerate input, 4 the two exact routes disagreed
+or the output could not be written.
 """
 
 from __future__ import annotations
@@ -81,10 +83,9 @@ def _read_expression(argument: str) -> str:
 
 def _is_identifier(name: str) -> bool:
     try:
-        tokens = expr.tokenize(name)
+        return expr.parse(name) == expr.Var(name)
     except expr.ParseError:
         return False
-    return [(t.kind, t.lexeme) for t in tokens] == [(expr.TokenKind.IDENT, name)]
 
 
 def _variable_order(args, node) -> list[str]:
@@ -233,30 +234,34 @@ def run(argv: Sequence[str]) -> int:
     except (expr.ParseError, expr.LoweringError, expr.UnboundVariableError, ValueError) as exc:
         code, error = EXIT_USAGE, f"error: {exc}"
     else:
+        lost = _write_line(sys.stdout, text)
         # output lost to a reader that has gone (a closed pipe) is no error;
-        # a full disk still raises
-        _write_line(sys.stdout, text, BrokenPipeError)
-        return code
+        # output that cannot be written (a full disk) is
+        if lost is None or isinstance(lost, BrokenPipeError):
+            return code
+        code, error = EXIT_INTERNAL, f"error: cannot write output: {lost}"
     # the error line only words the code, which stands whatever keeps the
     # line from stderr
-    _write_line(sys.stderr, error, OSError)
+    _write_line(sys.stderr, error)
     return code
 
 
-def _write_line(stream, line: str, lost: type[OSError]) -> None:
+def _write_line(stream, line: str) -> OSError | None:
     """Write one line to `stream` and flush.  A stream whose descriptor was
-    closed before start is None and takes nothing.  On `lost`, the
-    descriptor leads to devnull from here on, so neither this write nor the
-    flush at exit raises or changes the exit code."""
+    closed before start is None and takes nothing.  On an OSError the
+    descriptor leads to devnull from here on, so the flush at exit does not
+    raise again or change the exit code, and the error is returned."""
     if stream is None:
-        return
+        return None
     try:
         stream.write(line + "\n")
         stream.flush()
-    except lost:
+    except OSError as exc:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, stream.fileno())
         os.close(devnull)
+        return exc
+    return None
 
 
 def main() -> None:

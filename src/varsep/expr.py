@@ -21,23 +21,15 @@ exhaust the stack of the recursive parser or of the passes over its tree.
 Sums and products open no level.
 
 Scanning: one compiled regular expression matches the whitespace before
-a token (exactly what str.isspace accepts) and then the token, one match
-per token.  parse reads an ASCII source with one findall call over the
-source without its trailing whitespace, which yields the lexemes and no
-positions.  The scan is clean when its only empty lexeme is the last one
-(an empty lexeme before it is an unexpected character) and no digit is
-followed at once by a letter or "_" (implicit multiplication).  Any other
-source goes through tokenize, which makes one Token with its byte offset
-per match and raises the ParseError: a match that ends without a token is
-the end of the input or an unexpected character, and the character after
-a number is checked for a missing decimal digit and for implicit
-multiplication.  Tokens are ASCII, so byte offsets grow by the token
-lengths plus the UTF-8 length of the skipped whitespace, in time linear in
-the input.  The parser reads its lookahead as the lexeme at an index into
-the lexeme list, with an empty lexeme after the last token: operators and
-parentheses are single characters that no number or identifier equals.  It
-computes positions only when it raises, by calling tokenize, so every
-error carries the offset tokenize gives.
+a token (exactly what str.isspace accepts) and then the token.  parse reads
+every source with one findall over the source without its trailing
+whitespace, which yields the lexemes and no positions; the parser's
+lookahead is the lexeme at an index, with an empty lexeme after the last
+token.  The scan is clean when its only empty lexeme is the last one and no
+digit is followed at once by a letter or "_" (implicit multiplication).
+Positions are computed only for an error, by one locator that walks the
+matches again, up to the token a parser error names or to where an unclean
+scan stops, and encodes that one prefix.
 
 Float evaluation: eval_float walks the AST and is the reference, with one
 set of domain rules (ln of a non-positive value, division by zero, and math
@@ -51,11 +43,9 @@ function.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import re
-from collections import namedtuple
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 
@@ -74,16 +64,6 @@ class ParseError(Exception):
     def __init__(self, message: str, position: int):
         super().__init__(f"syntax error at byte {position}: {message}")
         self.position = position
-
-
-class TokenKind(enum.Enum):
-    NUMBER = "number"
-    IDENT = "identifier"
-    OP = "operator"
-    PAREN = "paren"
-
-
-Token = namedtuple("Token", ("kind", "lexeme", "position"))
 
 
 # --------------------------------------------------------------------- AST
@@ -141,54 +121,59 @@ ExprNode = Const | Var | Neg | BinOp | Call
 
 # The whitespace before one token, then the token, if any: a number, an
 # identifier, an operator or a parenthesis.  \s is exactly what str.isspace
-# accepts.  Every token is ASCII, so within a token one character is one byte.
+# accepts, and every other non-ASCII character stops a match.
 _TOKEN = re.compile(r"\s*([0-9]+(?:\.[0-9]+)?|[A-Za-z][A-Za-z0-9_]*|[-+*/^()])?")
-# the kind of a token by its first character
-_KINDS = {
-    **dict.fromkeys("0123456789", TokenKind.NUMBER),
-    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz", TokenKind.IDENT),
-    **dict.fromkeys("+-*/^", TokenKind.OP),
-    **dict.fromkeys("()", TokenKind.PAREN),
-}
+# the lexeme after the last token; no token has an empty lexeme
+_END = ""
+# a digit followed at once by a letter or "_": where a scan that stops
+# nowhere else can hide implicit multiplication
+_IMPLICIT = re.compile(r"[0-9][A-Za-z_]")
 
 
-def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    # Token(...) runs the namedtuple's Python-level __new__; tuple.__new__
-    # builds the same instance in C
-    new = tuple.__new__
-    NUMBER = TokenKind.NUMBER
+def _lexemes(source: str) -> list[str]:
+    """The lexemes of `source`, then _END, read by one findall; a source
+    that does not scan cleanly raises the error the locator finds."""
+    # the lexemes are the tokens in order; the last is the empty match at
+    # the end of the stripped input, and an empty one before it stops at a
+    # character no token starts with, such as "$", "\u00e9" or a "." after a
+    # number.  A digit in an identifier ("x1y") matches _IMPLICIT too, and
+    # there the locator finds no error.
+    lexemes = _TOKEN.findall(source.rstrip())
+    if (lexemes.index(_END) < len(lexemes) - 1 or _IMPLICIT.search(source)) and (error := _locate(source)):
+        raise error
+    return lexemes
+
+
+def _locate(source: str, index: int = -1, message: str = "") -> ParseError | None:
+    """With an `index`, a ParseError with `message` at the token at that
+    index (the end of the input after the last token); without one, the
+    error where the scan of `source` stops, or None where it does not."""
     n = len(source)
-    is_ascii = source.isascii()
-    # `wide` counts the bytes beyond one per character before the current
-    # token; only whitespace can hold them, so offsets cost time linear in
-    # the input length
-    wide = 0
-    # each match starts where the previous one ended, since the token is
-    # optional; a match without one is the end of the input or an error
-    for m in _TOKEN.finditer(source):
+    for k, m in enumerate(_TOKEN.finditer(source)):
         lexeme = m[1]
         if lexeme is None:
-            i = m.end()
-            if i == n:
-                break
-            raise ParseError(f"unexpected character {source[i]!r}", len(source[:i].encode("utf-8")))
-        start = m.start(1)
-        if not is_ascii:
-            skipped = source[m.start():start]
-            wide += len(skipped.encode("utf-8")) - len(skipped)
-        kind = _KINDS[lexeme[0]]
+            # the end of the input, or a character no token starts with
+            at = m.end()
+            if at < n:
+                message = f"unexpected character {source[at]!r}"
+            elif index < 0:
+                return None
+            break
+        if k == index:
+            at = m.start(1)
+            break
         # the token ends the match, so m.end() is the character after it
-        if kind is NUMBER and (end := m.end()) < n:
-            c = source[end]
+        at = m.end()
+        if lexeme[0].isdigit() and at < n:
+            c = source[at]
             if c == "." and "." not in lexeme:
-                raise ParseError("expected digits after decimal point", end + wide)
+                message = "expected digits after decimal point"
+                break
             # reject implicit multiplication such as "2x"
             if c.isalpha() or c == "_":
-                raise ParseError("implicit multiplication is not allowed, write an explicit '*'", end + wide)
-        append(new(Token, (kind, lexeme, start + wide)))
-    return tokens
+                message = "implicit multiplication is not allowed, write an explicit '*'"
+                break
+    return ParseError(message, len(source[:at].encode("utf-8")))
 
 
 def _literal_value(lexeme: str) -> int | Fraction:
@@ -213,38 +198,13 @@ def _digits_value(digits: str) -> int:
 # --------------------------------------------------------------------- parser
 
 
-# the lexeme after the last token; no token has an empty lexeme
-_END = ""
-# a digit followed at once by a letter or "_": in a source that scans
-# cleanly, the only place where tokenize finds implicit multiplication
-_IMPLICIT = re.compile(r"[0-9][A-Za-z_]")
-
-
-def _lexemes(source: str) -> list[str]:
-    """The lexemes of `source`, then _END.  An ASCII source that scans
-    cleanly is read by one findall; every other source goes through
-    tokenize, which raises its ParseError."""
-    if source.isascii():
-        # each match starts where the previous one ended, so the lexemes are
-        # the tokens in order; the last is the empty match at the end of the
-        # stripped input, and an empty one before it stops at a character
-        # no token starts with, such as "$" or a "." after a number
-        lexemes = _TOKEN.findall(source.rstrip())
-        if lexemes.index(_END) == len(lexemes) - 1 and not _IMPLICIT.search(source):
-            return lexemes
-    lexemes = [t.lexeme for t in tokenize(source)]
-    lexemes.append(_END)
-    return lexemes
-
-
 class _Parser:
     """Recursive descent over the lexemes, one method per grammar rule,
     except that `factor` reads unary, power and the plain atoms (numbers,
     and identifiers not followed by "(") itself; calls and groups go to
     `atom`.  The lookahead is the lexeme at the current index (see the
-    module docstring).  Positions are computed only for an error: `error`
-    asks tokenize for them, which succeeds on every source the parser
-    reads."""
+    module docstring).  Positions are computed only for an error, by
+    `error`."""
 
     def __init__(self, source: str, lexemes: list[str]):
         self.source = source
@@ -255,9 +215,7 @@ class _Parser:
     def error(self, message: str, index: int) -> ParseError:
         """A ParseError at the token at `index`, or at the end of the input
         for the lexeme after the last token."""
-        if self.lexemes[index] == _END:
-            return ParseError(message, len(self.source.encode("utf-8")))
-        return ParseError(message, tokenize(self.source)[index].position)
+        return _locate(self.source, index, message)
 
     def expect(self, lexeme: str) -> None:
         index = self.index

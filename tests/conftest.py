@@ -8,9 +8,11 @@ expression front end, and the slice identity on Fraction coefficients."""
 
 from __future__ import annotations
 
+import enum
 import itertools
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -26,8 +28,6 @@ from varsep.expr import (
     LoweringError,
     Neg,
     ParseError,
-    Token,
-    TokenKind,
     Var,
 )
 from varsep.numeric import SampleGrid
@@ -346,6 +346,17 @@ def oracle_lower(node, names) -> Polynomial:
 
 
 # --------------------------------------------------------------------- front-end oracles
+
+
+class TokenKind(enum.Enum):
+    NUMBER = "number"
+    IDENT = "identifier"
+    OP = "operator"
+    PAREN = "paren"
+
+
+# one token of the oracle lexer: its kind, its text and its UTF-8 byte offset
+Token = namedtuple("Token", ("kind", "lexeme", "position"))
 
 
 def _is_digit(c: str) -> bool:

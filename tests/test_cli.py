@@ -193,6 +193,16 @@ def test_closed_stdout_pipe_in_a_subprocess(argv, code):
     assert (result.returncode, result.stderr) == (code, b"")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["check", "x*y"], ["check", "x + y", "--format", "json"]])
+def test_output_that_cannot_be_written_exits_4_with_one_error_line(argv):
+    # every write to /dev/full fails with ENOSPC, as on a full disk
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run([sys.executable, "-m", "varsep", *argv], stdout=full, stderr=subprocess.PIPE)
+    assert result.returncode == 4
+    assert result.stderr.decode().splitlines() == ["error: cannot write output: [Errno 28] No space left on device"]
+
+
 @pytest.mark.parametrize("argv, code", [(["check", "2x"], 2), (["check", "0"], 3)])
 def test_closed_stderr_keeps_the_exit_code(argv, code):
     # with descriptor 2 closed before start, sys.stderr is None; with it
@@ -485,8 +495,11 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(["check", "x*y", "--tol", "1e-6"], capsys)[0] == 2
     assert run_cli(["numeric", "x*y", "--grid", "bogus"], capsys)[0] == 2
     # every --vars name must be one identifier
-    for names in ("x,y,1bad", "x,,y", "x,y z", "x,y*z", "x,y$"):
+    for names in ("x,y,1bad", "x,,y", "x,y z", "x,y*z", "x,y$", "x,\u00e9", "x,(y)", "x,-y", "x,2"):
         assert run_cli(["check", "x*y", "--vars", names], capsys)[0] == 2, names
+    # a function name or digits inside a name still make one identifier
+    for names in ("x,y,sin", "x,y,x1y"):
+        assert run_cli(["check", "x*y", "--vars", names], capsys)[0] == 0, names
     assert run_cli(["numeric", "x*y", "--vars", "x,1bad"], capsys)[0] == 2
     assert run_cli(["numeric", "x*y", "--vars", "x,x,y"], capsys)[0] == 2
     # the tolerance must be finite and nonnegative

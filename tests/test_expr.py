@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import OracleParser, evaluate, oracle_parse, oracle_tokenize
+from conftest import evaluate, oracle_parse, oracle_tokenize
 from varsep.expr import (
     MAX_NESTING,
     BinOp,
@@ -28,21 +28,30 @@ from varsep.expr import (
     lower_to_polynomial,
     parse,
     to_source,
-    tokenize,
 )
+from varsep.expr import _TOKEN, _lexemes, _locate
 from varsep.poly import Polynomial
 
 # --------------------------------------------------------------------- lexer
 
 
+def _positions(source):
+    """The byte offset of every token of a source that scans cleanly, then
+    the offset of the end of the input, as the error locator gives them."""
+    return [_locate(source, k, "").position for k in range(len(_lexemes(source)))]
+
+
 def test_token_positions_strictly_increase():
-    tokens = tokenize("x^4*y^3 + 2*x^4*y^2")
-    positions = [t.position for t in tokens]
+    source = "x^4*y^3 + 2*x^4*y^2"
+    positions = _positions(source)
     assert positions == sorted(set(positions))
+    assert positions == [t.position for t in oracle_tokenize(source)] + [len(source)]
 
 
 def test_number_lexemes():
-    kinds = [(t.kind.value, t.lexeme) for t in tokenize("12 + 3.50*x_1")]
+    source = "12 + 3.50*x_1"
+    assert _lexemes(source) == ["12", "+", "3.50", "*", "x_1", ""]
+    kinds = [(t.kind.value, t.lexeme) for t in oracle_tokenize(source)]
     assert ("number", "12") in kinds
     assert ("number", "3.50") in kinds
     assert ("identifier", "x_1") in kinds
@@ -50,16 +59,16 @@ def test_number_lexemes():
 
 def test_implicit_multiplication_rejected():
     with pytest.raises(ParseError, match="implicit multiplication"):
-        tokenize("2x")
+        parse("2x")
 
 
 def test_unexpected_character_reports_byte_offset():
     with pytest.raises(ParseError, match="byte 4"):
-        tokenize("x + $")
+        parse("x + $")
     # U+00A0 is whitespace of two bytes, so the character index 8 of the
     # e-acute is byte 9
     with pytest.raises(ParseError, match="byte 9"):
-        tokenize("x +\u00a0y + \u00e9")
+        parse("x +\u00a0y + \u00e9")
 
 
 @pytest.mark.parametrize("space", ["\u00a0", "\u3000", "\u00a0\t\u3000"])
@@ -70,13 +79,12 @@ def test_offsets_after_wide_whitespace_are_utf8_prefix_lengths(space):
         source += space if k % 2 == 0 else ""
         starts.append(len(source))
         source += lexeme
-    tokens = tokenize(source)
-    assert [t.lexeme for t in tokens] == lexemes
-    assert [t.position for t in tokens] == [len(source[:i].encode("utf-8")) for i in starts]
+    assert _lexemes(source) == [*lexemes, ""]
+    assert _positions(source) == [len(source[:i].encode("utf-8")) for i in [*starts, len(source)]]
     for bad in ("\u00e9", "$"):
         text = source + space + bad
         with pytest.raises(ParseError) as info:
-            tokenize(text)
+            parse(text)
         assert info.value.position == len(text[:-1].encode("utf-8"))
 
 
@@ -89,13 +97,11 @@ def test_offsets_after_wide_whitespace_are_utf8_prefix_lengths(space):
 ])
 def test_error_offsets_after_wide_whitespace(source, index, message):
     with pytest.raises(ParseError, match=message) as info:
-        tokenize(source)
+        parse(source)
     assert info.value.position == len(source[:index].encode("utf-8"))
 
 
 def test_the_scanner_skips_exactly_what_isspace_accepts():
-    from varsep.expr import _TOKEN
-
     token_starts = set("0123456789+-*/^()abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
     differ = [
         hex(code) for code in range(sys.maxunicode + 1)
@@ -104,23 +110,30 @@ def test_the_scanner_skips_exactly_what_isspace_accepts():
     assert differ == []
 
 
-def test_a_leading_wide_space_keeps_tokenizing_linear():
-    # one non-ASCII character must not make every later offset re-encode
-    # the prefix
-    ascii_sum = " + ".join(f"{k % 97}*x{k % 7}" for k in range(40_000))
+def test_an_error_after_a_leading_wide_space_is_located_in_linear_time():
+    # one non-ASCII character must not make the locator re-encode a prefix
+    # per token: an error at the end of a long source costs about as much
+    # as parsing the source without it
+    wide_sum = "\u00a0" + " + ".join(f"{k % 97}*x{k % 7}" for k in range(40_000))
 
     def best_of_3(source):
         times = []
         for _ in range(3):
             start = time.perf_counter()
-            tokens = tokenize(source)
+            outcome = _front_end_outcome(parse, source)
             times.append(time.perf_counter() - start)
-        return min(times), tokens
+        return min(times), outcome
 
-    ascii_time, ascii_tokens = best_of_3(ascii_sum)
-    wide_time, wide_tokens = best_of_3("\u00a0" + ascii_sum)
-    assert [t.position + 1 for t in ascii_tokens] == [t.position - 1 for t in wide_tokens]
-    assert wide_time < 5 * ascii_time
+    clean_time, (kind, _) = best_of_3(wide_sum)
+    assert kind == "ok"
+    # a parser error at the last token, and a scan that stops at the last
+    # character
+    for tail, message in ((" + )", "unexpected token ')'"), (" + $", "unexpected character '$'")):
+        source = wide_sum + tail
+        error_time, outcome = best_of_3(source)
+        position = len(source[:-1].encode("utf-8"))
+        assert outcome == ("error", f"syntax error at byte {position}: {message}", position)
+        assert error_time < 5 * clean_time
 
 
 # --------------------------------------------------------------------- parser
@@ -296,10 +309,26 @@ def _front_end_outcome(function, source):
         return "error", str(exc), exc.position
 
 
+def _assert_scan_agrees(source):
+    assert _front_end_outcome(parse, source) == _front_end_outcome(oracle_parse, source)
+    # a source the oracle rejects raises the oracle's error at the scan; on
+    # any other the lexemes are the oracle's tokens, then the empty end
+    # lexeme, and the locator finds no scan error and puts every token, and
+    # the end of the input, where the oracle does
+    oracle = _front_end_outcome(oracle_tokenize, source)
+    if oracle[0] == "error":
+        assert _front_end_outcome(_lexemes, source) == oracle
+        return
+    tokens = oracle[1]
+    assert _lexemes(source) == [t.lexeme for t in tokens] + [""]
+    assert _locate(source) is None
+    assert _positions(source) == [t.position for t in tokens] + [len(source.encode("utf-8"))]
+
+
 @settings(max_examples=600)
 @given(st.one_of(mixed_sources, spaced_sources()))
-def test_tokenize_agrees_with_the_character_loop_oracle(source):
-    assert _front_end_outcome(tokenize, source) == _front_end_outcome(oracle_tokenize, source)
+def test_scan_and_locator_agree_with_the_character_loop_oracle(source):
+    _assert_scan_agrees(source)
 
 
 @settings(max_examples=600)
@@ -308,28 +337,16 @@ def test_parse_agrees_with_the_method_per_token_oracle(source):
     assert _front_end_outcome(parse, source) == _front_end_outcome(oracle_parse, source)
 
 
-# ASCII sources, which parse reads with one findall when they scan cleanly:
 # the ASCII fragments plus an exponent-like "1e5" and the ASCII whitespace
 # "\n" and "\x1f" (a unit separator, which str.isspace accepts)
 _ASCII_FRAGMENTS = [f for f in _FRAGMENTS if f.isascii()] + ["1e5", "\n", "\x1f"]
 ascii_sources = st.lists(st.sampled_from(_ASCII_FRAGMENTS), max_size=40).map("".join)
 
 
-def _assert_scan_agrees(source):
-    from varsep.expr import _lexemes
-
-    assert _front_end_outcome(parse, source) == _front_end_outcome(oracle_parse, source)
-    # the parser's lexemes are the oracle's tokens, then the empty end
-    # lexeme, and a source the oracle rejects never takes the one-call scan
-    oracle_lexemes = _front_end_outcome(lambda s: [t.lexeme for t in oracle_tokenize(s)] + [""], source)
-    assert _front_end_outcome(_lexemes, source) == oracle_lexemes
-
-
 @settings(max_examples=600)
 @given(ascii_sources)
 def test_ascii_sources_agree_with_the_oracles(source):
     _assert_scan_agrees(source)
-    assert _front_end_outcome(tokenize, source) == _front_end_outcome(oracle_tokenize, source)
 
 
 @pytest.mark.parametrize("source", [
@@ -346,9 +363,23 @@ def test_an_864_term_expansion_parses_as_the_oracle_does():
                "(x6^2 + x6 + 1)", "(x7^2 - 2*x7 + 3)", "(x8^3 + x8 - 2)"]
     source = str(lower_to_polynomial(parse("*".join(factors))))
     assert source.count("+") + source.count("-") == 863
-    # compared as printed text: == on Records recurses once per summand, and
-    # parse(to_source(node)) == node, so equal text means equal trees
-    assert to_source(parse(source)) == to_source(oracle_parse(source))
+    node = parse(source)
+    assert node == oracle_parse(source)
+    assert hash(node) == hash(oracle_parse(source))
+
+
+def test_equality_and_hash_of_a_long_sum_do_not_recurse_per_summand():
+    terms = [f"{k}*x{k % 5}" for k in range(5_000)]
+    source = " + ".join(terms)
+    assert parse(source) == parse(source)
+    assert hash(parse(source)) == hash(parse(source))
+    # a difference in the first summand, the deepest leaf of the left spine
+    assert parse(source) != parse(" + ".join(["1*x1", *terms[1:]]))
+    # shallow records compare as their field tuples do
+    assert Const(1) == Const(Fraction(1)) and hash(Const(1)) == hash(Const(Fraction(1)))
+    assert BinOp("+", Var("x"), Const(2)) != BinOp("+", Var("x"), Var("y"))
+    # a field is equal to itself, as in a tuple, even when it is a NaN
+    assert Const(math.nan) == Const(math.nan) and Const(float("nan")) != Const(float("nan"))
 
 
 @pytest.mark.parametrize("kind", sorted(NESTING_OPENERS))
@@ -357,8 +388,6 @@ def test_nesting_limit_agrees_with_the_oracle(kind, levels):
     opener, closer = NESTING_OPENERS[kind]
     for source in (opener * levels + "y" + closer * levels, "\u00a0" + opener * levels + "y" + closer * levels):
         assert _front_end_outcome(parse, source) == _front_end_outcome(oracle_parse, source)
-        tokens = tokenize(source)
-        assert _front_end_outcome(lambda s: OracleParser(s, tokens).parse(), source) == _front_end_outcome(parse, source)
 
 
 # --------------------------------------------------------------------- float evaluation
