@@ -69,7 +69,7 @@ class NotSeparableError(Exception):
 
 
 class SepMatrixReport(Record):
-    """The finest partition derived from the pair entries F*F_ij - F_i*F_j.
+    """The finest `partition` of `names` by the pair entries F*F_ij - F_i*F_j.
 
     `witnesses` maps each edge (i, j), i < j, found by evaluation to the
     integer point where its entry is nonzero.  Every pair in different
@@ -78,35 +78,16 @@ class SepMatrixReport(Record):
 
     __slots__ = ("names", "partition", "witnesses")
 
-    def __init__(
-        self,
-        names: tuple[str, ...],
-        partition: Partition,
-        witnesses: dict[tuple[int, int], tuple[int, ...]],
-    ):
-        self.names = names
-        self.partition = partition
-        self.witnesses = witnesses
-
 
 class SeparationResult(Record):
-    """A verified factorization: constant * product of monic block factors.
+    """A verified factorization: `constant` * product of monic block factors.
 
-    `verified` is True on every result: the slice identity that produced it
-    compares every coefficient of F.
+    `factors` holds (block, factor) pairs, each block a tuple of variable
+    indexes.  `verified` is True on every result: the slice identity that
+    produced it compares every coefficient of F.
     """
 
     __slots__ = ("constant", "factors", "verified")
-
-    def __init__(
-        self,
-        constant: Fraction,
-        factors: tuple[tuple[tuple[int, ...], Polynomial], ...],
-        verified: bool,
-    ):
-        self.constant = constant
-        self.factors = factors
-        self.verified = verified
 
 
 def _require_nonzero(poly: Polynomial) -> None:

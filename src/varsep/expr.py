@@ -52,7 +52,16 @@ from fractions import Fraction
 from ._record import Record
 from .poly import Polynomial, scalar_str
 
-SUPPORTED_FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "abs")
+# the functions a call may name, and what the float evaluators call for each
+_FLOAT_FUNCTIONS = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "exp": math.exp,
+    "ln": math.log,
+    "abs": abs,
+}
+SUPPORTED_FUNCTIONS = tuple(_FLOAT_FUNCTIONS)
 
 MAX_NESTING = 100
 
@@ -68,9 +77,10 @@ class ParseError(Exception):
 
 # --------------------------------------------------------------------- AST
 
-# Values (see _record.Record).  Each __init__ assigns its fields directly,
-# with no loop over __slots__ and no guard against later assignment: the
-# parser builds one node per token.
+# Values (see _record.Record).  The reports use the generic Record
+# initialiser; each node here keeps an __init__ that assigns its fields
+# directly, with no loop over __slots__, because the parser builds one node
+# per token and the generic initialiser doubles parse time.
 
 
 class Const(Record):
@@ -126,8 +136,12 @@ _TOKEN = re.compile(r"\s*([0-9]+(?:\.[0-9]+)?|[A-Za-z][A-Za-z0-9_]*|[-+*/^()])?"
 # the lexeme after the last token; no token has an empty lexeme
 _END = ""
 # a digit followed at once by a letter or "_": where a scan that stops
-# nowhere else can hide implicit multiplication
+# nowhere else can hide implicit multiplication.  It also matches a digit
+# inside an identifier ("x1y"), so a hit is confirmed by _NUMBER_THEN_NAME,
+# which matches only where a number starts; that scan costs more, so it
+# runs only after a hit
 _IMPLICIT = re.compile(r"[0-9][A-Za-z_]")
+_NUMBER_THEN_NAME = re.compile(r"(?<![A-Za-z0-9_.])[0-9]+(?:\.[0-9]+)?[A-Za-z_]")
 
 
 def _lexemes(source: str) -> list[str]:
@@ -136,10 +150,10 @@ def _lexemes(source: str) -> list[str]:
     # the lexemes are the tokens in order; the last is the empty match at
     # the end of the stripped input, and an empty one before it stops at a
     # character no token starts with, such as "$", "\u00e9" or a "." after a
-    # number.  A digit in an identifier ("x1y") matches _IMPLICIT too, and
-    # there the locator finds no error.
+    # number.
     lexemes = _TOKEN.findall(source.rstrip())
-    if (lexemes.index(_END) < len(lexemes) - 1 or _IMPLICIT.search(source)) and (error := _locate(source)):
+    implicit = _IMPLICIT.search(source) and _NUMBER_THEN_NAME.search(source)
+    if (lexemes.index(_END) < len(lexemes) - 1 or implicit) and (error := _locate(source)):
         raise error
     return lexemes
 
@@ -422,15 +436,6 @@ class EvalDomainError(Exception):
         super().__init__(f"{message} in {to_source(node)!r}")
         self.node = node
 
-
-_FLOAT_FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "ln": math.log,
-    "abs": abs,
-}
 
 # The domain rules of eval_float.  `node` is the subexpression named by the
 # error.  The functions compile_float builds use plain float operators and

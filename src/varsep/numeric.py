@@ -128,35 +128,16 @@ class SampleGrid(Record):
 
 
 class NumericVerdict(Record):
-    """Residual matrix, anchor, tolerance and partition; the CLI words the verdict.
+    """Pair `residuals` of `names` at `anchor`, `tolerance` and `partition`.
 
-    `skipped` counts sample evaluations lost to domain errors or to
-    products that overflow; `discarded` counts test points dropped as
-    cancellation noise (both products far below the pair's dominant scale).
+    `evaluated` counts finite sample evaluations, `skipped` those lost to
+    domain errors or to products that overflow, and `discarded` the test
+    points dropped as cancellation noise (both products far below the
+    pair's dominant scale).  The CLI words the verdict.
     """
 
     __slots__ = ("names", "residuals", "anchor", "tolerance", "partition",
                  "evaluated", "skipped", "discarded")
-
-    def __init__(
-        self,
-        names: tuple[str, ...],
-        residuals: tuple[tuple[float, ...], ...],
-        anchor: tuple[float, ...],
-        tolerance: float,
-        partition: Partition,
-        evaluated: int,
-        skipped: int,
-        discarded: int,
-    ):
-        self.names = names
-        self.residuals = residuals
-        self.anchor = anchor
-        self.tolerance = tolerance
-        self.partition = partition
-        self.evaluated = evaluated
-        self.skipped = skipped
-        self.discarded = discarded
 
 
 def _residual(lhs: float, rhs: float, scale: float) -> float:

@@ -77,7 +77,7 @@ class Polynomial:
             key = tuple(exps)
             if len(key) != len(names):
                 raise ValueError(f"exponent vector {key} does not match registry of {len(names)} variables")
-            if any(e < 0 or not isinstance(e, int) for e in key):
+            if any(not isinstance(e, int) or e < 0 for e in key):
                 raise ValueError(f"exponents must be nonnegative integers, got {key}")
             value = _fraction(coef)
             if value != 0:

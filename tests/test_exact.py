@@ -11,6 +11,7 @@ from conftest import (
     P43_FACTOR_Y,
     P234_FACTORS,
     all_partitions,
+    default_grid,
     degree_vector,
     embed,
     evaluate,
@@ -38,11 +39,12 @@ from varsep import (
     additive_separability,
     coeff_criterion_total,
     finest_partition,
+    parse,
     parse_polynomial,
     sep_matrix_entry,
     separate_by_partition,
 )
-from varsep import exact
+from varsep import exact, numeric
 from varsep.partition import UnionFind
 
 
@@ -124,6 +126,44 @@ def test_partitions_and_reports_compare_as_values():
     assert SeparationResult(result.constant, result.factors, True) == result
     assert SeparationResult(constant=result.constant, factors=result.factors, verified=True) == result
     assert SeparationResult(result.constant * 2, result.factors, True) != result
+
+
+def _reports():
+    """One report of each kind, as the routes build them."""
+    return [
+        finest_partition(FOUR_VAR_PRODUCT),
+        separate_by_partition(P("6*x*y"), Partition.singletons(2)),
+        numeric.numeric_finest_partition(parse("x*y + x"), default_grid(2), names=("x", "y")),
+    ]
+
+
+def test_report_repr_names_the_fields_of_nested_records():
+    report = exact.SepMatrixReport(("x", "y"), Partition.singletons(2), witnesses={})
+    assert repr(report) == (
+        "SepMatrixReport(names=('x', 'y'), partition=Partition(blocks=((0,), (1,))), witnesses={})"
+    )
+
+
+@pytest.mark.parametrize("report", _reports(), ids=lambda r: type(r).__name__)
+def test_reports_are_built_positionally_or_by_keyword(report):
+    kind, names = type(report), type(report).__slots__
+    assert "__init__" not in vars(kind)
+    fields = [getattr(report, name) for name in names]
+    assert kind(*fields) == report
+    assert kind(**dict(zip(names, fields))) == report
+    assert kind(*fields[:1], **dict(zip(names[1:], fields[1:]))) == report
+    assert repr(kind(*fields)) == repr(report)
+    wrong_calls = [
+        lambda: kind(*fields[:-1]),  # missing
+        lambda: kind(**dict(zip(names[1:], fields[1:]))),  # missing, by keyword
+        lambda: kind(*fields, **{names[0]: fields[0]}),  # repeated
+        lambda: kind(*fields, unknown=1),  # unknown
+        lambda: kind(*fields[:-1], unknown=1),  # unknown in place of a field
+        lambda: kind(*fields, 1),  # one positional too many
+    ]
+    for call in wrong_calls:
+        with pytest.raises(TypeError, match=rf"^{kind.__name__}\(\) takes {', '.join(names)} once each"):
+            call()
 
 
 # --------------------------------------------------------------------- finest partition

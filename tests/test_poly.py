@@ -57,6 +57,13 @@ def test_scalar_arithmetic():
     assert Polynomial.constant(3, ("x", "y")) == 3
 
 
+@pytest.mark.parametrize("exponent", ["a", None, -1, 1.0])
+def test_exponents_must_be_nonnegative_integers(exponent):
+    # the type is tested before the sign, so "a" and None never reach "<"
+    with pytest.raises(ValueError, match="exponents must be nonnegative integers"):
+        Polynomial(("x",), {(exponent,): 1})
+
+
 @pytest.mark.parametrize(
     "q",
     [P("y + 1", ("y",)), P("x + 1", ("x",)), P("x + 1", ("y", "x"))],
