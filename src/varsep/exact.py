@@ -73,7 +73,9 @@ class SepMatrixReport(Record):
 
     `witnesses` maps each edge (i, j), i < j, found by evaluation to the
     integer point where its entry is nonzero.  Every pair in different
-    blocks has an identically zero entry.
+    blocks has an identically zero entry.  Fields, in order:
+    names: tuple[str, ...], partition: Partition,
+    witnesses: dict[tuple[int, int], tuple[int, ...]].
     """
 
     __slots__ = ("names", "partition", "witnesses")
@@ -84,7 +86,9 @@ class SeparationResult(Record):
 
     `factors` holds (block, factor) pairs, each block a tuple of variable
     indexes.  `verified` is True on every result: the slice identity that
-    produced it compares every coefficient of F.
+    produced it compares every coefficient of F.  Fields, in order:
+    constant: Fraction,
+    factors: tuple[tuple[tuple[int, ...], Polynomial], ...], verified: bool.
     """
 
     __slots__ = ("constant", "factors", "verified")

@@ -136,12 +136,8 @@ _TOKEN = re.compile(r"\s*([0-9]+(?:\.[0-9]+)?|[A-Za-z][A-Za-z0-9_]*|[-+*/^()])?"
 # the lexeme after the last token; no token has an empty lexeme
 _END = ""
 # a digit followed at once by a letter or "_": where a scan that stops
-# nowhere else can hide implicit multiplication.  It also matches a digit
-# inside an identifier ("x1y"), so a hit is confirmed by _NUMBER_THEN_NAME,
-# which matches only where a number starts; that scan costs more, so it
-# runs only after a hit
+# nowhere else can hide implicit multiplication
 _IMPLICIT = re.compile(r"[0-9][A-Za-z_]")
-_NUMBER_THEN_NAME = re.compile(r"(?<![A-Za-z0-9_.])[0-9]+(?:\.[0-9]+)?[A-Za-z_]")
 
 
 def _lexemes(source: str) -> list[str]:
@@ -150,10 +146,10 @@ def _lexemes(source: str) -> list[str]:
     # the lexemes are the tokens in order; the last is the empty match at
     # the end of the stripped input, and an empty one before it stops at a
     # character no token starts with, such as "$", "\u00e9" or a "." after a
-    # number.
+    # number.  A digit in an identifier ("x1y") matches _IMPLICIT too, and
+    # there the locator finds no error.
     lexemes = _TOKEN.findall(source.rstrip())
-    implicit = _IMPLICIT.search(source) and _NUMBER_THEN_NAME.search(source)
-    if (lexemes.index(_END) < len(lexemes) - 1 or implicit) and (error := _locate(source)):
+    if (lexemes.index(_END) < len(lexemes) - 1 or _IMPLICIT.search(source)) and (error := _locate(source)):
         raise error
     return lexemes
 

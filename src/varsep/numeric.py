@@ -133,7 +133,10 @@ class NumericVerdict(Record):
     `evaluated` counts finite sample evaluations, `skipped` those lost to
     domain errors or to products that overflow, and `discarded` the test
     points dropped as cancellation noise (both products far below the
-    pair's dominant scale).  The CLI words the verdict.
+    pair's dominant scale).  The CLI words the verdict.  Fields, in order:
+    names: tuple[str, ...], residuals: tuple[tuple[float, ...], ...],
+    anchor: tuple[float, ...], tolerance: float, partition: Partition,
+    evaluated: int, skipped: int, discarded: int.
     """
 
     __slots__ = ("names", "residuals", "anchor", "tolerance", "partition",

@@ -137,13 +137,6 @@ def _reports():
     ]
 
 
-def test_report_repr_names_the_fields_of_nested_records():
-    report = exact.SepMatrixReport(("x", "y"), Partition.singletons(2), witnesses={})
-    assert repr(report) == (
-        "SepMatrixReport(names=('x', 'y'), partition=Partition(blocks=((0,), (1,))), witnesses={})"
-    )
-
-
 @pytest.mark.parametrize("report", _reports(), ids=lambda r: type(r).__name__)
 def test_reports_are_built_positionally_or_by_keyword(report):
     kind, names = type(report), type(report).__slots__
@@ -152,7 +145,7 @@ def test_reports_are_built_positionally_or_by_keyword(report):
     assert kind(*fields) == report
     assert kind(**dict(zip(names, fields))) == report
     assert kind(*fields[:1], **dict(zip(names[1:], fields[1:]))) == report
-    assert repr(kind(*fields)) == repr(report)
+    assert all(f"{name}: " in kind.__doc__ for name in names)  # the docstring types each field
     wrong_calls = [
         lambda: kind(*fields[:-1]),  # missing
         lambda: kind(**dict(zip(names[1:], fields[1:]))),  # missing, by keyword

@@ -29,9 +29,8 @@ from varsep.expr import (
     parse,
     to_source,
 )
-from varsep import expr
 from varsep._record import Record
-from varsep.expr import _NUMBER_THEN_NAME, _TOKEN, _lexemes, _locate
+from varsep.expr import _TOKEN, _lexemes, _locate
 from varsep.poly import Polynomial
 
 # --------------------------------------------------------------------- lexer
@@ -62,18 +61,6 @@ def test_number_lexemes():
 def test_implicit_multiplication_rejected():
     with pytest.raises(ParseError, match="implicit multiplication"):
         parse("2x")
-
-
-def test_digits_inside_identifiers_never_run_the_locator(monkeypatch):
-    # "x1y" passes the cheap digit-then-letter prefilter, but no number
-    # starts there, so a clean source takes no walk for positions
-    def locate(*args):
-        raise AssertionError(f"_locate{args} called on a clean source")
-
-    monkeypatch.setattr(expr, "_locate", locate)
-    assert parse("x1y*x2 + 3*x1y") == BinOp(
-        "+", BinOp("*", Var("x1y"), Var("x2")), BinOp("*", Const(3), Var("x1y"))
-    )
 
 
 def test_unexpected_character_reports_byte_offset():
@@ -384,20 +371,6 @@ ascii_sources = st.lists(st.sampled_from(_ASCII_FRAGMENTS), max_size=40).map("".
 @given(ascii_sources)
 def test_ascii_sources_agree_with_the_oracles(source):
     _assert_scan_agrees(source)
-
-
-@settings(max_examples=600)
-@given(st.one_of(mixed_sources, spaced_sources(), ascii_sources))
-def test_the_implicit_confirmation_matches_where_the_locator_finds_implicit_multiplication(source):
-    # on a scan that stops nowhere before the end, implicit multiplication
-    # is the one error left for the locator, and the confirmation finds
-    # exactly it (elsewhere the locator runs anyway, and it also counts a
-    # non-ASCII letter after a digit, as in "0\u00e9")
-    lexemes = _TOKEN.findall(source.rstrip())
-    if lexemes.index("") == len(lexemes) - 1:
-        located = _locate(source)
-        implicit = located is not None and "implicit multiplication" in str(located)
-        assert (_NUMBER_THEN_NAME.search(source) is not None) == (located is not None) == implicit
 
 
 @pytest.mark.parametrize("source", [
