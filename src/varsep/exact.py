@@ -47,6 +47,7 @@ bool); the CLI words the verdict.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -63,9 +64,14 @@ class NotSeparableError(Exception):
     singletons the index `coeff_criterion_total` returns)."""
 
     def __init__(self, partition: Partition, violation: tuple[int, ...]):
-        super().__init__(f"no separation by {partition.blocks}: slice identity fails at {violation}")
+        # the fields as args, so pickle can call the class with them
+        super().__init__(partition, violation)
         self.partition = partition
         self.violation = violation
+
+    def __str__(self) -> str:
+        partition, violation = self.args
+        return f"no separation by {partition.blocks}: slice identity fails at {violation}"
 
 
 class SepMatrixReport(Record):
@@ -122,6 +128,7 @@ WITNESS_POINTS = 2
 WITNESS_BOUND = 64
 
 
+@functools.cache
 def _witness_points(n: int) -> tuple[tuple[int, ...], ...]:
     rng = random.Random(n)
     return tuple(

@@ -69,10 +69,20 @@ _SUM_OPS = ("+", "-")
 _TERM_OPS = ("*", "/")
 
 
+# ParseError, UnboundVariableError and EvalDomainError keep the values that
+# word them as their args and word them in __str__, so they survive pickle
+# (which calls the class with its args) and the text is rendered only when
+# it is read.
+
+
 class ParseError(Exception):
     def __init__(self, message: str, position: int):
-        super().__init__(f"syntax error at byte {position}: {message}")
+        super().__init__(message, position)
         self.position = position
+
+    def __str__(self) -> str:
+        message, position = self.args
+        return f"syntax error at byte {position}: {message}"
 
 
 # --------------------------------------------------------------------- AST
@@ -421,16 +431,26 @@ def free_variables(node: ExprNode) -> list[str]:
 
 class UnboundVariableError(Exception):
     def __init__(self, name: str):
-        super().__init__(f"variable {name!r} has no bound value")
+        super().__init__(name)
         self.name = name
+
+    def __str__(self) -> str:
+        (name,) = self.args
+        return f"variable {name!r} has no bound value"
 
 
 class EvalDomainError(Exception):
-    """Floating-point evaluation left the function's domain."""
+    """Floating-point evaluation left the function's domain.  The numeric
+    route catches and counts most of these, so the subexpression is
+    printed only when the text is read."""
 
     def __init__(self, message: str, node: ExprNode):
-        super().__init__(f"{message} in {to_source(node)!r}")
+        super().__init__(message, node)
         self.node = node
+
+    def __str__(self) -> str:
+        message, node = self.args
+        return f"{message} in {to_source(node)!r}"
 
 
 # The domain rules of eval_float.  `node` is the subexpression named by the
@@ -555,16 +575,21 @@ def compile_float(node: ExprNode, names: Sequence[str]) -> CompiledFloat:
         if isinstance(e, Call):
             func = e.func if e.func in _FLOAT_FUNCTIONS else constant(functools.partial(_call, e))
             return f"{func}({emit(e.arg)[0]})", _PREC_ATOM
-        left, left_prec = emit(e.left)
-        right, right_prec = emit(e.right)
-        if e.op not in ("+", "-", "*", "/"):
-            return f"pow({left}, {right})", _PREC_ATOM
+        if e.op == "^":
+            return f"pow({emit(e.left)[0]}, {emit(e.right)[0]})", _PREC_ATOM
+        # walk the left spine of a chain of one precedence, as to_source
+        # does, so a long sum or product does not recurse once per operand
         mine = _prec(e)
-        if left_prec < mine:
-            left = f"({left})"
-        if right_prec <= mine:
-            right = f"({right})"
-        return f"{left} {e.op} {right}", mine
+        spine = []
+        while isinstance(e, BinOp) and _prec(e) == mine:
+            spine.append(e)
+            e = e.left
+        left, left_prec = emit(e)
+        pieces = [f"({left})" if left_prec < mine else left]
+        for b in reversed(spine):
+            right, right_prec = emit(b.right)
+            pieces.append(f" {b.op} ({right})" if right_prec <= mine else f" {b.op} {right}")
+        return "".join(pieces), mine
 
     try:
         body, _ = emit(node)

@@ -9,18 +9,23 @@ the partition.
 
 numeric_finest_partition evaluates f at many points (the anchor scan alone
 samples the grid up to its budget), so both drawing and evaluating a point
-are kept cheap: SampleGrid.sample draws random points one axis at a time,
-and f is compiled once with expr.compile_float into one generated function
-that takes points as coordinate sequences in variable order.  Every
-evaluation still goes through expr.eval_float, the one entry point to
-evaluation at a point, so a wrapper or profiler on it sees each sample.
+are kept cheap: SampleGrid.sample draws random points one axis at a time
+and keeps the last SAMPLE_MEMO_SIZE draws, so a process that tests many
+expressions on one grid shape draws its points once, and f is compiled once
+with expr.compile_float into one generated function that takes points as
+coordinate sequences in variable order.  A one-shot CLI process draws once,
+as without the memo.  Every evaluation still goes through expr.eval_float,
+the one entry point to evaluation at a point, so a wrapper or profiler on
+it sees each sample.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
+import struct
 from collections.abc import Mapping, Sequence
 
 from . import expr
@@ -38,6 +43,11 @@ DEFAULT_GRID_COUNT = 9
 # below it both sides are float cancellation noise and their ratio is
 # meaningless.  The ceiling is scale invariant (it rescales with |f|^2).
 PRODUCT_NOISE_RELATIVE_FLOOR = 1e-10
+
+# How many random draws of SampleGrid.sample are kept, least recently used
+# first out.  A draw depends only on the exact coordinates, the cap and the
+# salts, and the default grid at 4, 5 and 6 variables takes most of them.
+SAMPLE_MEMO_SIZE = 8
 
 
 class DegenerateAnchorError(Exception):
@@ -87,9 +97,11 @@ class SampleGrid(Record):
     `sample` walks full coordinate products while they fit its cap and
     otherwise draws seeded random points: all `cap` draws of one axis at a
     time, uniform, independent and with replacement, zipped into points.
-    So verdicts are deterministic given the grid.  The anchor scan samples
-    up to `budget` points, and the pair sweep shares it out among the
-    pairs.  A grid spec may give an axis at most `budget` coordinates.
+    So verdicts are deterministic given the grid, and the last
+    SAMPLE_MEMO_SIZE random draws are kept and handed out again as new
+    lists.  The anchor scan samples up to `budget` points, and the pair
+    sweep shares it out among the pairs.  A grid spec may give an axis at
+    most `budget` coordinates.
     """
 
     __slots__ = ("coords",)
@@ -123,8 +135,16 @@ class SampleGrid(Record):
         mixed = 0
         for salt in salts:
             mixed = mixed * 1_000_003 + salt + 1
-        rng = random.Random(mixed)
-        return list(zip(*(rng.choices(axis, k=cap) for axis in coords)))
+        # the key packs each axis as C doubles, whose bytes keep 0.0 and -0.0
+        # apart, which compare equal as tuples
+        return list(_draw(tuple(struct.pack(f"{len(axis)}d", *axis) for axis in coords), cap, mixed))
+
+
+@functools.lru_cache(maxsize=SAMPLE_MEMO_SIZE)
+def _draw(axes: tuple[bytes, ...], cap: int, seed: int) -> tuple[tuple[float, ...], ...]:
+    """`cap` points drawn from the axes, packed as C doubles, seeded by `seed`."""
+    rng = random.Random(seed)
+    return tuple(zip(*(rng.choices(struct.unpack(f"{len(axis) // 8}d", axis), k=cap) for axis in axes)))
 
 
 class NumericVerdict(Record):

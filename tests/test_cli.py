@@ -295,11 +295,20 @@ def test_numeric_unbound_variable_exits_2(capsys):
 
 
 def test_numeric_too_deep_expression_exits_2(capsys):
-    # --vars skips free_variables, so the deep sum reaches the numeric route
-    code, out, err = run_cli(["numeric", "--vars", "x,y", "--", "x + " * 1500 + "y"], capsys)
+    # --vars skips free_variables, so the deep sum reaches the numeric route;
+    # the emitter walks a sum without recursing, and Python's own compile
+    # refuses a 20,000-term line
+    code, out, err = run_cli(["numeric", "--vars", "x,y", "--", "x + " * 20000 + "y"], capsys)
     assert code == 2
     assert out == ""
     assert "expression too deep to evaluate" in err
+
+
+def test_numeric_answers_a_2000_term_sum(capsys):
+    source = " + ".join(f"{k}*x" for k in range(1, 2001))
+    code, out, err = run_cli(["numeric", "--vars", "x", "--", source], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "verdict: separable"
 
 
 LONG_SUM = "(" + " + ".join(["x"] * 600) + ")"

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import time
 from collections import Counter
@@ -302,6 +303,21 @@ def test_witnesses_are_deterministic():
     assert first.witnesses == second.witnesses
     assert list(first.witnesses.items()) == list(second.witnesses.items())
     assert first.witnesses
+
+
+def test_witness_points_are_computed_once_per_variable_count():
+    for n in (1, 2, 5):
+        assert exact._witness_points(n) == exact._witness_points.__wrapped__(n)
+        assert exact._witness_points(n) is exact._witness_points(n)
+
+
+def test_not_separable_error_survives_a_pickle_round_trip():
+    with pytest.raises(NotSeparableError) as info:
+        separate_by_partition(parse_polynomial("x + y"), Partition.singletons(2))
+    error = info.value
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is NotSeparableError and str(copy) == str(error)
+    assert (copy.partition, copy.violation) == (error.partition, error.violation) == (Partition.singletons(2), (0, 0))
 
 
 def test_forced_fallback_when_witness_points_miss_the_edge(monkeypatch):

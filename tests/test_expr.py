@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import pickle
 import sys
 import time
 from fractions import Fraction
@@ -514,11 +515,45 @@ def test_compiled_evaluator_handles_a_900_term_sum():
     assert compile_float(node, ("x", "y"))(point) == eval_float(node, {"x": 0.375, "y": -1.5})
 
 
+def test_compiled_evaluator_walks_a_2000_term_sum_and_product_without_recursing():
+    # the reference walk would recurse once per operand, so the values are
+    # accumulated here in the same left-to-right order
+    x = 1.0009765625
+    expected_sum, expected_product = 0.0, 1.0
+    for k in range(2000):
+        expected_sum += k * x
+        expected_product *= x
+    node = parse(" + ".join(f"{k}*x" for k in range(2000)))
+    assert compile_float(node, ("x",))((x,)) == expected_sum
+    node = parse("*".join(["x"] * 2000))
+    assert compile_float(node, ("x",))((x,)) == expected_product
+
+
+@pytest.mark.parametrize("raise_it, text, fields", [
+    (lambda: parse("x + 2y"), "syntax error at byte 5: implicit multiplication is not allowed, write an explicit '*'",
+     {"position": 5}),
+    (lambda: eval_float(parse("x*y"), {"x": 1.0}), "variable 'y' has no bound value", {"name": "y"}),
+    (lambda: eval_float(parse("x + ln(y - 1)"), {"x": 0.0, "y": 0.5}), "ln of non-positive value -0.5 in 'ln(y - 1)'",
+     {"node": parse("ln(y - 1)")}),
+])
+def test_errors_survive_a_pickle_round_trip(raise_it, text, fields):
+    with pytest.raises(Exception) as info:
+        raise_it()
+    error = info.value
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error) and str(copy) == str(error) == text and copy.args == error.args
+    for name, value in fields.items():
+        assert getattr(copy, name) == getattr(error, name) == value
+
+
 def test_too_deep_expressions_raise_value_error():
     node = parse(" + ".join(["x"] * 600))
     evaluate = compile_float(node, ("x",))
     # the generated code is straight-line; only the replayed walk recurses
     failing = compile_float(parse(" + ".join(["x"] * 600) + " + ln(x - 2)"), ("x",))
+    # the emitter walks a sum without recursing; Python's own compile
+    # refuses a line of 20,000 terms
+    too_long = parse(" + ".join(["x"] * 20000))
     limit = sys.getrecursionlimit()
     depth = len(inspect.stack())
     try:
@@ -527,7 +562,7 @@ def test_too_deep_expressions_raise_value_error():
         with pytest.raises(ValueError, match="expression too deep to evaluate"):
             eval_float(failing, (1.0,))
         with pytest.raises(ValueError, match="expression too deep to evaluate"):
-            compile_float(node, ("x",))
+            compile_float(too_long, ("x",))
     finally:
         sys.setrecursionlimit(limit)
     assert eval_float(evaluate, (1.0,)) == 600.0

@@ -276,3 +276,47 @@ def test_random_fallback_is_seeded_and_deterministic():
     assert first == numeric_finest_partition(f, default_grid(4))
     assert all(c in axis for c, axis in zip(first.anchor, grid.coords))
     assert first.partition.blocks == ((0, 1), (2, 3))
+
+
+def _fresh_draw(grid, axes, cap, *salts):
+    """The seeded random draw of SampleGrid.sample, made afresh."""
+    mixed = 0
+    for salt in salts:
+        mixed = mixed * 1_000_003 + salt + 1
+    rng = random.Random(mixed)
+    return list(zip(*(rng.choices(grid.coords[i], k=cap) for i in axes)))
+
+
+def _bits(points):
+    # float.hex tells -0.0 from 0.0, which compare equal
+    return [tuple(map(float.hex, point)) for point in points]
+
+
+def test_memoized_draws_equal_fresh_draws():
+    shifted = SampleGrid(tuple(tuple(c + 0.25 for c in axis) for axis in default_grid(4).coords))
+    for grid in (default_grid(4), shifted, default_grid(4), shifted):
+        drawn = grid.sample(range(4), grid.budget, 0)
+        assert _bits(drawn) == _bits(_fresh_draw(grid, range(4), grid.budget, 0))
+    # each call hands out a list of its own
+    first = default_grid(4).sample(range(4), 5000, 0)
+    first.clear()
+    assert len(default_grid(4).sample(range(4), 5000, 0)) == 5000
+
+
+def test_a_signed_zero_grid_does_not_share_a_memoized_draw():
+    axis = (0.0, 0.5, 1.0, 1.5)
+    signed = (-0.0, 0.5, 1.0, 1.5)
+    positive, negative = SampleGrid((axis,) * 4), SampleGrid((signed,) * 4)
+    assert positive == negative
+    for grid in (positive, negative):
+        drawn = grid.sample(range(4), 100, 7)
+        assert _bits(drawn) == _bits(_fresh_draw(grid, range(4), 100, 7))
+    assert "-0x0.0p+0" in {c for point in _bits(negative.sample(range(4), 100, 7)) for c in point}
+
+
+def test_the_draw_memo_stays_within_its_size():
+    grid = default_grid(5)
+    for salt in range(numeric.SAMPLE_MEMO_SIZE + 3):
+        assert grid.sample(range(5), 50, salt) == _fresh_draw(grid, range(5), 50, salt)
+    info = numeric._draw.cache_info()
+    assert info.maxsize == numeric.SAMPLE_MEMO_SIZE and info.currsize <= numeric.SAMPLE_MEMO_SIZE
