@@ -228,7 +228,7 @@ def run(argv: Sequence[str]) -> int:
             f"error: not totally separable: coefficient condition fails at index {exc.violation}"
         )
     except _RoutesDisagree as exc:
-        code, error = EXIT_INTERNAL, str(exc)
+        code, error = EXIT_INTERNAL, f"error: {exc}"
     except (ZeroPolynomialError, DegenerateAnchorError, DomainCoverageError) as exc:
         code, error = EXIT_DEGENERATE, f"error: {exc}"
     except (expr.ParseError, expr.LoweringError, expr.UnboundVariableError, ValueError) as exc:

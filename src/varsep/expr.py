@@ -31,19 +31,18 @@ Positions are computed only for an error, by one locator that walks the
 matches again, up to the token a parser error names or to where an unclean
 scan stops, and encodes that one prefix.
 
-Float evaluation: eval_float walks the AST and is the reference, with one
-set of domain rules (ln of a non-positive value, division by zero, and math
-errors all raise EvalDomainError naming the subexpression).  compile_float
-turns an AST once into a positional function, one generated straight-line
-Python function, for callers that evaluate the same expression at many
-points; at a point where that code raises, it replays the walk, so values
-and errors are the walk's.  eval_float also evaluates through such a
-function.
+Float evaluation: eval_float is the reference, one loop over the tree's
+postorder with a stack of values, and holds the one set of domain rules (ln
+of a non-positive value, division by zero, and math errors all raise
+EvalDomainError naming the subexpression).  compile_float turns an AST once
+into a positional function, one generated straight-line Python function, for
+callers that evaluate the same expression at many points; at a point where
+that code raises, it replays the loop, so values and errors are the loop's.
+eval_float also evaluates through such a function.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from collections.abc import Callable, Mapping, Sequence
@@ -407,7 +406,10 @@ def to_source(node: ExprNode) -> str:
 
 
 def free_variables(node: ExprNode) -> list[str]:
-    """Variable names in first-occurrence order."""
+    """Variable names in first-occurrence order.  It recurses once per
+    summand on purpose: its RecursionError stops the 1,300- and 2,000-term
+    coeff-degree sums before lowering spends k - 1 products on each x^k, so
+    it can become a loop only with fast powers (ROADMAP item 2)."""
     names: list[str] = []
 
     def walk(e: ExprNode) -> None:
@@ -453,82 +455,80 @@ class EvalDomainError(Exception):
         return f"{message} in {to_source(node)!r}"
 
 
-# The domain rules of eval_float.  `node` is the subexpression named by the
-# error.  The functions compile_float builds use plain float operators and
-# math calls, and leave every error to a replay of eval_float.
-
-
-def _const(node: Const) -> float:
-    try:
-        return float(node.value)
-    except OverflowError as exc:
-        raise EvalDomainError(str(exc), node) from exc
-
-
-def _call(node: Call, arg: float) -> float:
-    if node.func == "ln" and arg <= 0.0:
-        raise EvalDomainError(f"ln of non-positive value {arg!r}", node)
-    try:
-        return _FLOAT_FUNCTIONS[node.func](arg)
-    except (ValueError, OverflowError) as exc:
-        raise EvalDomainError(str(exc), node) from exc
-
-
-def _divide(node: BinOp, left: float, right: float) -> float:
-    if right == 0.0:
-        raise EvalDomainError("division by zero", node)
-    try:
-        return left / right
-    except (ValueError, OverflowError) as exc:
-        raise EvalDomainError(str(exc), node) from exc
-
-
-def _power(node: BinOp, left: float, right: float) -> float:
-    try:
-        return math.pow(left, right)
-    except (ValueError, OverflowError) as exc:
-        raise EvalDomainError(str(exc), node) from exc
-
-
 CompiledFloat = Callable[[Sequence[float]], float]
+
+
+def _postorder(node: ExprNode) -> list[ExprNode]:
+    """The nodes of `node`'s tree, each after its operands, left before
+    right: reversed, the preorder that visits the right operand first."""
+    order, stack = [], [node]
+    while stack:
+        e = stack.pop()
+        order.append(e)
+        if isinstance(e, BinOp):
+            stack += (e.left, e.right)
+        elif isinstance(e, Neg):
+            stack.append(e.operand)
+        elif isinstance(e, Call):
+            stack.append(e.arg)
+    order.reverse()
+    return order
+
+
+def _evaluate(order: list[ExprNode], point: Mapping[str, float]) -> float:
+    """The reference evaluator: one loop over a postorder from _postorder,
+    with a stack of the operands' values.  Each domain rule is applied where
+    its node's own operation runs, and that node is the one the error names."""
+    values: list[float] = []
+    for e in order:
+        if isinstance(e, Var):
+            if e.name not in point:
+                raise UnboundVariableError(e.name)
+            values.append(float(point[e.name]))
+            continue
+        try:
+            if isinstance(e, Const):
+                value = float(e.value)
+            elif isinstance(e, Neg):
+                value = -values.pop()
+            elif isinstance(e, Call):
+                arg = values.pop()
+                if e.func == "ln" and arg <= 0.0:
+                    raise EvalDomainError(f"ln of non-positive value {arg!r}", e)
+                # a function outside the table raises KeyError
+                value = _FLOAT_FUNCTIONS[e.func](arg)
+            else:
+                left, right = values.pop(-2), values.pop()
+                if e.op == "+":
+                    value = left + right
+                elif e.op == "-":
+                    value = left - right
+                elif e.op == "*":
+                    value = left * right
+                elif e.op == "/":
+                    if right == 0.0:
+                        raise EvalDomainError("division by zero", e)
+                    value = left / right
+                else:
+                    value = math.pow(left, right)
+        except (ValueError, OverflowError) as exc:
+            raise EvalDomainError(str(exc), e) from exc
+        values.append(value)
+    return values[0]
 
 
 def eval_float(node: ExprNode | CompiledFloat, point: Mapping[str, float] | Sequence[float]) -> float:
     """Evaluate with IEEE doubles; domain violations raise instead of producing NaN.
 
     With an AST and a mapping from names to values this is the reference
-    evaluator, a recursive walk.  With a function from compile_float and a
-    coordinate sequence it evaluates through that function: the one entry
-    point to evaluation at a point, whichever form the expression is in.
-    There a walk replayed too deep for the interpreter's stack raises
-    ValueError.
+    evaluator, one loop over the tree's postorder.  With a function from
+    compile_float and a coordinate sequence it evaluates through that
+    function: the one entry point to evaluation at a point, whichever form
+    the expression is in.
     """
     if callable(node):
-        try:
-            return node(point)
-        except RecursionError:
-            raise ValueError("expression too deep to evaluate") from None
-    if isinstance(node, Const):
-        return _const(node)
-    if isinstance(node, Var):
-        if node.name not in point:
-            raise UnboundVariableError(node.name)
-        return float(point[node.name])
-    if isinstance(node, Neg):
-        return -eval_float(node.operand, point)
-    if isinstance(node, Call):
-        return _call(node, eval_float(node.arg, point))
-    left = eval_float(node.left, point)
-    right = eval_float(node.right, point)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        return _divide(node, left, right)
-    return _power(node, left, right)
+        return node(point)
+    return _evaluate(_postorder(node), point)
 
 
 def compile_float(node: ExprNode, names: Sequence[str]) -> CompiledFloat:
@@ -539,41 +539,38 @@ def compile_float(node: ExprNode, names: Sequence[str]) -> CompiledFloat:
     straight-line function: each variable is read from its position once,
     constants are converted to floats here, and every operation is a Python
     float operator or a math call.  Wherever that code raises, f replays the
-    reference walk, which returns the same value or raises the canonical
-    error, so only the walk knows the domain rules.  No text from the
-    expression reaches the generated source: variables, constants and
-    helpers have generated names.  A variable missing from `names` raises
-    UnboundVariableError when evaluated, not here.  A tree too deep to build
-    raises ValueError.
+    reference loop over the postorder computed here, so only the loop knows
+    the domain rules.  A leaf the code cannot evaluate (a variable missing
+    from `names`, a constant beyond float range, a function outside the
+    table) is emitted as a name defined nowhere, so the code raises there
+    and the point replays: an unbound variable raises UnboundVariableError
+    when evaluated, not here.  No text from the expression reaches the
+    generated source: variables, constants and helpers have generated
+    names.  A tree too deep to build raises ValueError.
     """
     index = {name: i for i, name in enumerate(names)}
-    constants: dict[str, object] = {}
+    constants: dict[str, float] = {}
     used: set[int] = set()
-
-    def constant(value: object) -> str:
-        name = f"c{len(constants)}"
-        constants[name] = value
-        return name
 
     def emit(e: ExprNode) -> tuple[str, int]:
         # the source of `e` and its precedence, parenthesised as to_source does
-        if isinstance(e, Const):
-            try:
-                return constant(_const(e)), _PREC_ATOM
-            except EvalDomainError:
-                pass
-        if isinstance(e, Var) and e.name in index:
+        if isinstance(e, Var):
+            if e.name not in index:
+                return "undefined", _PREC_ATOM
             used.add(index[e.name])
             return f"v{index[e.name]}", _PREC_ATOM
-        if isinstance(e, (Const, Var)):
-            # a constant beyond float range or an unbound variable raises
-            # when evaluated, as in eval_float
-            return constant(lambda: eval_float(e, {})) + "()", _PREC_ATOM
+        if isinstance(e, Const):
+            name = f"c{len(constants)}"
+            try:
+                constants[name] = float(e.value)
+            except OverflowError:
+                return "undefined", _PREC_ATOM
+            return name, _PREC_ATOM
         if isinstance(e, Neg):
             operand, prec = emit(e.operand)
             return "-" + (f"({operand})" if prec < _PREC_UNARY else operand), _PREC_UNARY
         if isinstance(e, Call):
-            func = e.func if e.func in _FLOAT_FUNCTIONS else constant(functools.partial(_call, e))
+            func = e.func if e.func in _FLOAT_FUNCTIONS else "undefined"
             return f"{func}({emit(e.arg)[0]})", _PREC_ATOM
         if e.op == "^":
             return f"pow({emit(e.left)[0]}, {emit(e.right)[0]})", _PREC_ATOM
@@ -604,8 +601,9 @@ def compile_float(node: ExprNode, names: Sequence[str]) -> CompiledFloat:
         # frees the emitter at once instead of at the next collection
         del emit
     names = tuple(names)
+    order = _postorder(node)
     namespace = {**_FLOAT_FUNCTIONS, **constants, "pow": math.pow,
-                 "replay": lambda p: eval_float(node, dict(zip(names, p)))}
+                 "replay": lambda p: _evaluate(order, dict(zip(names, p)))}
     exec(code, namespace)
     # out of its own globals, so the function is in no reference cycle
     return namespace.pop("f")

@@ -13,10 +13,12 @@ are kept cheap: SampleGrid.sample draws random points one axis at a time
 and keeps the last SAMPLE_MEMO_SIZE draws, so a process that tests many
 expressions on one grid shape draws its points once, and f is compiled once
 with expr.compile_float into one generated function that takes points as
-coordinate sequences in variable order.  A one-shot CLI process draws once,
-as without the memo.  Every evaluation still goes through expr.eval_float,
-the one entry point to evaluation at a point, so a wrapper or profiler on
-it sees each sample.
+coordinate sequences in variable order.  At a point where that function
+raises, it replays the reference evaluator, one loop over the tree's
+postorder, so a point outside the domain is skipped however long the
+expression.  A one-shot CLI process draws once, as without the memo.  Every
+evaluation still goes through expr.eval_float, the one entry point to
+evaluation at a point, so a wrapper or profiler on it sees each sample.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 re-multiplication), random generators, the default numeric sample grid, the
 coarsening order on partitions, the margin-identity brute-force
 oracle used to cross-check partition logic, a factor-by-factor lowering
-oracle, a character-loop lexer and a method-per-token parser for the
-expression front end, and the slice identity on Fraction coefficients."""
+oracle, a recursive float evaluator, a character-loop lexer and a
+method-per-token parser for the expression front end, and the slice
+identity on Fraction coefficients."""
 
 from __future__ import annotations
 
@@ -25,9 +26,11 @@ from varsep.expr import (
     BinOp,
     Call,
     Const,
+    EvalDomainError,
     LoweringError,
     Neg,
     ParseError,
+    UnboundVariableError,
     Var,
 )
 from varsep.numeric import SampleGrid
@@ -343,6 +346,53 @@ def oracle_lower(node, names) -> Polynomial:
         return left * right
 
     return walk(node)
+
+
+# --------------------------------------------------------------------- float evaluation oracle
+
+ORACLE_FLOAT_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp, "ln": math.log, "abs": abs}
+
+
+def oracle_eval_float(node, mapping) -> float:
+    """Evaluate an AST with IEEE doubles by a walk that recurses once per
+    node, left operand first.  EvalDomainError names the node whose own
+    operation failed: ln of a non-positive value, division by zero, or a
+    ValueError or OverflowError from a conversion or a math call.  An
+    unbound name raises UnboundVariableError and a function outside the
+    table KeyError."""
+
+    def domain(e, compute, *args):
+        try:
+            return compute(*args)
+        except (ValueError, OverflowError) as exc:
+            raise EvalDomainError(str(exc), e) from exc
+
+    if isinstance(node, Const):
+        return domain(node, float, node.value)
+    if isinstance(node, Var):
+        if node.name not in mapping:
+            raise UnboundVariableError(node.name)
+        return float(mapping[node.name])
+    if isinstance(node, Neg):
+        return -oracle_eval_float(node.operand, mapping)
+    if isinstance(node, Call):
+        arg = oracle_eval_float(node.arg, mapping)
+        if node.func == "ln" and arg <= 0.0:
+            raise EvalDomainError(f"ln of non-positive value {arg!r}", node)
+        return domain(node, ORACLE_FLOAT_FUNCTIONS[node.func], arg)
+    left = oracle_eval_float(node.left, mapping)
+    right = oracle_eval_float(node.right, mapping)
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    if node.op == "/":
+        if right == 0.0:
+            raise EvalDomainError("division by zero", node)
+        return domain(node, lambda: left / right)
+    return domain(node, math.pow, left, right)
 
 
 # --------------------------------------------------------------------- front-end oracles

@@ -115,6 +115,7 @@ def test_check_exits_4_when_the_exact_routes_disagree(capsys, monkeypatch):
         code, out, err = run_cli(["check", "x + y", "--format", fmt], capsys)
         assert code == 4
         assert out == ""
+        assert err.startswith("error: internal inconsistency")
         assert "the differential and coefficient routes disagree" in err
         assert "(matrix: False, coefficients: True)" in err
         assert "Traceback" not in err
@@ -302,6 +303,15 @@ def test_numeric_too_deep_expression_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "expression too deep to evaluate" in err
+
+
+def test_numeric_skips_the_domain_gap_of_a_long_sum(capsys):
+    # the points where ln(x) is undefined replay the reference loop, which
+    # does not recurse once per summand
+    source = " + ".join(["x"] * 1199) + " + ln(x)"
+    code, out, err = run_cli(["numeric", "--vars", "x", "--", source], capsys)
+    assert (code, err) == (0, "")
+    assert "skipped 4 of 9 evaluations" in out.splitlines()
 
 
 def test_numeric_answers_a_2000_term_sum(capsys):

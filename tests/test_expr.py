@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import evaluate, oracle_parse, oracle_tokenize
+from conftest import evaluate, oracle_eval_float, oracle_parse, oracle_tokenize
 from varsep.expr import (
     MAX_NESTING,
     BinOp,
@@ -461,8 +461,12 @@ def _outcome(evaluate):
 
 
 def _assert_agrees(node, names, point):
+    """The loop, the compiled function and eval_float through it all give
+    the recursive oracle's value or error."""
     compiled = compile_float(node, names)
-    expected = _outcome(lambda: eval_float(node, dict(zip(names, point))))
+    mapping = dict(zip(names, point))
+    expected = _outcome(lambda: oracle_eval_float(node, mapping))
+    assert _outcome(lambda: eval_float(node, mapping)) == expected, (to_source(node), point)
     assert _outcome(lambda: compiled(point)) == expected, (to_source(node), point)
     assert _outcome(lambda: eval_float(compiled, point)) == expected, (to_source(node), point)
 
@@ -491,6 +495,37 @@ def test_compiled_evaluator_agrees_with_eval_float_on_workload_shapes(source):
     node = parse(source)
     for point in itertools.product((0, 1.0, -1, 0.25, -3.5), repeat=3):
         _assert_agrees(node, COMPILED_NAMES, point)
+
+
+def test_leaves_the_generated_code_cannot_evaluate_replay():
+    # a function outside the table (which the parser never builds) and a
+    # fractional constant beyond float range make the generated code raise,
+    # so every point replays
+    x = Var("x")
+    nodes = [
+        Call("sqrt", x),
+        Call("sqrt", Call("ln", x)),
+        BinOp("*", BinOp("/", Const(1), x), Call("sqrt", x)),
+        BinOp("/", x, Const(Fraction(10**400, 3))),
+    ]
+    for node in nodes:
+        for point in ((0.0,), (1.5,), (-2.0,)):
+            _assert_agrees(node, ("x",), point)
+    with pytest.raises(KeyError):
+        compile_float(Call("sqrt", x), ("x",))((1.0,))
+
+
+def test_eval_float_loops_over_a_long_sum_at_the_default_recursion_limit():
+    x = 1.0009765625
+    expected = 0.0
+    for k in range(1199):
+        expected += k * x
+    source = " + ".join(f"{k}*x" for k in range(1199))
+    assert eval_float(parse(source), {"x": x}) == expected
+    with pytest.raises(EvalDomainError) as info:
+        eval_float(parse(" + ".join(["x"] * 1199) + " + ln(x - 2)"), {"x": 1.0})
+    assert str(info.value) == "ln of non-positive value -1.0 in 'ln(x - 2)'"
+    assert info.value.node == parse("ln(x - 2)")
 
 
 def test_compiled_evaluator_names_the_failing_subexpression():
@@ -549,7 +584,7 @@ def test_errors_survive_a_pickle_round_trip(raise_it, text, fields):
 def test_too_deep_expressions_raise_value_error():
     node = parse(" + ".join(["x"] * 600))
     evaluate = compile_float(node, ("x",))
-    # the generated code is straight-line; only the replayed walk recurses
+    # neither the generated code nor the replayed loop recurses per summand
     failing = compile_float(parse(" + ".join(["x"] * 600) + " + ln(x - 2)"), ("x",))
     # the emitter walks a sum without recursing; Python's own compile
     # refuses a line of 20,000 terms
@@ -559,8 +594,9 @@ def test_too_deep_expressions_raise_value_error():
     try:
         sys.setrecursionlimit(depth + 300)
         assert eval_float(evaluate, (1.0,)) == 600.0
-        with pytest.raises(ValueError, match="expression too deep to evaluate"):
+        with pytest.raises(EvalDomainError) as info:
             eval_float(failing, (1.0,))
+        assert str(info.value) == "ln of non-positive value -1.0 in 'ln(x - 2)'"
         with pytest.raises(ValueError, match="expression too deep to evaluate"):
             compile_float(too_long, ("x",))
     finally:
