@@ -16,9 +16,14 @@ with expr.compile_float into one generated function that takes points as
 coordinate sequences in variable order.  At a point where that function
 raises, it replays the reference evaluator, one loop over the tree's
 postorder, so a point outside the domain is skipped however long the
-expression.  A one-shot CLI process draws once, as without the memo.  Every
-evaluation still goes through expr.eval_float, the one entry point to
-evaluation at a point, so a wrapper or profiler on it sees each sample.
+expression.  A one-shot CLI process draws once, as without the memo.  The
+margin values f(a with one coordinate replaced) are computed once per
+(axis, coordinate), and each pair is swept in one pass over its samples,
+which keeps each kept point's product scale and the pair's largest scale
+for the noise filter.  Every evaluation still goes through expr.eval_float,
+the one entry point to evaluation at a point; the anchor scan and the sweep
+each look it up once per call, so a wrapper or profiler installed on it
+before the call sees each sample.
 """
 
 from __future__ import annotations
@@ -168,7 +173,8 @@ class NumericVerdict(Record):
 def _residual(lhs: float, rhs: float, scale: float) -> float:
     """|lhs - rhs| / max(scale, DEGENERACY_FLOOR) for finite products of magnitude
     at most `scale`; a difference that overflows is divided term by term, in [1, 2]."""
-    scale = max(scale, DEGENERACY_FLOOR)
+    if scale < DEGENERACY_FLOOR:
+        scale = DEGENERACY_FLOOR
     difference = abs(lhs - rhs)
     if difference == math.inf:
         return abs(lhs) / scale + abs(rhs) / scale
@@ -177,21 +183,23 @@ def _residual(lhs: float, rhs: float, scale: float) -> float:
 
 def _scan_anchor(evaluate: expr.CompiledFloat, grid: SampleGrid) -> tuple[tuple[float, ...], float, int, int]:
     """(point, f(point), evaluated, skipped) for the sampled point of largest |f|."""
+    eval_float = expr.eval_float
     best: tuple[float, ...] | None = None
     best_value = best_abs = 0.0
-    evaluated = skipped = 0
-    for point in grid.sample(range(grid.var_count), grid.budget, 0):
+    skipped = 0
+    points = grid.sample(range(grid.var_count), grid.budget, 0)
+    for point in points:
         try:
-            value = expr.eval_float(evaluate, point)
+            value = eval_float(evaluate, point)
         except EvalDomainError:
             skipped += 1
             continue
-        evaluated += 1
-        if abs(value) > best_abs:
-            best, best_abs, best_value = point, abs(value), value
+        magnitude = abs(value)
+        if magnitude > best_abs:
+            best, best_abs, best_value = point, magnitude, value
     if best is None or best_abs <= DEGENERACY_FLOOR:
         raise DegenerateAnchorError("no sampled grid point keeps |f| above the degeneracy floor")
-    return best, best_value, evaluated, skipped
+    return best, best_value, len(points) - skipped, skipped
 
 
 def numeric_finest_partition(
@@ -228,53 +236,64 @@ def numeric_finest_partition(
     evaluate = expr.compile_float(f, names)
     anchor, fa, evaluated, skipped = _scan_anchor(evaluate, grid)
 
-    cache: dict[tuple[int, float], float] = {}
-
-    def margin_value(axis: int, coordinate: float) -> float:
-        # f at the anchor with a single coordinate replaced
-        key = (axis, coordinate)
-        if key not in cache:
-            point = list(anchor)
-            point[axis] = coordinate
-            cache[key] = expr.eval_float(evaluate, point)
-        return cache[key]
-
+    eval_float = expr.eval_float
+    # margins[axis][c] is f at the anchor with coordinate `axis` set to c,
+    # kept once it evaluates; a margin value that raises is tried again
+    margins: list[dict[float, float]] = [{} for _ in range(n)]
     pair_count = n * (n - 1) // 2
     per_pair = max(1, grid.budget // pair_count) if pair_count else grid.budget
     residuals = [[0.0] * n for _ in range(n)]
     discarded = 0
     uf = UnionFind(n)
     for i, j in itertools.combinations(range(n), 2):
-        products: list[tuple[float, float]] = []
+        row_i, row_j = margins[i], margins[j]
+        point = list(anchor)
+        kept: list[tuple[float, float, float]] = []
+        ceiling = 0.0
         for ci, cj in grid.sample((i, j), per_pair, 1, i, j):
-            full = list(anchor)
-            full[i] = ci
-            full[j] = cj
+            point[i] = ci
+            point[j] = cj
             try:
-                lhs = fa * expr.eval_float(evaluate, full)
-                rhs = margin_value(i, ci) * margin_value(j, cj)
+                lhs = fa * eval_float(evaluate, point)
+                margin_i = row_i.get(ci)
+                if margin_i is None:
+                    margin = list(anchor)
+                    margin[i] = ci
+                    margin_i = row_i[ci] = eval_float(evaluate, margin)
+                margin_j = row_j.get(cj)
+                if margin_j is None:
+                    margin = list(anchor)
+                    margin[j] = cj
+                    margin_j = row_j[cj] = eval_float(evaluate, margin)
             except EvalDomainError:
                 skipped += 1
                 continue
+            rhs = margin_i * margin_j
             if not (math.isfinite(lhs) and math.isfinite(rhs)):
                 # an overflowed product has no scale to compare against
                 skipped += 1
                 continue
             evaluated += 1
-            products.append((lhs, rhs))
-        if not products:
+            # comparisons rather than calls to max(), which cost more once per point
+            scale = abs(lhs)
+            if abs(rhs) > scale:
+                scale = abs(rhs)
+            if scale > ceiling:
+                ceiling = scale
+            kept.append((lhs, rhs, scale))
+        if not kept:
             raise DomainCoverageError(
                 f"every sample for pair ({names[i]}, {names[j]}) left the domain or overflowed"
             )
-        ceiling = max(max(abs(lhs), abs(rhs)) for lhs, rhs in products)
         noise = ceiling * PRODUCT_NOISE_RELATIVE_FLOOR
         worst = 0.0
-        for lhs, rhs in products:
-            scale = max(abs(lhs), abs(rhs))
+        for lhs, rhs, scale in kept:
             if scale <= noise:
                 discarded += 1
                 continue
-            worst = max(worst, _residual(lhs, rhs, scale))
+            residual = _residual(lhs, rhs, scale)
+            if residual > worst:
+                worst = residual
         residuals[i][j] = residuals[j][i] = worst
         if worst > tol:
             uf.union(i, j)

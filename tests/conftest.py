@@ -33,7 +33,16 @@ from varsep.expr import (
     UnboundVariableError,
     Var,
 )
-from varsep.numeric import SampleGrid
+from varsep import expr
+from varsep.numeric import (
+    DEGENERACY_FLOOR,
+    PRODUCT_NOISE_RELATIVE_FLOOR,
+    DegenerateAnchorError,
+    DomainCoverageError,
+    NumericVerdict,
+    SampleGrid,
+)
+from varsep.partition import UnionFind
 
 # Coefficient matrix of the 20-term reference polynomial: rows are x^4 down
 # to x^0, columns are y^3 down to y^0.  It is the outer product of its first
@@ -393,6 +402,121 @@ def oracle_eval_float(node, mapping) -> float:
             raise EvalDomainError("division by zero", node)
         return domain(node, lambda: left / right)
     return domain(node, math.pow, left, right)
+
+
+# --------------------------------------------------------------------- numeric route oracle
+
+
+def _oracle_residual(lhs: float, rhs: float, scale: float) -> float:
+    scale = max(scale, DEGENERACY_FLOOR)
+    difference = abs(lhs - rhs)
+    if difference == math.inf:
+        return abs(lhs) / scale + abs(rhs) / scale
+    return difference / scale
+
+
+def _oracle_scan_anchor(evaluate, grid: SampleGrid):
+    """(point, f(point), evaluated, skipped) for the sampled point of largest |f|."""
+    best = None
+    best_value = best_abs = 0.0
+    evaluated = skipped = 0
+    for point in grid.sample(range(grid.var_count), grid.budget, 0):
+        try:
+            value = expr.eval_float(evaluate, point)
+        except EvalDomainError:
+            skipped += 1
+            continue
+        evaluated += 1
+        if abs(value) > best_abs:
+            best, best_abs, best_value = point, abs(value), value
+    if best is None or best_abs <= DEGENERACY_FLOOR:
+        raise DegenerateAnchorError("no sampled grid point keeps |f| above the degeneracy floor")
+    return best, best_value, evaluated, skipped
+
+
+def oracle_numeric_finest_partition(f, grid: SampleGrid, tol: float = 1e-8, *, names=None) -> NumericVerdict:
+    """The pair sweep written plainly: each margin value f(a with one
+    coordinate replaced) is memoized by (axis, coordinate) once it
+    evaluates, each test point gets a fresh copy of the anchor, and a
+    second pass over a pair's kept products takes their scales, the noise
+    ceiling and the residuals.  It makes the same expr.eval_float calls in
+    the same order as numeric_finest_partition."""
+    if names is None:
+        names = expr.free_variables(f)
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate variable names in {names}")
+    n = len(names)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance {tol!r} must be finite and nonnegative")
+    if grid.var_count != n:
+        raise ValueError(f"grid has {grid.var_count} axes, expression has {n} variables")
+    if grid.budget < n * (n - 1) // 2:
+        raise ValueError(f"budget {grid.budget} is below the {n * (n - 1) // 2} pair tests")
+    evaluate = expr.compile_float(f, names)
+    anchor, fa, evaluated, skipped = _oracle_scan_anchor(evaluate, grid)
+
+    cache = {}
+
+    def margin_value(axis, coordinate):
+        key = (axis, coordinate)
+        if key not in cache:
+            point = list(anchor)
+            point[axis] = coordinate
+            cache[key] = expr.eval_float(evaluate, point)
+        return cache[key]
+
+    pair_count = n * (n - 1) // 2
+    per_pair = max(1, grid.budget // pair_count) if pair_count else grid.budget
+    residuals = [[0.0] * n for _ in range(n)]
+    discarded = 0
+    uf = UnionFind(n)
+    for i, j in itertools.combinations(range(n), 2):
+        products = []
+        for ci, cj in grid.sample((i, j), per_pair, 1, i, j):
+            full = list(anchor)
+            full[i] = ci
+            full[j] = cj
+            try:
+                lhs = fa * expr.eval_float(evaluate, full)
+                rhs = margin_value(i, ci) * margin_value(j, cj)
+            except EvalDomainError:
+                skipped += 1
+                continue
+            if not (math.isfinite(lhs) and math.isfinite(rhs)):
+                skipped += 1
+                continue
+            evaluated += 1
+            products.append((lhs, rhs))
+        if not products:
+            raise DomainCoverageError(
+                f"every sample for pair ({names[i]}, {names[j]}) left the domain or overflowed"
+            )
+        ceiling = max(max(abs(lhs), abs(rhs)) for lhs, rhs in products)
+        noise = ceiling * PRODUCT_NOISE_RELATIVE_FLOOR
+        worst = 0.0
+        for lhs, rhs in products:
+            scale = max(abs(lhs), abs(rhs))
+            if scale <= noise:
+                discarded += 1
+                continue
+            worst = max(worst, _oracle_residual(lhs, rhs, scale))
+        residuals[i][j] = residuals[j][i] = worst
+        if worst > tol:
+            uf.union(i, j)
+    total = evaluated + skipped
+    if total and skipped > total / 2:
+        raise DomainCoverageError(f"{skipped} of {total} sample evaluations left the domain or overflowed")
+    return NumericVerdict(
+        names=names,
+        residuals=tuple(tuple(row) for row in residuals),
+        anchor=anchor,
+        tolerance=tol,
+        partition=uf.partition(),
+        evaluated=evaluated,
+        skipped=skipped,
+        discarded=discarded,
+    )
 
 
 # --------------------------------------------------------------------- front-end oracles
