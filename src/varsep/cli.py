@@ -99,9 +99,13 @@ def _variable_order(args, node) -> list[str]:
     return expr.free_variables(node)
 
 
-def _lower(args) -> Polynomial:
+def _parse(args) -> tuple[expr.ExprNode, list[str]]:
     node = expr.parse(_read_expression(args.expression))
-    poly = expr.lower_to_polynomial(node, _variable_order(args, node))
+    return node, _variable_order(args, node)
+
+
+def _lower(node, names) -> Polynomial:
+    poly = expr.lower_to_polynomial(node, names)
     if poly.is_zero:
         raise ZeroPolynomialError("the zero polynomial is degenerate input")
     return poly
@@ -112,7 +116,7 @@ def _print_partition_text(blocks: list[list[str]]) -> str:
 
 
 def _run_check(args) -> tuple[int, str]:
-    poly = _lower(args)
+    poly = _lower(*_parse(args))
     report = exact.finest_partition(poly)
     violation = exact.coeff_criterion_total(poly)
     matrix_separable = report.partition.is_all_singletons
@@ -137,7 +141,7 @@ def _run_check(args) -> tuple[int, str]:
 
 
 def _run_separate(args) -> tuple[int, str]:
-    poly = _lower(args)
+    poly = _lower(*_parse(args))
     # a NotSeparableError is worded by `run`
     result = exact.separate_by_partition(poly, Partition.singletons(poly.var_count))
     if args.format == "json":
@@ -153,7 +157,7 @@ def _run_separate(args) -> tuple[int, str]:
 
 
 def _run_partition(args) -> tuple[int, str]:
-    poly = _lower(args)
+    poly = _lower(*_parse(args))
     report = exact.finest_partition(poly)
     blocks = report.partition.name_blocks(report.names)
     if args.format == "json":
@@ -162,16 +166,17 @@ def _run_partition(args) -> tuple[int, str]:
 
 
 def _run_additive(args) -> tuple[int, str]:
-    poly = _lower(args)
-    separable = exact.additive_separability(poly)
+    node, names = _parse(args)
+    separable = exact.additive_by_residues(node, names)
+    if separable is None:
+        separable = exact.additive_separability(_lower(node, names))
     if args.format == "json":
         return EXIT_OK, emit_json({"additively_separable": separable})
     return EXIT_OK, "additively separable" if separable else "not additively separable"
 
 
 def _run_numeric(args) -> tuple[int, str]:
-    node = expr.parse(_read_expression(args.expression))
-    names = _variable_order(args, node)
+    node, names = _parse(args)
     specs = {}
     for spec in args.grid:
         name, axis = numeric.parse_grid_spec(spec)

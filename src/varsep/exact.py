@@ -40,6 +40,11 @@ scaled once by D, the lcm of its coefficient denominators.  Both sides of
 the identity have degree r in the coefficients, so scaling by D changes no
 verdict and no violation index, and the factors' constant is divided by D.
 
+Additive separation is read off the AST by residues mod 2^61 - 1 at seeded
+points: F is additive when each top-level summand has at most one variable
+and F(anchor) != 0, and not when two variables of one summand have a nonzero
+mixed difference F(s,t) - F(s,t0) - F(s0,t) + F(s0,t0); else F is lowered.
+
 The routes return evidence (a partition with witnesses, a violation index
 or None, a factorization or a NotSeparableError carrying its violation, a
 bool); the CLI words the verdict.
@@ -53,6 +58,7 @@ import math
 import random
 from fractions import Fraction
 
+from . import expr
 from ._record import Record
 from .partition import Partition, UnionFind
 from .poly import Polynomial, ZeroPolynomialError
@@ -342,3 +348,29 @@ def additive_separability(poly: Polynomial) -> bool:
     """True when the polynomial is a sum of univariate pieces,
     i.e. every monomial involves at most one variable."""
     return all(sum(1 for e in exps if e > 0) <= 1 for exps in poly.terms)
+
+
+def additive_by_residues(node: expr.ExprNode, names: list[str]) -> bool | None:
+    """additive_separability(lower_to_polynomial(node, names)) by residues
+    (module docstring); None where they certify neither or lowering raises."""
+    rng = random.Random(len(names))
+    anchor, moved = ([rng.randrange(1, expr.RESIDUE_PRIME) for _ in names] for _ in range(2))
+    if (at_anchor := expr.eval_residues(node, names, [anchor])) is None:
+        return None
+    pairs, stack = set(), [node]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, expr.BinOp) and e.op in ("+", "-"):
+            stack += (e.left, e.right)
+        elif isinstance(e, expr.Neg):
+            stack.append(e.operand)
+        else:
+            mentioned = sorted({v.name for v in expr._postorder(e) if isinstance(v, expr.Var)})
+            pairs.update(itertools.combinations(mentioned, 2))
+    for pair in sorted(pairs):
+        corners = [[b if name in axes else a for name, a, b in zip(names, anchor, moved)]
+                   for axes in (pair[:1], pair[1:], pair)]
+        f_s, f_t, f_st = expr.eval_residues(node, names, corners)
+        if (f_st - f_s - f_t + at_anchor[0]) % expr.RESIDUE_PRIME:
+            return False
+    return True if at_anchor[0] and not pairs else None

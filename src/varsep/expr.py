@@ -609,6 +609,49 @@ def compile_float(node: ExprNode, names: Sequence[str]) -> CompiledFloat:
     return namespace.pop("f")
 
 
+# --------------------------------------------------------------------- residues
+
+RESIDUE_PRIME = 2**61 - 1
+
+
+def eval_residues(node: ExprNode, names: Sequence[str], points: Sequence[Sequence[int]]) -> list[int] | None:
+    """The lowered polynomial's values mod RESIDUE_PRIME at `points` (one
+    coordinate per name), x^k by pow(x, k, p); None where lowering would
+    raise, a divisor has a variable, or a divisor or denominator is 0 mod p."""
+    p = RESIDUE_PRIME
+    if len(set(names)) != len(names):
+        return None
+    columns = dict(zip(names, ([c % p for c in column] for column in zip(*points))))
+    values: list[list[int]] = []
+    for e in _postorder(node):
+        if isinstance(e, Call) or isinstance(e, Var) and e.name not in columns:
+            return None
+        if isinstance(e, Var):
+            values.append(columns[e.name])
+        elif isinstance(e, Const):
+            if not e.value.denominator % p:
+                return None
+            values.append([e.value.numerator * pow(e.value.denominator, -1, p) % p] * len(points))
+        elif isinstance(e, Neg):
+            values[-1] = [-a % p for a in values[-1]]
+        else:
+            right, left = values.pop(), values.pop()
+            if e.op == "^":
+                k = e.right.value if isinstance(e.right, Const) else -1
+                if k < 0 or k.denominator != 1:
+                    return None
+                values.append([pow(a, int(k), p) for a in left])
+            elif e.op in _SUM_OPS:
+                values.append([(a + b if e.op == "+" else a - b) % p for a, b in zip(left, right)])
+            else:
+                if e.op == "/":
+                    if not right[0] or any(isinstance(v, Var) for v in _postorder(e.right)):
+                        return None
+                    right = [pow(right[0], -1, p)] * len(points)
+                values.append([a * b % p for a, b in zip(left, right)])
+    return values[0]
+
+
 # --------------------------------------------------------------------- lowering to polynomials
 
 

@@ -357,6 +357,30 @@ def oracle_lower(node, names) -> Polynomial:
     return walk(node)
 
 
+def oracle_additive(argv) -> tuple[int, str, str]:
+    """`varsep additive *argv` by lowering alone, as (exit code, stdout,
+    stderr): parse, the variable order, lower_to_polynomial, the zero check
+    (exit 3), then additive_separability on the expanded F."""
+    from varsep import cli
+    from varsep.exact import additive_separability
+    from varsep.poly import ZeroPolynomialError
+
+    args = cli.build_parser().parse_args(["additive", *argv])
+    try:
+        node = expr.parse(args.expression)
+        poly = expr.lower_to_polynomial(node, cli._variable_order(args, node))
+        if poly.is_zero:
+            raise ZeroPolynomialError("the zero polynomial is degenerate input")
+    except ZeroPolynomialError as exc:
+        return 3, "", f"error: {exc}\n"
+    except (ParseError, LoweringError, ValueError) as exc:
+        return 2, "", f"error: {exc}\n"
+    separable = additive_separability(poly)
+    if args.format == "json":
+        return 0, f'{{"schema": "varsep/1", "additively_separable": {str(separable).lower()}}}\n', ""
+    return 0, ("additively separable" if separable else "not additively separable") + "\n", ""
+
+
 # --------------------------------------------------------------------- float evaluation oracle
 
 ORACLE_FLOAT_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp, "ln": math.log, "abs": abs}

@@ -1,16 +1,23 @@
+import contextlib
 import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import P43_FACTOR_X, P43_FACTOR_Y, build_p43
+from conftest import P43_FACTOR_X, P43_FACTOR_Y, build_p43, oracle_additive
+from test_expr import monomial_sums, poly_asts
 import varsep
 from varsep import exact, parse_polynomial
 from varsep.cli import build_parser, run
+from varsep.expr import RESIDUE_PRIME, BinOp, Call, Const, Var, free_variables, parse, to_source
 
 P43_SOURCE = str(build_p43())
 
@@ -243,6 +250,91 @@ def test_additive_verdicts(capsys):
     assert code == 0 and "not additively separable" == out.strip()
     code, out, _ = run_cli(["additive", "x^3 + 2*y + 5", "--format", "json"], capsys)
     assert code == 0 and json.loads(out)["additively_separable"] is True
+
+
+def _run_within(argv, capsys, seconds):
+    """run_cli, stopped by SIGALRM with a TimeoutError past `seconds`, so a
+    route that expands F fails the test instead of hanging the suite."""
+    def expired(signum, frame):
+        raise TimeoutError(f"{argv} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return run_cli(argv, capsys)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("source, verdict", [
+    ("x^100000000 + y", "additively separable"),
+    ("x^100000000*y + y", "not additively separable"),
+    ("(x+1)^100000 + y", "additively separable"),
+    ("(x+y)^100000000", "not additively separable"),
+])
+def test_additive_answers_huge_powers_without_expanding(source, verdict, capsys):
+    assert _run_within(["additive", source], capsys, 1.0) == (0, verdict + "\n", "")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["x*y - x*y + x"], (0, "additively separable\n", "")),
+    (["(x+y)^2 - 2*x*y"], (0, "additively separable\n", "")),
+    ([f"x/{RESIDUE_PRIME} + y"], (0, "additively separable\n", "")),
+    (["x - x"], (3, "", "error: the zero polynomial is degenerate input\n")),
+    (["0"], (3, "", "error: the zero polynomial is degenerate input\n")),
+    (["x + y", "--vars", "x,x"], (2, "", "error: duplicate variable names in ('x', 'x')\n")),
+])
+def test_additive_falls_back_to_lowering_where_residues_certify_nothing(argv, expected, capsys):
+    node = parse(argv[0])
+    names = argv[2].split(",") if len(argv) > 1 else free_variables(node)
+    assert exact.additive_by_residues(node, names) is None
+    assert run_cli(["additive", *argv], capsys) == expected == oracle_additive(argv)
+
+
+# pieces lowering rejects: a call, a divisor with a variable, a zero divisor,
+# and exponents that are not integer literals
+_BROKEN = [
+    Call("exp", Var("x")),
+    BinOp("/", Var("x"), Var("y")),
+    BinOp("/", Var("y"), BinOp("-", Const(1), Const(1))),
+    BinOp("^", Var("x"), Var("y")),
+    BinOp("^", Var("x"), Const(Fraction(3, 2))),
+]
+additive_inputs = st.one_of(
+    poly_asts,
+    monomial_sums,
+    # A - A + B: the cross terms of A cancel, so only lowering decides
+    st.tuples(poly_asts, poly_asts).map(lambda t: BinOp("+", BinOp("-", t[0], t[0]), t[1])),
+    st.tuples(st.sampled_from("+*"), poly_asts, st.sampled_from(_BROKEN)).map(lambda t: BinOp(*t)),
+)
+vars_flags = st.one_of(
+    st.just([]),
+    st.lists(st.sampled_from("xyz"), min_size=1, max_size=4).map(lambda names: ["--vars", ",".join(names)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(additive_inputs, vars_flags, st.sampled_from(["text", "json"]))
+@example(parse("x*y - x*y + x"), [], "text")
+@example(parse("(x + y)^2 - 2*x*y"), ["--vars", "y,x"], "json")
+@example(parse("x - x"), [], "text")
+@example(parse("0*x*y"), ["--vars", "x,y"], "json")
+@example(parse("x*y + z"), ["--vars", "x,y"], "text")
+@example(parse("z - (x + -(x*y))"), [], "text")
+def test_additive_equals_the_lowering_oracle(node, flags, fmt):
+    argv = [*flags, "--format", fmt, "--", to_source(node)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["additive", *argv])
+    expected = oracle_additive(argv)
+    assert (code, out.getvalue(), err.getvalue()) == expected
+    parsed = parse(to_source(node))
+    verdict = exact.additive_by_residues(parsed, flags[1].split(",") if flags else free_variables(parsed))
+    if verdict is not None:
+        word = "additively separable" if verdict else "not additively separable"
+        payload = json.dumps({"schema": "varsep/1", "additively_separable": verdict})
+        assert expected == (0, (payload if fmt == "json" else word) + "\n", "")
 
 
 # --------------------------------------------------------------------- numeric

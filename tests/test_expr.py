@@ -21,10 +21,12 @@ from varsep.expr import (
     Neg,
     ParseError,
     SUPPORTED_FUNCTIONS,
+    RESIDUE_PRIME,
     UnboundVariableError,
     Var,
     compile_float,
     eval_float,
+    eval_residues,
     free_variables,
     lower_to_polynomial,
     parse,
@@ -863,3 +865,57 @@ def test_lowering_error_messages_and_which_error_wins(source, message):
     with pytest.raises(LoweringError) as raised:
         lower_to_polynomial(parse(source), ("x", "y"))
     assert str(raised.value) == message
+
+
+# --------------------------------------------------------------------- residues
+
+
+def _residue(value: Fraction) -> int:
+    return value.numerator * pow(value.denominator, -1, RESIDUE_PRIME) % RESIDUE_PRIME
+
+
+_coordinates = st.integers(-(10**30), 10**30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(poly_asts, monomial_sums), st.lists(st.tuples(_coordinates, _coordinates, _coordinates),
+                                                     min_size=1, max_size=3))
+def test_residues_are_the_lowered_polynomial_mod_p(node, points):
+    names = ("x", "y", "z")
+    lowered = lower_to_polynomial(node, names)
+    expected = [_residue(evaluate(lowered, point)) for point in points]
+    assert eval_residues(node, names, points) == expected
+    assert eval_residues(parse(to_source(node)), names, points) == expected
+
+
+def test_residues_of_decimals_and_huge_powers():
+    assert eval_residues(parse("x/0.25 + 0.5*y"), ("x", "y"), [(3, 4)]) == [14]
+    # x^(p - 1) is 1 at every nonzero x (Fermat), and costs no products
+    assert eval_residues(parse(f"x^{RESIDUE_PRIME - 1} + y^100000000"), ("x", "y"), [(5, 1), (-7, 0)]) == [2, 1]
+
+
+_P_DIVISOR = f"x/{RESIDUE_PRIME} + y"
+
+
+@pytest.mark.parametrize("node, names, lowers", [
+    (parse("exp(x) + y"), ("x", "y"), False),
+    (parse("x/y"), ("x", "y"), False),
+    (parse("x/(1-1) + y"), ("x", "y"), False),
+    (parse("x^y"), ("x", "y"), False),
+    (parse("x^1.5 + y"), ("x", "y"), False),
+    (parse("x^(-2)"), ("x", "y"), False),
+    (BinOp("^", Var("x"), Const(-2)), ("x", "y"), False),
+    (parse("x + q"), ("x", "y"), False),
+    (parse("x + y"), ("x", "x"), False),
+    # lowering succeeds on these, and the caller falls back to it
+    (parse("x/(y-y+1)"), ("x", "y"), True),
+    (parse(_P_DIVISOR), ("x", "y"), True),
+    (BinOp("+", Var("x"), Const(Fraction(1, RESIDUE_PRIME))), ("x", "y"), True),
+])
+def test_residues_are_none_wherever_lowering_raises(node, names, lowers):
+    assert eval_residues(node, names, [(2, 3)]) is None
+    if lowers:
+        lower_to_polynomial(node, names)
+    else:
+        with pytest.raises((LoweringError, ValueError)):
+            lower_to_polynomial(node, names)
