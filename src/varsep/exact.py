@@ -41,9 +41,10 @@ the identity have degree r in the coefficients, so scaling by D changes no
 verdict and no violation index, and the factors' constant is divided by D.
 
 Additive separation is read off the AST by residues mod 2^61 - 1 at seeded
-points: F is additive when each top-level summand has at most one variable
-and F(anchor) != 0, and not when two variables of one summand have a nonzero
-mixed difference F(s,t) - F(s,t0) - F(s0,t) + F(s0,t0); else F is lowered.
+points: F is additive when each top-level summand (read through factors and
+divisors without a variable) has at most one variable and F(anchor) != 0,
+and not when two variables of one summand have a nonzero mixed difference
+F(s,t) - F(s,t0) - F(s0,t) + F(s0,t0); else F is lowered.
 
 The routes return evidence (a partition with witnesses, a violation index
 or None, a factorization or a NotSeparableError carrying its violation, a
@@ -350,6 +351,10 @@ def additive_separability(poly: Polynomial) -> bool:
     return all(sum(1 for e in exps if e > 0) <= 1 for exps in poly.terms)
 
 
+def _variables(node: expr.ExprNode) -> set[str]:
+    return {v.name for v in expr._postorder(node) if isinstance(v, expr.Var)}
+
+
 def additive_by_residues(node: expr.ExprNode, names: list[str]) -> bool | None:
     """additive_separability(lower_to_polynomial(node, names)) by residues
     (module docstring); None where they certify neither or lowering raises."""
@@ -364,9 +369,12 @@ def additive_by_residues(node: expr.ExprNode, names: list[str]) -> bool | None:
             stack += (e.left, e.right)
         elif isinstance(e, expr.Neg):
             stack.append(e.operand)
+        elif isinstance(e, expr.BinOp) and e.op in ("*", "/") and not _variables(e.right):
+            stack.append(e.left)
+        elif isinstance(e, expr.BinOp) and e.op == "*" and not _variables(e.left):
+            stack.append(e.right)
         else:
-            mentioned = sorted({v.name for v in expr._postorder(e) if isinstance(v, expr.Var)})
-            pairs.update(itertools.combinations(mentioned, 2))
+            pairs.update(itertools.combinations(sorted(_variables(e)), 2))
     for pair in sorted(pairs):
         corners = [[b if name in axes else a for name, a, b in zip(names, anchor, moved)]
                    for axes in (pair[:1], pair[1:], pair)]

@@ -532,17 +532,19 @@ def eval_float(node: ExprNode | CompiledFloat, point: Mapping[str, float] | Sequ
 
 
 def compile_float(node: ExprNode, names: Sequence[str]) -> CompiledFloat:
-    """Compile `node` into f(point), point holding one coordinate per name.
+    """Compile `node` into f(point), point a sequence of exactly len(names)
+    floats, one coordinate per name.
 
     f(point) equals eval_float(node, dict(zip(names, point))) bit for bit and
     raises the same errors at the same subexpressions.  f is one generated
-    straight-line function: each variable is read from its position once,
-    constants are converted to floats here, and every operation is a Python
-    float operator or a math call.  Wherever that code raises, f replays the
-    reference loop over the postorder computed here, so only the loop knows
-    the domain rules.  A leaf the code cannot evaluate (a variable missing
-    from `names`, a constant beyond float range, a function outside the
-    table) is emitted as a name defined nowhere, so the code raises there
+    straight-line function: one assignment unpacks the point, whose floats are
+    used as they are (SampleGrid converts its coordinates once), constants are
+    converted here, and every operation is a float operator or a math call.
+    Wherever that code raises, a point of another length included, f replays
+    the reference loop over the postorder computed here, so only the loop
+    knows the domain rules.  A leaf the code cannot evaluate (a variable
+    missing from `names`, a constant beyond float range, a function outside
+    the table) is emitted as a name defined nowhere, so the code raises there
     and the point replays: an unbound variable raises UnboundVariableError
     when evaluated, not here.  No text from the expression reaches the
     generated source: variables, constants and helpers have generated
@@ -550,14 +552,12 @@ def compile_float(node: ExprNode, names: Sequence[str]) -> CompiledFloat:
     """
     index = {name: i for i, name in enumerate(names)}
     constants: dict[str, float] = {}
-    used: set[int] = set()
 
     def emit(e: ExprNode) -> tuple[str, int]:
         # the source of `e` and its precedence, parenthesised as to_source does
         if isinstance(e, Var):
             if e.name not in index:
                 return "undefined", _PREC_ATOM
-            used.add(index[e.name])
             return f"v{index[e.name]}", _PREC_ATOM
         if isinstance(e, Const):
             name = f"c{len(constants)}"
@@ -590,7 +590,7 @@ def compile_float(node: ExprNode, names: Sequence[str]) -> CompiledFloat:
 
     try:
         body, _ = emit(node)
-        lines = [f"    v{i} = float(p[{i}])" for i in sorted(used)]
+        lines = [f"    {', '.join(f'v{i}' for i in range(len(names)))}, = p"] if names else []
         source = "\n".join(["def f(p):", "  try:", *lines, f"    return {body}",
                             "  except Exception:", "    return replay(p)"])
         code = compile(source, "<compile_float>", "exec")

@@ -9,14 +9,15 @@ the partition.
 
 numeric_finest_partition evaluates f at many points (the anchor scan alone
 samples the grid up to its budget), so both drawing and evaluating a point
-are kept cheap: SampleGrid.sample draws random points one axis at a time
-and keeps the last SAMPLE_MEMO_SIZE draws, so a process that tests many
-expressions on one grid shape draws its points once, and f is compiled once
-with expr.compile_float into one generated function that takes points as
-coordinate sequences in variable order.  At a point where that function
-raises, it replays the reference evaluator, one loop over the tree's
-postorder, so a point outside the domain is skipped however long the
-expression.  A one-shot CLI process draws once, as without the memo.  The
+are kept cheap: SampleGrid converts its coordinates to floats once, when it
+is built, and sample draws random points one axis at a time and keeps the
+last SAMPLE_MEMO_SIZE draws, so a process that tests many expressions on one
+grid shape draws its points once; f is compiled once with expr.compile_float
+into one generated function that takes points as float sequences in variable
+order and converts nothing.  At a point where that function raises, it
+replays the reference evaluator, one loop over the tree's postorder, so a
+point outside the domain is skipped however long the expression.  A
+one-shot CLI process draws once, as without the memo.  The
 margin values f(a with one coordinate replaced) are computed once per
 (axis, coordinate), and each pair is swept in one pass over its samples,
 which keeps each kept point's product scale and the pair's largest scale
@@ -99,7 +100,7 @@ def parse_grid_spec(spec: str) -> tuple[str, tuple[float, ...]]:
 
 
 class SampleGrid(Record):
-    """Per-variable sample coordinates.
+    """Per-variable sample coordinates, converted to floats once, here.
 
     `sample` walks full coordinate products while they fit its cap and
     otherwise draws seeded random points: all `cap` draws of one axis at a
@@ -115,10 +116,16 @@ class SampleGrid(Record):
     budget = 4096
 
     def __init__(self, coords: tuple[tuple[float, ...], ...]):
-        for axis in coords:
+        coords = [list(axis) for axis in coords]
+        for i, axis in enumerate(coords):
+            for k, c in enumerate(axis):
+                try:
+                    axis[k] = float(c)
+                except OverflowError:
+                    raise ValueError(f"coordinate {k} of axis {i} is beyond float range") from None
             if len(set(axis)) < 2:
                 raise ValueError("each variable needs at least 2 distinct coordinates")
-        self.coords = coords
+        self.coords = tuple(map(tuple, coords))
 
     @classmethod
     def from_specs(cls, names: Sequence[str], specs: Mapping[str, tuple[float, ...]]) -> SampleGrid:
@@ -194,9 +201,9 @@ def _scan_anchor(evaluate: expr.CompiledFloat, grid: SampleGrid) -> tuple[tuple[
         except EvalDomainError:
             skipped += 1
             continue
-        magnitude = abs(value)
-        if magnitude > best_abs:
-            best, best_abs, best_value = point, magnitude, value
+        # comparisons rather than abs(), which costs more once per point
+        if value > best_abs or -value > best_abs:
+            best, best_abs, best_value = point, abs(value), value
     if best is None or best_abs <= DEGENERACY_FLOOR:
         raise DegenerateAnchorError("no sampled grid point keeps |f| above the degeneracy floor")
     return best, best_value, len(points) - skipped, skipped

@@ -272,6 +272,9 @@ def _run_within(argv, capsys, seconds):
     ("x^100000000*y + y", "not additively separable"),
     ("(x+1)^100000 + y", "additively separable"),
     ("(x+y)^100000000", "not additively separable"),
+    ("(x^100000000 + y)/2", "additively separable"),
+    ("2*(x^100000000 + y)", "additively separable"),
+    ("(x^100000000*y + y)/2", "not additively separable"),
 ])
 def test_additive_answers_huge_powers_without_expanding(source, verdict, capsys):
     assert _run_within(["additive", source], capsys, 1.0) == (0, verdict + "\n", "")
@@ -301,9 +304,20 @@ _BROKEN = [
     BinOp("^", Var("x"), Var("y")),
     BinOp("^", Var("x"), Const(Fraction(3, 2))),
 ]
+# factors and divisors without a variable, a zero and a multiple of the prime among them
+_SCALARS = st.sampled_from([Const(2), Const(Fraction(1, 3)), Const(RESIDUE_PRIME), BinOp("-", Const(1), Const(1))])
+
+
+def _scaled(t):
+    """The sum times or over the scalar, or the scalar times the sum."""
+    op, summands, scalar, scalar_first = t
+    return BinOp(op, scalar, summands) if op == "*" and scalar_first else BinOp(op, summands, scalar)
+
+
 additive_inputs = st.one_of(
     poly_asts,
     monomial_sums,
+    st.tuples(st.sampled_from("*/"), poly_asts | monomial_sums, _SCALARS, st.booleans()).map(_scaled),
     # A - A + B: the cross terms of A cancel, so only lowering decides
     st.tuples(poly_asts, poly_asts).map(lambda t: BinOp("+", BinOp("-", t[0], t[0]), t[1])),
     st.tuples(st.sampled_from("+*"), poly_asts, st.sampled_from(_BROKEN)).map(lambda t: BinOp(*t)),
@@ -322,6 +336,10 @@ vars_flags = st.one_of(
 @example(parse("0*x*y"), ["--vars", "x,y"], "json")
 @example(parse("x*y + z"), ["--vars", "x,y"], "text")
 @example(parse("z - (x + -(x*y))"), [], "text")
+@example(parse("2*((x^3 + y)/3)"), [], "json")
+@example(parse("(x*y)/2"), [], "text")
+@example(parse("3*(x + y)*x"), [], "text")
+@example(parse("(x^2 + y)/(1 - 1)"), [], "text")
 def test_additive_equals_the_lowering_oracle(node, flags, fmt):
     argv = [*flags, "--format", fmt, "--", to_source(node)]
     out, err = io.StringIO(), io.StringIO()

@@ -464,13 +464,15 @@ def _outcome(evaluate):
 
 def _assert_agrees(node, names, point):
     """The loop, the compiled function and eval_float through it all give
-    the recursive oracle's value or error."""
+    the recursive oracle's value or error; the compiled function takes the
+    coordinates as floats, the mapping keeps them as given."""
     compiled = compile_float(node, names)
     mapping = dict(zip(names, point))
+    floats = tuple(map(float, point))
     expected = _outcome(lambda: oracle_eval_float(node, mapping))
     assert _outcome(lambda: eval_float(node, mapping)) == expected, (to_source(node), point)
-    assert _outcome(lambda: compiled(point)) == expected, (to_source(node), point)
-    assert _outcome(lambda: eval_float(compiled, point)) == expected, (to_source(node), point)
+    assert _outcome(lambda: compiled(floats)) == expected, (to_source(node), point)
+    assert _outcome(lambda: eval_float(compiled, floats)) == expected, (to_source(node), point)
 
 
 @settings(max_examples=300)
@@ -614,9 +616,12 @@ def test_generated_names_cannot_collide_with_variable_names():
         _assert_agrees(node, names, point)
 
 
-def test_compiled_evaluator_reads_positions_and_converts_to_float():
+def test_compiled_evaluator_reads_positions():
     evaluate = compile_float(parse("x - y"), ("y", "x"))
-    assert evaluate([2, 10**17 + 1]) == eval_float(parse("x - y"), {"x": 10**17 + 1, "y": 2})
+    assert evaluate([2.0, float(10**17 + 1)]) == eval_float(parse("x - y"), {"x": 10**17 + 1, "y": 2})
+    # a point of another length fails the unpacking and replays the loop
+    with pytest.raises(UnboundVariableError, match="variable 'x' has no bound value"):
+        evaluate((2.0,))
     assert math.isnan(compile_float(parse("x*0"), ("x",))((math.inf,)))
     # a repeated name reads its last position, as dict(zip(names, point)) does
     assert compile_float(parse("x"), ("x", "x"))((1.0, 2.0)) == 2.0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import default_grid, evaluate, oracle_numeric_finest_partition, rand_poly
 from test_expr import ast_nodes
@@ -254,6 +255,19 @@ def test_grid_validation():
     assert SampleGrid.budget == GRID_2.budget == 4096
 
 
+def test_grid_converts_its_coordinates_to_floats_once():
+    with pytest.raises(ValueError, match="coordinate 0 of axis 0 is beyond float range"):
+        SampleGrid(((10**400, 1.0), (1.0, 2.0)))
+    with pytest.raises(ValueError, match="coordinate 2 of axis 1 is beyond float range"):
+        SampleGrid(((0.0, 1.0), (1, Fraction(1, 2), -Fraction(10**400, 3))))
+    grid = SampleGrid(((0, 1, 10**17 + 1), (Fraction(1, 2), 3)))
+    assert grid.coords == ((0.0, 1.0, float(10**17 + 1)), (0.5, 3.0))
+    assert all(type(c) is float for axis in grid.coords for c in axis)
+    # coordinates that are distinct only as ints are one coordinate as floats
+    with pytest.raises(ValueError, match="at least 2 distinct coordinates"):
+        SampleGrid(((10**17, 10**17 + 1), (0.0, 1.0)))
+
+
 def test_grid_from_specs_rejects_unknown_variable():
     with pytest.raises(ValueError, match="unknown variable"):
         SampleGrid.from_specs(("x",), {"q": (0.0, 1.0)})
@@ -412,6 +426,18 @@ def test_oracle_cases_reach_each_branch():
 def test_sweep_agrees_with_the_oracle_on_random_expressions(node):
     grid = default_grid(len(expr.free_variables(node)))
     assert _outcome(numeric_finest_partition, node, grid) == _outcome(oracle_numeric_finest_partition, node, grid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ast_nodes, st.data())
+def test_an_int_grid_gives_the_verdict_of_the_same_grid_as_floats(node, data):
+    n = len(expr.free_variables(node))
+    axis = st.lists(st.integers(-3, 3) | st.sampled_from([10**17 + 1, -(2**60)]), min_size=2, max_size=4, unique=True)
+    axes = data.draw(st.lists(axis, min_size=n, max_size=n))
+    ints = SampleGrid(tuple(map(tuple, axes)))
+    floats = SampleGrid(tuple(tuple(map(float, a)) for a in axes))
+    # _outcome reads the anchor and residuals through float.hex, which takes floats only
+    assert _outcome(numeric_finest_partition, node, ints) == _outcome(numeric_finest_partition, node, floats)
 
 
 @pytest.mark.parametrize(("source", "calls", "evaluated", "skipped"), [
