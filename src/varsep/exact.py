@@ -351,17 +351,12 @@ def additive_separability(poly: Polynomial) -> bool:
     return all(sum(1 for e in exps if e > 0) <= 1 for exps in poly.terms)
 
 
-def _variables(node: expr.ExprNode) -> set[str]:
-    return {v.name for v in expr._postorder(node) if isinstance(v, expr.Var)}
-
-
 def additive_by_residues(node: expr.ExprNode, names: list[str]) -> bool | None:
     """additive_separability(lower_to_polynomial(node, names)) by residues
-    (module docstring); None where they certify neither or lowering raises."""
+    (module docstring), the anchor and every pair's three corners evaluated
+    in one walk; None where they certify neither or lowering raises."""
     rng = random.Random(len(names))
     anchor, moved = ([rng.randrange(1, expr.RESIDUE_PRIME) for _ in names] for _ in range(2))
-    if (at_anchor := expr.eval_residues(node, names, [anchor])) is None:
-        return None
     pairs, stack = set(), [node]
     while stack:
         e = stack.pop()
@@ -369,16 +364,17 @@ def additive_by_residues(node: expr.ExprNode, names: list[str]) -> bool | None:
             stack += (e.left, e.right)
         elif isinstance(e, expr.Neg):
             stack.append(e.operand)
-        elif isinstance(e, expr.BinOp) and e.op in ("*", "/") and not _variables(e.right):
+        elif isinstance(e, expr.BinOp) and e.op in ("*", "/") and not expr._variables(e.right):
             stack.append(e.left)
-        elif isinstance(e, expr.BinOp) and e.op == "*" and not _variables(e.left):
+        elif isinstance(e, expr.BinOp) and e.op == "*" and not expr._variables(e.left):
             stack.append(e.right)
         else:
-            pairs.update(itertools.combinations(sorted(_variables(e)), 2))
-    for pair in sorted(pairs):
-        corners = [[b if name in axes else a for name, a, b in zip(names, anchor, moved)]
-                   for axes in (pair[:1], pair[1:], pair)]
-        f_s, f_t, f_st = expr.eval_residues(node, names, corners)
-        if (f_st - f_s - f_t + at_anchor[0]) % expr.RESIDUE_PRIME:
-            return False
-    return True if at_anchor[0] and not pairs else None
+            pairs.update(itertools.combinations(sorted(expr._variables(e)), 2))
+    corners = [[b if name in axes else a for name, a, b in zip(names, anchor, moved)]
+               for pair in pairs for axes in (pair[:1], pair[1:], pair)]
+    if (values := expr.eval_residues(node, names, [anchor, *corners])) is None:
+        return None
+    if any((f_st - f_s - f_t + values[0]) % expr.RESIDUE_PRIME
+           for f_s, f_t, f_st in zip(values[1::3], values[2::3], values[3::3])):
+        return False
+    return True if values[0] and not pairs else None

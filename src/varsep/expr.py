@@ -31,14 +31,19 @@ Positions are computed only for an error, by one locator that walks the
 matches again, up to the token a parser error names or to where an unclean
 scan stops, and encodes that one prefix.
 
+Printing: to_source and the source compile_float generates come from one
+printer, a loop over the tree's postorder with a stack of (pieces,
+precedence) entries; they differ only in how leaves and "^" are rendered,
+and no depth of tree makes the printer recurse.
+
 Float evaluation: eval_float is the reference, one loop over the tree's
 postorder with a stack of values, and holds the one set of domain rules (ln
 of a non-positive value, division by zero, and math errors all raise
-EvalDomainError naming the subexpression).  compile_float turns an AST once
-into a positional function, one generated straight-line Python function, for
-callers that evaluate the same expression at many points; at a point where
-that code raises, it replays the loop, so values and errors are the loop's.
-eval_float also evaluates through such a function.
+EvalDomainError naming the subexpression).  compile_float prints an AST
+once into one generated straight-line Python function of the point's
+coordinates, for callers that evaluate the same expression at many points;
+at a point where that code raises, it replays the loop, so values and errors
+are the loop's.  eval_float also evaluates through such a function.
 """
 
 from __future__ import annotations
@@ -65,7 +70,6 @@ SUPPORTED_FUNCTIONS = tuple(_FLOAT_FUNCTIONS)
 MAX_NESTING = 100
 
 _SUM_OPS = ("+", "-")
-_TERM_OPS = ("*", "/")
 
 
 # ParseError, UnboundVariableError and EvalDomainError keep the values that
@@ -336,16 +340,39 @@ def parse(source: str) -> ExprNode:
 _PREC_SUM, _PREC_TERM, _PREC_UNARY, _PREC_POWER, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
-def _prec(node: ExprNode) -> int:
-    if isinstance(node, BinOp):
-        if node.op in _SUM_OPS:
-            return _PREC_SUM
-        if node.op in _TERM_OPS:
-            return _PREC_TERM
-        return _PREC_POWER
-    if isinstance(node, Neg):
-        return _PREC_UNARY
-    return _PREC_ATOM
+def _text(entry: tuple[list[str], int], least: int = 0) -> str:
+    """The text of an entry, in parentheses if its precedence is below `least`."""
+    pieces, prec = entry
+    return f"({''.join(pieces)})" if prec < least else "".join(pieces)
+
+
+def _render(order: list[ExprNode], leaf: Callable[[ExprNode], str], power: Callable[..., tuple[list[str], int]]) -> str:
+    """The text of the tree whose postorder is `order`, with the fewest
+    parentheses the precedences allow: one loop with a stack of (pieces,
+    precedence) entries.  `leaf` renders a Var, a Const or a Call's function
+    name, and `power` the entry of a "^" from its operands' entries.  A sum
+    or product extends its left operand's pieces in place, so a chain of one
+    precedence costs time linear in its length."""
+    stack: list[tuple[list[str], int]] = []
+    for e in order:
+        if isinstance(e, BinOp):
+            right = stack.pop()
+            if e.op == "^":
+                stack[-1] = power(stack[-1], right)
+                continue
+            mine = _PREC_SUM if e.op in _SUM_OPS else _PREC_TERM
+            pieces, prec = stack[-1]
+            if prec < mine:
+                pieces = ["(", *pieces, ")"]
+            pieces += (f" {e.op} " if mine == _PREC_SUM else e.op, _text(right, mine + 1))
+            stack[-1] = pieces, mine
+        elif isinstance(e, Neg):
+            stack[-1] = ["-" + _text(stack[-1], _PREC_UNARY)], _PREC_UNARY
+        elif isinstance(e, Call):
+            stack[-1] = [f"{leaf(e)}({_text(stack[-1])})"], _PREC_ATOM
+        else:
+            stack.append(([leaf(e)], _PREC_ATOM))
+    return _text(stack[0])
 
 
 def _const_str(value: int | Fraction) -> str:
@@ -374,35 +401,13 @@ def _const_str(value: int | Fraction) -> str:
 
 
 def to_source(node: ExprNode) -> str:
-    """Render an AST back to parseable text with minimal parentheses."""
-
-    def wrap(child: ExprNode, needs_parens: bool) -> str:
-        text = to_source(child)
-        return f"({text})" if needs_parens else text
-
-    if isinstance(node, Const):
-        return _const_str(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return "-" + wrap(node.operand, _prec(node.operand) < _PREC_UNARY)
-    if isinstance(node, Call):
-        return f"{node.func}({to_source(node.arg)})"
-    mine = _prec(node)
-    if node.op == "^":
-        left = wrap(node.left, _prec(node.left) <= mine)
-        return f"{left}^{wrap(node.right, _prec(node.right) < mine)}"
-    # walk the left spine of a chain of one precedence, as lowering does,
-    # so a long sum or product does not recurse once per operand
-    spine = []
-    while isinstance(node, BinOp) and _prec(node) == mine:
-        spine.append(node)
-        node = node.left
-    pieces = [wrap(node, _prec(node) < mine)]
-    for e in reversed(spine):
-        right = wrap(e.right, _prec(e.right) <= mine)
-        pieces.append(f" {e.op} {right}" if e.op in _SUM_OPS else f"{e.op}{right}")
-    return "".join(pieces)
+    """Render an AST back to parseable text with minimal parentheses: the
+    shared printer with the grammar's leaves, and "^" right associative."""
+    return _render(
+        _postorder(node),
+        lambda e: _const_str(e.value) if isinstance(e, Const) else e.name if isinstance(e, Var) else e.func,
+        lambda left, right: ([f"{_text(left, _PREC_ATOM)}^{_text(right, _PREC_POWER)}"], _PREC_POWER),
+    )
 
 
 def free_variables(node: ExprNode) -> list[str]:
@@ -475,6 +480,11 @@ def _postorder(node: ExprNode) -> list[ExprNode]:
     return order
 
 
+def _variables(node: ExprNode) -> set[str]:
+    """The names of the variables in `node`'s tree."""
+    return {e.name for e in _postorder(node) if isinstance(e, Var)}
+
+
 def _evaluate(order: list[ExprNode], point: Mapping[str, float]) -> float:
     """The reference evaluator: one loop over a postorder from _postorder,
     with a stack of the operands' values.  Each domain rule is applied where
@@ -537,73 +547,48 @@ def compile_float(node: ExprNode, names: Sequence[str]) -> CompiledFloat:
 
     f(point) equals eval_float(node, dict(zip(names, point))) bit for bit and
     raises the same errors at the same subexpressions.  f is one generated
-    straight-line function: one assignment unpacks the point, whose floats are
-    used as they are (SampleGrid converts its coordinates once), constants are
-    converted here, and every operation is a float operator or a math call.
-    Wherever that code raises, a point of another length included, f replays
-    the reference loop over the postorder computed here, so only the loop
-    knows the domain rules.  A leaf the code cannot evaluate (a variable
-    missing from `names`, a constant beyond float range, a function outside
-    the table) is emitted as a name defined nowhere, so the code raises there
-    and the point replays: an unbound variable raises UnboundVariableError
-    when evaluated, not here.  No text from the expression reaches the
-    generated source: variables, constants and helpers have generated
-    names.  A tree too deep to build raises ValueError.
+    straight-line function whose expression is the shared printer's text of
+    `node`, with generated names for the leaves and pow(l, r) for l^r: one
+    assignment unpacks the point, whose floats are used as they are
+    (SampleGrid converts its coordinates once), constants are converted
+    here, and every operation is a float operator or a math call.  Wherever
+    that code raises, f replays the reference loop over the postorder the
+    printer walked, so only the loop knows the domain rules; a point of
+    another length raises ValueError there.  A leaf the code cannot evaluate
+    (a variable missing from `names`, a constant beyond float range, a
+    function outside the table) is printed as a name defined nowhere, so the
+    code raises there and the point replays: an unbound variable raises
+    UnboundVariableError when evaluated, not here.  No text from the
+    expression reaches the generated source.  A tree too deep for Python's
+    `compile` raises ValueError.
     """
     index = {name: i for i, name in enumerate(names)}
     constants: dict[str, float] = {}
 
-    def emit(e: ExprNode) -> tuple[str, int]:
-        # the source of `e` and its precedence, parenthesised as to_source does
+    def leaf(e: ExprNode) -> str:
         if isinstance(e, Var):
-            if e.name not in index:
-                return "undefined", _PREC_ATOM
-            return f"v{index[e.name]}", _PREC_ATOM
-        if isinstance(e, Const):
-            name = f"c{len(constants)}"
-            try:
-                constants[name] = float(e.value)
-            except OverflowError:
-                return "undefined", _PREC_ATOM
-            return name, _PREC_ATOM
-        if isinstance(e, Neg):
-            operand, prec = emit(e.operand)
-            return "-" + (f"({operand})" if prec < _PREC_UNARY else operand), _PREC_UNARY
+            return f"v{index[e.name]}" if e.name in index else "undefined"
         if isinstance(e, Call):
-            func = e.func if e.func in _FLOAT_FUNCTIONS else "undefined"
-            return f"{func}({emit(e.arg)[0]})", _PREC_ATOM
-        if e.op == "^":
-            return f"pow({emit(e.left)[0]}, {emit(e.right)[0]})", _PREC_ATOM
-        # walk the left spine of a chain of one precedence, as to_source
-        # does, so a long sum or product does not recurse once per operand
-        mine = _prec(e)
-        spine = []
-        while isinstance(e, BinOp) and _prec(e) == mine:
-            spine.append(e)
-            e = e.left
-        left, left_prec = emit(e)
-        pieces = [f"({left})" if left_prec < mine else left]
-        for b in reversed(spine):
-            right, right_prec = emit(b.right)
-            pieces.append(f" {b.op} ({right})" if right_prec <= mine else f" {b.op} {right}")
-        return "".join(pieces), mine
+            return e.func if e.func in _FLOAT_FUNCTIONS else "undefined"
+        name = f"c{len(constants)}"
+        try:
+            constants[name] = float(e.value)
+        except OverflowError:
+            return "undefined"
+        return name
 
+    order = _postorder(node)
+    body = _render(order, leaf, lambda left, right: ([f"pow({_text(left)}, {_text(right)})"], _PREC_ATOM))
+    unpack = "".join(f"v{i}, " for i in range(len(names)))
+    source = "\n".join(["def f(p):", "  try:", f"    ({unpack}) = p", f"    return {body}",
+                        "  except Exception:", "    return replay(p)"])
     try:
-        body, _ = emit(node)
-        lines = [f"    {', '.join(f'v{i}' for i in range(len(names)))}, = p"] if names else []
-        source = "\n".join(["def f(p):", "  try:", *lines, f"    return {body}",
-                            "  except Exception:", "    return replay(p)"])
         code = compile(source, "<compile_float>", "exec")
     except (RecursionError, SyntaxError, MemoryError):
         raise ValueError("expression too deep to evaluate") from None
-    finally:
-        # emit refers to itself through its closure; breaking that cycle
-        # frees the emitter at once instead of at the next collection
-        del emit
     names = tuple(names)
-    order = _postorder(node)
     namespace = {**_FLOAT_FUNCTIONS, **constants, "pow": math.pow,
-                 "replay": lambda p: _evaluate(order, dict(zip(names, p)))}
+                 "replay": lambda p: _evaluate(order, dict(zip(names, p, strict=True)))}
     exec(code, namespace)
     # out of its own globals, so the function is in no reference cycle
     return namespace.pop("f")
@@ -645,7 +630,7 @@ def eval_residues(node: ExprNode, names: Sequence[str], points: Sequence[Sequenc
                 values.append([(a + b if e.op == "+" else a - b) % p for a, b in zip(left, right)])
             else:
                 if e.op == "/":
-                    if not right[0] or any(isinstance(v, Var) for v in _postorder(e.right)):
+                    if not right[0] or _variables(e.right):
                         return None
                     right = [pow(right[0], -1, p)] * len(points)
                 values.append([a * b % p for a, b in zip(left, right)])

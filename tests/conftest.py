@@ -3,9 +3,9 @@
 re-multiplication), random generators, the default numeric sample grid, the
 coarsening order on partitions, the margin-identity brute-force
 oracle used to cross-check partition logic, a factor-by-factor lowering
-oracle, a recursive float evaluator, a character-loop lexer and a
-method-per-token parser for the expression front end, and the slice
-identity on Fraction coefficients."""
+oracle, a recursive float evaluator, a recursive printer, a character-loop
+lexer and a method-per-token parser for the expression front end, and the
+slice identity on Fraction coefficients."""
 
 from __future__ import annotations
 
@@ -379,6 +379,40 @@ def oracle_additive(argv) -> tuple[int, str, str]:
     if args.format == "json":
         return 0, f'{{"schema": "varsep/1", "additively_separable": {str(separable).lower()}}}\n', ""
     return 0, ("additively separable" if separable else "not additively separable") + "\n", ""
+
+
+# --------------------------------------------------------------------- printer oracle
+
+
+def _oracle_prec(node) -> int:
+    if isinstance(node, BinOp):
+        return 1 if node.op in "+-" else 2 if node.op in "*/" else 4
+    return 3 if isinstance(node, Neg) else 5
+
+
+def oracle_to_source(node) -> str:
+    """Render an AST with minimal parentheses by a walk that recurses once
+    per node: sums and products are left associative, "^" right
+    associative, and unary minus binds below "^"."""
+
+    def wrap(child, needs_parens: bool) -> str:
+        text = oracle_to_source(child)
+        return f"({text})" if needs_parens else text
+
+    if isinstance(node, Const):
+        return expr._const_str(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Neg):
+        return "-" + wrap(node.operand, _oracle_prec(node.operand) < 3)
+    if isinstance(node, Call):
+        return f"{node.func}({oracle_to_source(node.arg)})"
+    mine = _oracle_prec(node)
+    if node.op == "^":
+        return f"{wrap(node.left, _oracle_prec(node.left) <= mine)}^{wrap(node.right, _oracle_prec(node.right) < mine)}"
+    right = wrap(node.right, _oracle_prec(node.right) <= mine)
+    op = f" {node.op} " if mine == 1 else node.op
+    return f"{wrap(node.left, _oracle_prec(node.left) < mine)}{op}{right}"
 
 
 # --------------------------------------------------------------------- float evaluation oracle

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import evaluate, oracle_eval_float, oracle_parse, oracle_tokenize
+from conftest import evaluate, oracle_eval_float, oracle_parse, oracle_to_source, oracle_tokenize
 from varsep.expr import (
     MAX_NESTING,
     BinOp,
@@ -256,6 +256,37 @@ def test_print_parse_round_trip(node):
     assert {node: "value"}[reparsed] == "value"
 
 
+@settings(max_examples=300)
+@given(ast_nodes)
+def test_printer_agrees_with_the_recursive_oracle(node):
+    assert to_source(node) == oracle_to_source(node)
+
+
+def test_printer_renders_trees_5000_deep_at_the_default_recursion_limit():
+    x = Var("x")
+    neg = call = power = minus = x
+    for _ in range(5000):
+        neg, call = Neg(neg), Call("sin", call)
+        power, minus = BinOp("^", x, power), BinOp("-", x, minus)
+    for node, text in (
+        (neg, "-" * 5000 + "x"),
+        (call, "sin(" * 5000 + "x" + ")" * 5000),
+        (power, "x^" * 5000 + "x"),
+        (minus, "x - (" * 4999 + "x - x" + ")" * 4999),
+    ):
+        assert to_source(node) == text
+        assert str(EvalDomainError("division by zero", node)) == f"division by zero in {text!r}"
+        # the printer does not recurse; Python's own compile refuses the
+        # text (its tokenizer allows 200 nested parentheses), except that
+        # some versions compile 5,000 unary minuses
+        try:
+            evaluate = compile_float(node, ("x",))
+        except ValueError as exc:
+            assert str(exc) == "expression too deep to evaluate"
+        else:
+            assert node is neg and evaluate((0.5,)) == 0.5
+
+
 def test_nodes_of_different_types_never_compare_equal():
     x = Var("x")
     nodes = [Const(Fraction(1)), x, Neg(x), BinOp("*", x, x), Call("sin", x), Var("y"), BinOp("+", x, x)]
@@ -481,7 +512,7 @@ def test_compiled_evaluator_agrees_with_eval_float_on_random_asts(node, point):
     _assert_agrees(node, COMPILED_NAMES, point)
 
 
-@pytest.mark.parametrize("source", [
+WORKLOAD_SHAPES = [
     "sin(x)*exp(y)",
     "exp(x + y)*sin(z)",
     "(2*x - 0.5*y)*cos(z) + ln(abs(x) + 2)",
@@ -494,11 +525,19 @@ def test_compiled_evaluator_agrees_with_eval_float_on_random_asts(node, point):
     "-(x + y)^2/3",
     "1" + "0" * 400 + "*x*y",
     "x*y/1" + "0" * 400,
-])
+]
+
+
+@pytest.mark.parametrize("source", WORKLOAD_SHAPES)
 def test_compiled_evaluator_agrees_with_eval_float_on_workload_shapes(source):
     node = parse(source)
     for point in itertools.product((0, 1.0, -1, 0.25, -3.5), repeat=3):
         _assert_agrees(node, COMPILED_NAMES, point)
+
+
+@pytest.mark.parametrize("source", WORKLOAD_SHAPES)
+def test_printer_agrees_with_the_recursive_oracle_on_workload_shapes(source):
+    assert to_source(parse(source)) == oracle_to_source(parse(source))
 
 
 def test_leaves_the_generated_code_cannot_evaluate_replay():
@@ -590,7 +629,7 @@ def test_too_deep_expressions_raise_value_error():
     evaluate = compile_float(node, ("x",))
     # neither the generated code nor the replayed loop recurses per summand
     failing = compile_float(parse(" + ".join(["x"] * 600) + " + ln(x - 2)"), ("x",))
-    # the emitter walks a sum without recursing; Python's own compile
+    # the printer walks any tree without recursing; Python's own compile
     # refuses a line of 20,000 terms
     too_long = parse(" + ".join(["x"] * 20000))
     limit = sys.getrecursionlimit()
@@ -619,9 +658,14 @@ def test_generated_names_cannot_collide_with_variable_names():
 def test_compiled_evaluator_reads_positions():
     evaluate = compile_float(parse("x - y"), ("y", "x"))
     assert evaluate([2.0, float(10**17 + 1)]) == eval_float(parse("x - y"), {"x": 10**17 + 1, "y": 2})
-    # a point of another length fails the unpacking and replays the loop
-    with pytest.raises(UnboundVariableError, match="variable 'x' has no bound value"):
-        evaluate((2.0,))
+    # a point of another length fails the unpacking, and so does the replay
+    for point in ((2.0,), (2.0, 3.0, 4.0), ()):
+        with pytest.raises(ValueError, match="zip"):
+            evaluate(point)
+    # so does a nonempty point of a function of no names
+    assert compile_float(parse("2.5"), ())(()) == 2.5
+    with pytest.raises(ValueError, match="zip"):
+        compile_float(parse("2.5"), ())((1.0,))
     assert math.isnan(compile_float(parse("x*0"), ("x",))((math.inf,)))
     # a repeated name reads its last position, as dict(zip(names, point)) does
     assert compile_float(parse("x"), ("x", "x"))((1.0, 2.0)) == 2.0
