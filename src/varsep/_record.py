@@ -2,11 +2,13 @@
 
 AST nodes, partitions, grids and reports are plain classes whose fields are
 their `__slots__`, in order; this base gives them equality by type and
-fields, a hash consistent with it, a repr naming the fields, and the
-initialiser the reports use.  The AST nodes set their fields by hand, as
-the parser builds one per token and the generic initialiser doubles parse
-time; `Partition` and `SampleGrid` validate their input.  Records are
-immutable by convention: no code in the package mutates one.
+fields, a hash consistent with it, a repr naming the fields, and, to each
+subclass that writes no `__init__`, an initialiser generated from its
+`__slots__` when the class is created.  It is a plain `def` that assigns
+each field, the same code as one written by hand, so the parser builds its
+nodes at full speed and `inspect.signature` shows the fields.  Only
+`Partition` and `SampleGrid` write their own, to validate their input.
+Records are immutable by convention: no code in the package mutates one.
 """
 
 from __future__ import annotations
@@ -15,16 +17,15 @@ from __future__ import annotations
 class Record:
     __slots__ = ()
 
-    def __init__(self, *args, **kwargs):
-        """The fields from positional, then keyword arguments; TypeError on a missing, repeated or unknown one."""
-        names = self.__slots__
-        fields = dict(zip(names, args), **kwargs)
-        # all the fields, from exactly as many arguments: none missing, repeated or unknown
-        if len(args) + len(kwargs) != len(names) or fields.keys() != set(names):
-            raise TypeError(f"{type(self).__name__}() takes {', '.join(names)} once each;"
-                            f" got {len(args)} positional and {sorted(kwargs)} by keyword")
-        for name, value in fields.items():
-            setattr(self, name, value)
+    def __init_subclass__(cls):
+        if "__init__" not in vars(cls):
+            names = cls.__slots__
+            source = f"def __init__(self, {', '.join(names)}):" + "".join(f"\n    self.{name} = {name}" for name in names)
+            namespace = {}
+            exec(source, namespace)
+            cls.__init__ = namespace["__init__"]
+            # the name Python's own TypeError gives for a missing, repeated or unknown field
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _flat(self) -> list:
         """The type and fields of the record in preorder, nested records

@@ -200,8 +200,7 @@ def finest_partition(poly: Polynomial) -> SepMatrixReport:
             for j in range(i + 1, n):
                 if (i, j) not in witnesses and f * s2[i][j] != s1[i] * s1[j]:
                     witnesses[(i, j)] = point
-                    if uf.find(i) != uf.find(j):
-                        uf.union(i, j)
+                    if uf.union(i, j):
                         components -= 1
     partition = uf.partition()
     if components > 1 and _slice_identity(cleared, partition)[2] is not None:

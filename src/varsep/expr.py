@@ -90,10 +90,8 @@ class ParseError(Exception):
 
 # --------------------------------------------------------------------- AST
 
-# Values (see _record.Record).  The reports use the generic Record
-# initialiser; each node here keeps an __init__ that assigns its fields
-# directly, with no loop over __slots__, because the parser builds one node
-# per token and the generic initialiser doubles parse time.
+# Values (see _record.Record): each node's initialiser is generated from
+# its __slots__ and takes its fields in that order.
 
 
 class Const(Record):
@@ -102,39 +100,21 @@ class Const(Record):
 
     __slots__ = ("value",)
 
-    def __init__(self, value: int | Fraction):
-        self.value = value
-
 
 class Var(Record):
     __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
 
 
 class Neg(Record):
     __slots__ = ("operand",)
 
-    def __init__(self, operand: ExprNode):
-        self.operand = operand
-
 
 class BinOp(Record):
     __slots__ = ("op", "left", "right")
 
-    def __init__(self, op: str, left: ExprNode, right: ExprNode):
-        self.op = op
-        self.left = left
-        self.right = right
-
 
 class Call(Record):
     __slots__ = ("func", "arg")
-
-    def __init__(self, func: str, arg: ExprNode):
-        self.func = func
-        self.arg = arg
 
 
 ExprNode = Const | Var | Neg | BinOp | Call
@@ -227,7 +207,7 @@ class _Parser:
     and identifiers not followed by "(") itself; calls and groups go to
     `atom`.  The lookahead is the lexeme at the current index (see the
     module docstring).  Positions are computed only for an error, by
-    `error`."""
+    `_locate`."""
 
     def __init__(self, source: str, lexemes: list[str]):
         self.source = source
@@ -235,24 +215,19 @@ class _Parser:
         self.index = 0
         self.depth = 0
 
-    def error(self, message: str, index: int) -> ParseError:
-        """A ParseError at the token at `index`, or at the end of the input
-        for the lexeme after the last token."""
-        return _locate(self.source, index, message)
-
     def expect(self, lexeme: str) -> None:
         index = self.index
         found = self.lexemes[index]
         if found != lexeme:
             if found == _END:
-                raise self.error(f"expected {lexeme!r} before end of input", index)
-            raise self.error(f"expected {lexeme!r}, found {found!r}", index)
+                raise _locate(self.source, index, f"expected {lexeme!r} before end of input")
+            raise _locate(self.source, index, f"expected {lexeme!r}, found {found!r}")
         self.index = index + 1
 
     def nested(self, opener: int, parse_inner: Callable[..., ExprNode], *args) -> ExprNode:
         """Parse one nesting level, opened by the token at index `opener`."""
         if self.depth == MAX_NESTING:
-            raise self.error(f"nesting deeper than {MAX_NESTING} levels", opener)
+            raise _locate(self.source, opener, f"nesting deeper than {MAX_NESTING} levels")
         self.depth += 1
         node = parse_inner(*args)
         self.depth -= 1
@@ -261,7 +236,7 @@ class _Parser:
     def parse(self) -> ExprNode:
         node = self.sum_expr()
         if (lexeme := self.lexemes[self.index]) != _END:
-            raise self.error(f"unexpected token {lexeme!r}", self.index)
+            raise _locate(self.source, self.index, f"unexpected token {lexeme!r}")
         return node
 
     def sum_expr(self) -> ExprNode:
@@ -316,16 +291,17 @@ class _Parser:
             self.expect(")")
             return node
         if lexeme == _END:
-            raise self.error("unexpected end of input", index)
+            raise _locate(self.source, index, "unexpected end of input")
         if lexeme[0].isalpha():
             # factor reads an identifier not followed by "(" itself
             if lexeme not in SUPPORTED_FUNCTIONS:
-                raise self.error(f"unknown function {lexeme!r} (supported: {', '.join(SUPPORTED_FUNCTIONS)})", index)
+                message = f"unknown function {lexeme!r} (supported: {', '.join(SUPPORTED_FUNCTIONS)})"
+                raise _locate(self.source, index, message)
             self.index = index + 2
             arg = self.nested(index + 1, self.sum_expr)
             self.expect(")")
             return Call(lexeme, arg)
-        raise self.error(f"unexpected token {lexeme!r}", index)
+        raise _locate(self.source, index, f"unexpected token {lexeme!r}")
 
 
 def parse(source: str) -> ExprNode:

@@ -72,10 +72,11 @@ class UnionFind:
             self.parent[i], i = root, self.parent[i]
         return root
 
-    def union(self, a: int, b: int) -> None:
+    def union(self, a: int, b: int) -> bool:
+        """Join the components of `a` and `b`; whether they were apart."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+        self.parent[rb] = ra  # a root is its own parent, so no change when ra == rb
+        return ra != rb
 
     def partition(self) -> Partition:
         groups: dict[int, list[int]] = {}

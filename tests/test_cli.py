@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import P43_FACTOR_X, P43_FACTOR_Y, build_p43, oracle_additive
-from test_expr import monomial_sums, poly_asts
+from test_expr import ast_nodes, monomial_sums, poly_asts
 import varsep
 from varsep import exact, parse_polynomial
 from varsep.cli import build_parser, run
@@ -674,6 +674,51 @@ def test_fuzzed_argv_never_crashes(capsys):
         code = run(argv)
         capsys.readouterr()
         assert code in (0, 1, 2, 3, 4), argv
+
+
+def _strict_json(text):
+    """The payload of a JSON line; NaN and Infinity are not JSON."""
+    def reject(constant):
+        raise ValueError(f"invalid JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def _assert_exit_contract(command, fmt, source):
+    """Run one query and check the exit-code contract of the module docstring."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([command, "--format", fmt, "--", source])
+    out, err = out.getvalue(), err.getvalue()
+    # never 4: the two exact routes of check agree, and output is written
+    assert code in (0, 1, 2, 3), (source, code, err)
+    assert code != 1 or command in ("check", "separate"), (source, err)
+    assert "Traceback" not in err, err
+    if code and not (command == "check" and code == 1):
+        assert out == "", (source, out)
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (source, err)
+    else:
+        assert err == "" and out.endswith("\n"), (source, out, err)
+        if fmt == "json":
+            assert _strict_json(out)["schema"] == "varsep/1"
+
+
+# polynomials, and polynomials plus or times a factor lowering refuses
+exact_inputs = st.one_of(
+    poly_asts,
+    st.tuples(st.sampled_from("+*"), poly_asts, st.sampled_from(_BROKEN)).map(lambda t: BinOp(*t)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_inputs, st.sampled_from(["check", "separate", "partition"]), st.sampled_from(["text", "json"]))
+def test_exact_commands_keep_the_exit_code_contract(node, command, fmt):
+    _assert_exit_contract(command, fmt, to_source(node))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ast_nodes, st.sampled_from(["text", "json"]))
+def test_numeric_keeps_the_exit_code_contract(node, fmt):
+    _assert_exit_contract("numeric", fmt, to_source(node))
 
 
 def test_console_script_entry_point():

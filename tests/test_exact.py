@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import pickle
 import random
@@ -12,7 +13,6 @@ from conftest import (
     P43_FACTOR_Y,
     P234_FACTORS,
     all_partitions,
-    default_grid,
     degree_vector,
     embed,
     evaluate,
@@ -40,12 +40,12 @@ from varsep import (
     additive_separability,
     coeff_criterion_total,
     finest_partition,
-    parse,
     parse_polynomial,
     sep_matrix_entry,
     separate_by_partition,
 )
-from varsep import exact, numeric
+from varsep import exact
+from varsep._record import Record
 from varsep.partition import UnionFind
 
 
@@ -129,24 +129,36 @@ def test_partitions_and_reports_compare_as_values():
     assert SeparationResult(result.constant * 2, result.factors, True) != result
 
 
-def _reports():
-    """One report of each kind, as the routes build them."""
-    return [
-        finest_partition(FOUR_VAR_PRODUCT),
-        separate_by_partition(P("6*x*y"), Partition.singletons(2)),
-        numeric.numeric_finest_partition(parse("x*y + x"), default_grid(2), names=("x", "y")),
-    ]
+def _writes_its_initialiser(kind):
+    """Whether the class's __init__ is written in its module, not generated by Record."""
+    return kind.__init__.__code__.co_filename == inspect.getsourcefile(kind)
 
 
-@pytest.mark.parametrize("report", _reports(), ids=lambda r: type(r).__name__)
-def test_reports_are_built_positionally_or_by_keyword(report):
-    kind, names = type(report), type(report).__slots__
-    assert "__init__" not in vars(kind)
-    fields = [getattr(report, name) for name in names]
-    assert kind(*fields) == report
-    assert kind(**dict(zip(names, fields))) == report
-    assert kind(*fields[:1], **dict(zip(names[1:], fields[1:]))) == report
-    assert all(f"{name}: " in kind.__doc__ for name in names)  # the docstring types each field
+# every record class in the package whose initialiser Record generates
+# from its __slots__: the AST nodes and the reports
+_GENERATED = [kind for kind in Record.__subclasses__()
+              if kind.__module__.startswith("varsep.") and not _writes_its_initialiser(kind)]
+
+
+def test_only_partition_and_sample_grid_write_an_initialiser():
+    assert "__init__" not in vars(Record)
+    written = {kind.__name__ for kind in Record.__subclasses__() if _writes_its_initialiser(kind)}
+    assert written == {"Partition", "SampleGrid"}
+    assert {kind.__name__ for kind in _GENERATED} == {
+        "Const", "Var", "Neg", "BinOp", "Call", "SepMatrixReport", "SeparationResult", "NumericVerdict"}
+
+
+@pytest.mark.parametrize("kind", _GENERATED, ids=lambda kind: kind.__name__)
+def test_reports_are_built_positionally_or_by_keyword(kind):
+    names = kind.__slots__
+    assert str(inspect.signature(kind)) == f"({', '.join(names)})"
+    fields = [f"{name} {k}" for k, name in enumerate(names)]  # a distinct value per field
+    record = kind(*fields)
+    assert [getattr(record, name) for name in names] == fields
+    assert kind(**dict(zip(names, fields))) == record
+    assert kind(*fields[:1], **dict(zip(names[1:], fields[1:]))) == record
+    if kind.__module__ != "varsep.expr":
+        assert all(f"{name}: " in kind.__doc__ for name in names)  # a report's docstring types each field
     wrong_calls = [
         lambda: kind(*fields[:-1]),  # missing
         lambda: kind(**dict(zip(names[1:], fields[1:]))),  # missing, by keyword
@@ -156,8 +168,17 @@ def test_reports_are_built_positionally_or_by_keyword(report):
         lambda: kind(*fields, 1),  # one positional too many
     ]
     for call in wrong_calls:
-        with pytest.raises(TypeError, match=rf"^{kind.__name__}\(\) takes {', '.join(names)} once each"):
+        with pytest.raises(TypeError, match=rf"^{kind.__name__}\.__init__\(\) "):
             call()
+
+
+def test_union_says_whether_it_joined_two_components():
+    uf = UnionFind(3)
+    assert uf.union(0, 1) is True
+    assert uf.union(1, 0) is False
+    assert uf.union(2, 1) is True
+    assert uf.union(0, 2) is False
+    assert uf.partition() == Partition(((0, 1, 2),))
 
 
 # --------------------------------------------------------------------- finest partition
