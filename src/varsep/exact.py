@@ -26,14 +26,17 @@ The differential route decides pairs by exact evaluation (Schwartz, J. ACM
   the finest one.  When the slice identity shows that F separates by that
   partition, no further edge exists.  This is the coefficient route's
   identity, so the two routes rest on separate arguments only where a
-  witness or the fallback decides;
+  witness or the fallback decides.  The next point is skipped once the
+  identity certifies and every pair inside a block has a witness: the
+  cross-block entries vanish identically, so it could add nothing;
 * fallback: otherwise the symbolic entry F*F_ij - F_i*F_j decides every pair
   the witnesses left open, so the route never rests on chance.
 
 The same slice identity yields the factors through `separate_by_partition`,
 for singletons (total separation) and for any partition alike.  It compares
 every coefficient, so an emitted factorization multiplies back to F by
-construction.
+construction.  One certificate per polynomial object and partition is
+shared by finest_partition, separate_by_partition and coeff_criterion_total.
 
 Both the witnesses and the slice identity run on Python integers: F is
 scaled once by D, the lcm of its coefficient denominators.  Both sides of
@@ -187,7 +190,7 @@ def finest_partition(poly: Polynomial) -> SepMatrixReport:
     components.
     """
     n = poly.var_count
-    _, cleared = _cleared(poly)
+    cleared = _certificate(poly)[1]
     terms = [(c, [(i, e) for i, e in enumerate(exps) if e]) for exps, c in cleared.items()]
     uf = UnionFind(n)
     components = n
@@ -202,8 +205,12 @@ def finest_partition(poly: Polynomial) -> SepMatrixReport:
                     witnesses[(i, j)] = point
                     if uf.union(i, j):
                         components -= 1
+        partition = uf.partition()
+        if (components > 1 and len(witnesses) == sum(len(b) * (len(b) - 1) // 2 for b in partition.blocks)
+                and _certificate(poly, partition)[4] is None):
+            break
     partition = uf.partition()
-    if components > 1 and _slice_identity(cleared, partition)[2] is not None:
+    if components > 1 and _certificate(poly, partition)[4] is not None:
         for i in range(n):
             for j in range(i + 1, n):
                 if uf.find(i) != uf.find(j) and not sep_matrix_entry(poly, i, j).is_zero:
@@ -218,6 +225,25 @@ def _cleared(poly: Polynomial) -> tuple[int, dict[tuple[int, ...], int]]:
     _require_nonzero(poly)
     scale = math.lcm(*(c.denominator for c in poly.terms.values()))
     return scale, {exps: c.numerator * (scale // c.denominator) for exps, c in poly.terms.items()}
+
+
+# (F, D, G, partition, identity) for the last F, swapped whole so any thread
+# reads one entry; it holds F, so no new object can match F's id
+_last = (None,) * 5
+
+
+def _certificate(poly: Polynomial, partition: Partition | None = None):
+    """(D, G, L, slices, violation): `_cleared` and, by a partition,
+    `_slice_identity`, each computed once per polynomial object and partition."""
+    global _last
+    last, scale, cleared, certified, identity = _last
+    if last is not poly:
+        scale, cleared = _cleared(poly)
+        certified, identity = None, (None,) * 3
+    if partition is not None and partition != certified:
+        certified, identity = partition, _slice_identity(cleared, partition)
+    _last = (poly, scale, cleared, certified, identity)
+    return (scale, cleared, *identity)
 
 
 def _slice_identity(
@@ -317,7 +343,7 @@ def coeff_criterion_total(poly: Polynomial) -> tuple[int, ...] | None:
     nonzero or, when every slice product vanishes too, the absent leading
     monomial x_1^N_1...x_n^N_n, which a totally separable F contains.
     """
-    return _slice_identity(_cleared(poly)[1], Partition.singletons(poly.var_count))[2]
+    return _certificate(poly, Partition.singletons(poly.var_count))[4]
 
 
 def separate_by_partition(poly: Polynomial, partition: Partition) -> SeparationResult:
@@ -334,11 +360,11 @@ def separate_by_partition(poly: Polynomial, partition: Partition) -> SeparationR
     separate it raises NotSeparableError carrying the partition and the
     violation; nothing else is derived on that path.
     """
-    scale, cleared = _cleared(poly)
+    _require_nonzero(poly)
     n = poly.var_count
     if partition.var_count != n:
         raise ValueError(f"partition covers {partition.var_count} variables, polynomial has {n}")
-    leading, slices, violation = _slice_identity(cleared, partition)
+    scale, _, leading, slices, violation = _certificate(poly, partition)
     if violation is not None:
         raise NotSeparableError(partition, violation)
     return _factors(poly, partition, scale, leading, slices)

@@ -637,13 +637,13 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
     single product is a sum of one), added into one term map, and each
     summand is a product walked left factor first.  Constants, registered
     variables and unary minus fold into the summand's one term.  A divisor,
-    the base of a ^ and a parenthesised sum are lowered by the same walk; a
-    result of one term folds in, and only results of more terms are
-    multiplied out.  Powers go through Polynomial.__pow__, so x^k costs
-    k - 1 products, on purpose until the benchmark's deadline test gets a
-    stall of its own (ROADMAP item 1).  Each error is raised when its factor
-    is visited: a divisor before its dividend, an exponent before its base,
-    a left factor before a right one.
+    the base of a ^ (unless a registered variable, its own one term) and a
+    parenthesised sum are lowered by the same walk; a result of one term
+    folds in, and only results of more terms are multiplied out.  x^k costs
+    the k - 1 products of Polynomial.__pow__, on purpose until the
+    benchmark's deadline test gets a stall of its own (ROADMAP item 1a).
+    Each error is raised when its factor is visited: a divisor before its
+    dividend, an exponent before its base, a left factor before a right one.
 
     Coefficients are folded as Python ints while they are integers: integer
     literals are ints, a folded factor whose coefficient is 1 costs no
@@ -710,7 +710,11 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
                 if f.op == "^":
                     if not isinstance(f.right, Const) or f.right.value.denominator != 1:
                         raise LoweringError("exponent must be a nonnegative integer literal", f)
-                    factor = lower(f.left) ** int(f.right.value)
+                    if isinstance(f.left, Var) and (k := slots.get(f.left.name)) is not None:
+                        base = Polynomial._trusted(names, {(0,) * k + (1,) + (0,) * (len(names) - k - 1): 1})
+                    else:
+                        base = lower(f.left)
+                    factor = base ** int(f.right.value)
                 else:
                     factor = lower(f)
                 if len(factor.terms) == 1:

@@ -4,8 +4,9 @@ re-multiplication), random generators, the default numeric sample grid, the
 coarsening order on partitions, the margin-identity brute-force
 oracle used to cross-check partition logic, a factor-by-factor lowering
 oracle, a recursive float evaluator, a recursive printer, a character-loop
-lexer and a method-per-token parser for the expression front end, and the
-slice identity on Fraction coefficients."""
+lexer and a method-per-token parser for the expression front end, the
+slice identity on Fraction coefficients, and the witness loop that evaluates
+every witness point before it certifies."""
 
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from varsep.expr import (
     UnboundVariableError,
     Var,
 )
-from varsep import expr
+from varsep import exact, expr
 from varsep.numeric import (
     DEGENERACY_FLOOR,
     PRODUCT_NOISE_RELATIVE_FLOOR,
@@ -813,3 +814,35 @@ def oracle_slice_factors(poly: Polynomial, partition: Partition) -> SeparationRe
         constant *= lead
         factors.append((block, raw / lead))
     return SeparationResult(constant=constant, factors=tuple(factors), verified=True)
+
+
+# --------------------------------------------------------------------- witness oracle
+
+
+def oracle_witnessed_partition(poly: Polynomial):
+    """(partition, witnesses) as `exact.finest_partition` gives them, by the
+    plain loop: every witness point is evaluated until one component is
+    left, and only then is the witnessed partition certified by the slice
+    identity, with the symbolic entries deciding the open pairs when it
+    fails.  It calls `exact._cleared` and `exact._slice_identity` directly,
+    so it shares no certificate with the code under test."""
+    n = poly.var_count
+    _, cleared = exact._cleared(poly)
+    terms = [(c, [(i, e) for i, e in enumerate(exps) if e]) for exps, c in cleared.items()]
+    uf = UnionFind(n)
+    witnesses = {}
+    for point in exact._witness_points(n):
+        if len({uf.find(i) for i in range(n)}) == 1:
+            break
+        f, s1, s2 = exact._pair_sums(terms, point, n)
+        for i, j in itertools.combinations(range(n), 2):
+            if (i, j) not in witnesses and f * s2[i][j] != s1[i] * s1[j]:
+                witnesses[(i, j)] = point
+                uf.union(i, j)
+    partition = uf.partition()
+    if partition.block_count > 1 and exact._slice_identity(cleared, partition)[2] is not None:
+        for i, j in itertools.combinations(range(n), 2):
+            if uf.find(i) != uf.find(j) and not exact.sep_matrix_entry(poly, i, j).is_zero:
+                uf.union(i, j)
+        partition = uf.partition()
+    return partition, witnesses

@@ -2,11 +2,16 @@ import inspect
 import itertools
 import pickle
 import random
+import sys
+import threading
 import time
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     P43_FACTOR_X,
@@ -24,6 +29,7 @@ from conftest import (
     oracle_partition_valid,
     oracle_slice_factors,
     oracle_slice_identity,
+    oracle_witnessed_partition,
     rand_block_separable,
     rand_poly,
     rand_separable_product,
@@ -366,6 +372,85 @@ def test_witness_points_where_f_vanishes(monkeypatch):
     assert report.partition.is_all_singletons
     assert report.witnesses == {}
     assert sep_matrix_entry(product, 0, 1).is_zero
+
+
+@st.composite
+def block_products(draw):
+    """Products of 1-4 factors over disjoint variable sets (n <= 6), some
+    perturbed by one term that mixes two factors' variables."""
+    n = draw(st.integers(1, 6))
+    owner = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    names = tuple(f"x{i}" for i in range(n))
+    poly = Polynomial.constant(1, names)
+    for k in sorted(set(owner)):
+        block = tuple(names[i] for i in range(n) if owner[i] == k)
+        exps = st.tuples(*(st.integers(0, 2) for _ in block))
+        terms = draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=3))
+        poly = poly * embed(Polynomial(block, terms), names)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if owner[i] != owner[j]:
+            cross = [0] * n
+            cross[i], cross[j] = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+            poly = poly + Polynomial(names, {tuple(cross): draw(st.integers(-3, 3).filter(bool))})
+    assume(not poly.is_zero)
+    return poly
+
+
+# coordinates of +-1 make pair values vanish often, so the second point
+# and the symbolic fallback run too
+_missing_points = st.lists(st.tuples(*[st.sampled_from((-1, 1))] * 6), min_size=2, max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_products(), st.one_of(st.none(), _missing_points))
+def test_finest_partition_matches_the_oracle_that_evaluates_every_point(poly, points):
+    points = exact._witness_points(poly.var_count) if points is None else [p[:poly.var_count] for p in points]
+    with mock.patch.object(exact, "_witness_points", lambda n: points):
+        report = finest_partition(poly)
+        partition, witnesses = oracle_witnessed_partition(poly)
+    assert report.partition == partition
+    assert list(report.witnesses.items()) == list(witnesses.items())
+
+
+def _count_pair_sums(monkeypatch):
+    calls = []
+    original = exact._pair_sums
+
+    def counting(terms, point, n):
+        calls.append(point)
+        return original(terms, point, n)
+
+    monkeypatch.setattr(exact, "_pair_sums", counting)
+    return calls
+
+
+@pytest.mark.parametrize("source, vars", [
+    ("(x1*x2 + 1)*(x3 + x4)", ("x1", "x2", "x3", "x4")),
+    ("(x + 1)*(y - 2)*(z^2 + 3)", ("x", "y", "z")),
+])
+def test_a_certified_first_point_with_every_block_pair_witnessed_is_the_only_one(source, vars, monkeypatch):
+    calls = _count_pair_sums(monkeypatch)
+    poly = P(source, vars)
+    report = finest_partition(poly)
+    assert calls == [exact._witness_points(len(vars))[0]]
+    assert (report.partition, report.witnesses) == oracle_witnessed_partition(poly)
+
+
+def test_the_second_point_runs_when_the_first_misses_a_pair_inside_a_block(monkeypatch):
+    # for g = x*y + y*z + x*z + 1 the pair entries are G_xy = 1 - z^2,
+    # G_yz = 1 - x^2 and G_xz = 1 - y^2, so y = 1 hides the edge (x, z); the
+    # first point still joins x, y, z, and the slice identity certifies
+    # {x,y,z} {w}, but the second point must witness (x, z)
+    first, second = (2, 1, 3, 5), (3, 2, 5, 7)
+    monkeypatch.setattr(exact, "_witness_points", lambda n: (first, second))
+    calls = _count_pair_sums(monkeypatch)
+    poly = P("(x*y + y*z + x*z + 1)*(w + 2)", ("x", "y", "z", "w"))
+    report = finest_partition(poly)
+    assert calls == [first, second]
+    assert report.partition.blocks == ((0, 1, 2), (3,))
+    assert report.witnesses == {(0, 1): first, (1, 2): first, (0, 2): second}
+    assert (report.partition, report.witnesses) == oracle_witnessed_partition(poly)
 
 
 def test_separate_by_partition_does_not_derive_the_finest_partition(monkeypatch):
@@ -752,6 +837,108 @@ def test_not_separable_error_carries_the_oracle_violation():
         else:
             kinds["blocks"] += 1
     assert min(kinds.values()) >= 60, kinds
+
+
+# --------------------------------------------------------------------- the shared certificate
+
+
+def _separation_or_violation(poly, partition):
+    try:
+        result = separate_by_partition(poly, partition)
+    except NotSeparableError as error:
+        assert error.partition == partition
+        return error.violation
+    return result.constant, result.factors
+
+
+def _oracle_separation_or_violation(poly, partition):
+    expected = oracle_slice_factors(poly, partition)
+    if expected is None:
+        return oracle_slice_identity(poly, partition)[2]
+    return expected.constant, expected.factors
+
+
+def test_interleaved_polynomials_and_partitions_get_their_own_certificates():
+    names = ("x1", "x2", "x3", "x4")
+    polys = [FOUR_VAR_PRODUCT, P("(x1 + 2)*(x2*x3 - 1)*(x4 + 3)", names)]
+    partitions = [Partition(((0, 1), (2, 3))), Partition(((0,), (1, 2), (3,)))]
+    expected = {(a, b): _oracle_separation_or_violation(polys[a], partitions[b]) for a in range(2) for b in range(2)}
+    # two of the four pairs separate
+    assert sum(isinstance(v, tuple) and isinstance(v[0], Fraction) for v in expected.values()) == 2
+    for a, b in [(0, 0), (1, 0), (0, 1), (1, 1), (1, 1), (0, 0), (0, 1), (1, 0), (0, 0)]:
+        assert _separation_or_violation(polys[a], partitions[b]) == expected[(a, b)], (a, b)
+        assert coeff_criterion_total(polys[a]) == oracle_slice_identity(polys[a], Partition.singletons(4))[2]
+
+
+def test_an_equal_but_distinct_polynomial_is_certified_afresh(monkeypatch):
+    calls = []
+    original = exact._slice_identity
+
+    def counting(cleared, partition):
+        calls.append(partition)
+        return original(cleared, partition)
+
+    monkeypatch.setattr(exact, "_slice_identity", counting)
+    source, names = "(x1*x2 + 1)*(x3 + x4)", ("x1", "x2", "x3", "x4")
+    first, second = P(source, names), P(source, names)
+    assert first == second and first is not second
+    partition = Partition(((0, 1), (2, 3)))
+    expected = _oracle_separation_or_violation(first, partition)
+    assert _separation_or_violation(first, partition) == expected
+    assert _separation_or_violation(first, partition) == expected
+    assert len(calls) == 1
+    assert _separation_or_violation(second, partition) == expected
+    assert len(calls) == 2
+    # the factor step: finest_partition certifies, separate_by_partition reuses it
+    report = finest_partition(first)
+    assert report.partition == partition
+    assert _separation_or_violation(first, report.partition) == expected
+    assert len(calls) == 3
+
+
+def test_a_failing_partition_raises_the_same_violation_on_every_call():
+    wrong = Partition(((0, 2), (1, 3)))
+    violation = oracle_slice_identity(FOUR_VAR_PRODUCT, wrong)[2]
+    for _ in range(3):
+        with pytest.raises(NotSeparableError) as info:
+            separate_by_partition(FOUR_VAR_PRODUCT, wrong)
+        assert (info.value.partition, info.value.violation) == (wrong, violation)
+    # a certified report of the same polynomial between the calls changes nothing
+    assert finest_partition(FOUR_VAR_PRODUCT).partition == Partition(((0, 1), (2, 3)))
+    with pytest.raises(NotSeparableError) as info:
+        separate_by_partition(FOUR_VAR_PRODUCT, wrong)
+    assert info.value.violation == violation
+
+
+def test_threads_separating_their_own_polynomials_see_only_their_own_factors():
+    # four threads, each with its own polynomial, interleaved by a short switch interval
+    names = ("x", "y", "z")
+    polys = [P(source, names) for source in (
+        "(x + 1)*(y - 2)*(z + 3)", "(2*x^2 - 1)*(y^3 + y)*(5*z - 7)", "x + y*z", "(x^2 + 3)*(y*z - 1)")]
+    partition = Partition.singletons(3)
+    expected = [_oracle_separation_or_violation(poly, partition) for poly in polys]
+    assert len({repr(e) for e in expected}) == len(polys)
+    seen = [[] for _ in polys]
+    start = threading.Barrier(len(polys))
+
+    def work(k):
+        start.wait(timeout=10)
+        for _ in range(200):
+            seen[k].append(_separation_or_violation(polys[k], partition))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(polys))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so they interleave
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k in range(len(polys)):
+        assert len(seen[k]) == 200 and all(result == expected[k] for result in seen[k]), k
 
 
 # --------------------------------------------------------------------- integer slice identity

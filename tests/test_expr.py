@@ -916,6 +916,39 @@ def test_lowering_error_messages_and_which_error_wins(source, message):
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("source, names", [
+    ("x^0", ("x",)),
+    ("x^0", ("x", "y")),
+    ("x^3*y^2", ("x", "y")),
+    ("y^2*x^3", ("x", "y")),
+    ("(x)^2", ("x", "y")),
+    ("2*x^3 - (y)^2/3 + x^0*y", ("y", "x")),
+])
+def test_a_variable_base_lowers_as_the_factor_by_factor_oracle(source, names):
+    from conftest import oracle_lower
+
+    node = parse(source)
+    lowered, expected = lower_to_polynomial(node, names), oracle_lower(node, names)
+    assert lowered == expected and str(lowered) == str(expected)
+    assert all(type(c) is Fraction for c in lowered.terms.values())
+
+
+@pytest.mark.parametrize("node, error, message", [
+    (parse("z^2"), LoweringError, "unregistered variable 'z'"),
+    (parse("x*z^2"), LoweringError, "unregistered variable 'z'"),
+    (parse("x^2.5"), LoweringError, "exponent must be a nonnegative integer literal in 'x^2.5'"),
+    # the exponent is checked before the base
+    (parse("z^2.5"), LoweringError, "exponent must be a nonnegative integer literal in 'z^2.5'"),
+    # a library-built negative exponent reaches Polynomial.__pow__ (ROADMAP item 2's pitfall)
+    (BinOp("^", Var("x"), Const(-2)), ValueError, "polynomial exponent must be a nonnegative integer, got -2"),
+    (BinOp("^", Var("z"), Const(-2)), LoweringError, "unregistered variable 'z'"),
+])
+def test_a_variable_base_raises_as_before(node, error, message):
+    with pytest.raises((LoweringError, ValueError)) as raised:
+        lower_to_polynomial(node, ("x", "y"))
+    assert type(raised.value) is error and str(raised.value) == message
+
+
 # --------------------------------------------------------------------- residues
 
 
