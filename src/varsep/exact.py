@@ -26,9 +26,9 @@ The differential route decides pairs by exact evaluation (Schwartz, J. ACM
   the finest one.  When the slice identity shows that F separates by that
   partition, no further edge exists.  This is the coefficient route's
   identity, so the two routes rest on separate arguments only where a
-  witness or the fallback decides.  The next point is skipped once the
-  identity certifies and every pair inside a block has a witness: the
-  cross-block entries vanish identically, so it could add nothing;
+  witness or the fallback decides.  After each point, stop at one block,
+  or once every pair inside a block has a witness and the identity
+  certifies: cross-block entries then vanish, so no point could add more;
 * fallback: otherwise the symbolic entry F*F_ij - F_i*F_j decides every pair
   the witnesses left open, so the route never rests on chance.
 
@@ -183,34 +183,31 @@ def finest_partition(poly: Polynomial) -> SepMatrixReport:
     components.  F separates according to a partition Q if and only if Q is
     a coarsening of the result.
 
-    Edges are found by exact evaluation at the witness points.  When the
-    witnessed partition has more than one block, F is checked to separate by
-    it with the slice identity (see `separate_by_partition`); if it does
-    not, the symbolic entry decides every pair still in different
-    components.
+    Edges are found by exact evaluation at the witness points.  After each
+    point, stop at one block, or when every pair inside a block has a
+    witness and F separates by the partition (the slice identity, see
+    `separate_by_partition`); if it does not after the last point, the
+    symbolic entry decides every pair still in different components.
     """
     n = poly.var_count
     cleared = _certificate(poly)[1]
+    if n < 2:  # no pair to test
+        return SepMatrixReport(names=poly.vars, partition=Partition.singletons(n), witnesses={})
     terms = [(c, [(i, e) for i, e in enumerate(exps) if e]) for exps, c in cleared.items()]
     uf = UnionFind(n)
-    components = n
     witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
     for point in _witness_points(n):
-        if components == 1:
-            break
         f, s1, s2 = _pair_sums(terms, point, n)
         for i in range(n):
             for j in range(i + 1, n):
                 if (i, j) not in witnesses and f * s2[i][j] != s1[i] * s1[j]:
                     witnesses[(i, j)] = point
-                    if uf.union(i, j):
-                        components -= 1
+                    uf.union(i, j)
         partition = uf.partition()
-        if (components > 1 and len(witnesses) == sum(len(b) * (len(b) - 1) // 2 for b in partition.blocks)
-                and _certificate(poly, partition)[4] is None):
+        block_pairs = sum(len(b) * (len(b) - 1) // 2 for b in partition.blocks)
+        if partition.block_count == 1 or len(witnesses) == block_pairs and _certificate(poly, partition)[4] is None:
             break
-    partition = uf.partition()
-    if components > 1 and _certificate(poly, partition)[4] is not None:
+    if partition.block_count > 1 and _certificate(poly, partition)[4] is not None:
         for i in range(n):
             for j in range(i + 1, n):
                 if uf.find(i) != uf.find(j) and not sep_matrix_entry(poly, i, j).is_zero:

@@ -1,4 +1,7 @@
-"""Partitions of variable indices and the union-find used to derive them."""
+"""Partitions of variable indices and the union-find used to derive them.
+
+`UnionFind.partition` hands out the normal form directly: its ascending
+scan yields sorted blocks ordered by their smallest member."""
 
 from __future__ import annotations
 
@@ -72,14 +75,13 @@ class UnionFind:
             self.parent[i], i = root, self.parent[i]
         return root
 
-    def union(self, a: int, b: int) -> bool:
-        """Join the components of `a` and `b`; whether they were apart."""
+    def union(self, a: int, b: int) -> None:
+        """Join the components of `a` and `b`."""
         ra, rb = self.find(a), self.find(b)
         self.parent[rb] = ra  # a root is its own parent, so no change when ra == rb
-        return ra != rb
 
     def partition(self) -> Partition:
         groups: dict[int, list[int]] = {}
         for i in range(len(self.parent)):
             groups.setdefault(self.find(i), []).append(i)
-        return Partition.from_blocks(groups.values())
+        return Partition(tuple(map(tuple, groups.values())))

@@ -318,7 +318,8 @@ def oracle_lower(node, names) -> Polynomial:
     constant 1.  It raises LoweringError with the messages of
     `lower_to_polynomial`, in the same order: a divisor is checked before
     its dividend, an exponent before its base, a left factor before a right
-    one."""
+    one.  A negative exponent, after its base, raises the ValueError of
+    `Polynomial.__pow__`."""
     names = tuple(names)
 
     def walk(e) -> Polynomial:
@@ -337,8 +338,11 @@ def oracle_lower(node, names) -> Polynomial:
             if not isinstance(e.right, Const) or e.right.value.denominator != 1:
                 raise LoweringError("exponent must be a nonnegative integer literal", e)
             base = walk(e.left)
+            k = int(e.right.value)
+            if k < 0:  # the parser makes no negative literal, but a library-built tree can
+                raise ValueError(f"polynomial exponent must be a nonnegative integer, got {k!r}")
             result = Polynomial.constant(1, names)
-            for _ in range(int(e.right.value)):
+            for _ in range(k):
                 result = result * base
             return result
         if e.op == "/":

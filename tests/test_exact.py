@@ -7,7 +7,6 @@ import threading
 import time
 from collections import Counter
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -178,13 +177,44 @@ def test_reports_are_built_positionally_or_by_keyword(kind):
             call()
 
 
-def test_union_says_whether_it_joined_two_components():
-    uf = UnionFind(3)
-    assert uf.union(0, 1) is True
-    assert uf.union(1, 0) is False
-    assert uf.union(2, 1) is True
-    assert uf.union(0, 2) is False
-    assert uf.partition() == Partition(((0, 1, 2),))
+@st.composite
+def union_sequences(draw):
+    n = draw(st.integers(0, 8))
+    index = st.integers(0, max(n - 1, 0))
+    return n, draw(st.lists(st.tuples(index, index), max_size=12 if n else 0))
+
+
+def _components_by_search(n, edges):
+    """The connected components of the graph on 0..n-1, by breadth-first search."""
+    neighbours = {i: set() for i in range(n)}
+    for a, b in edges:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    seen, components = set(), []
+    for start in range(n):
+        if start not in seen:
+            seen.add(start)
+            component = [start]
+            for i in component:  # the list grows while it is walked: a queue
+                for j in neighbours[i] - seen:
+                    seen.add(j)
+                    component.append(j)
+            components.append(component)
+    return components
+
+
+@settings(max_examples=300, deadline=None)
+@given(union_sequences())
+def test_union_find_partition_is_the_normal_form_of_the_components(drawn):
+    n, edges = drawn
+    uf = UnionFind(n)
+    for a, b in edges:
+        assert uf.union(a, b) is None
+    partition = uf.partition()
+    assert partition == Partition.from_blocks(_components_by_search(n, edges))
+    # the scan already gives sorted blocks in order of their smallest member
+    assert partition.blocks == tuple(sorted((tuple(sorted(b)) for b in partition.blocks), key=min))
+    assert all(type(b) is tuple for b in partition.blocks)
 
 
 # --------------------------------------------------------------------- finest partition
@@ -402,27 +432,33 @@ def block_products(draw):
 _missing_points = st.lists(st.tuples(*[st.sampled_from((-1, 1))] * 6), min_size=2, max_size=2)
 
 
+def _second_arguments(monkeypatch, name):
+    """Patch `exact.<name>` to record the second argument of each call: the
+    point of `_pair_sums`, the partition of `_slice_identity`."""
+    calls = []
+    original = getattr(exact, name)
+
+    def recording(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(exact, name, recording)
+    return calls
+
+
 @settings(max_examples=300, deadline=None)
 @given(block_products(), st.one_of(st.none(), _missing_points))
 def test_finest_partition_matches_the_oracle_that_evaluates_every_point(poly, points):
     points = exact._witness_points(poly.var_count) if points is None else [p[:poly.var_count] for p in points]
-    with mock.patch.object(exact, "_witness_points", lambda n: points):
-        report = finest_partition(poly)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_witness_points", lambda n: points)
         partition, witnesses = oracle_witnessed_partition(poly)
+        identities = _second_arguments(patch, "_slice_identity")
+        report = finest_partition(poly)
     assert report.partition == partition
     assert list(report.witnesses.items()) == list(witnesses.items())
-
-
-def _count_pair_sums(monkeypatch):
-    calls = []
-    original = exact._pair_sums
-
-    def counting(terms, point, n):
-        calls.append(point)
-        return original(terms, point, n)
-
-    monkeypatch.setattr(exact, "_pair_sums", counting)
-    return calls
+    # the identity runs at most once for each distinct witnessed partition
+    assert len(identities) == len(set(identities)) <= len(points)
 
 
 @pytest.mark.parametrize("source, vars", [
@@ -430,7 +466,7 @@ def _count_pair_sums(monkeypatch):
     ("(x + 1)*(y - 2)*(z^2 + 3)", ("x", "y", "z")),
 ])
 def test_a_certified_first_point_with_every_block_pair_witnessed_is_the_only_one(source, vars, monkeypatch):
-    calls = _count_pair_sums(monkeypatch)
+    calls = _second_arguments(monkeypatch, "_pair_sums")
     poly = P(source, vars)
     report = finest_partition(poly)
     assert calls == [exact._witness_points(len(vars))[0]]
@@ -444,13 +480,47 @@ def test_the_second_point_runs_when_the_first_misses_a_pair_inside_a_block(monke
     # {x,y,z} {w}, but the second point must witness (x, z)
     first, second = (2, 1, 3, 5), (3, 2, 5, 7)
     monkeypatch.setattr(exact, "_witness_points", lambda n: (first, second))
-    calls = _count_pair_sums(monkeypatch)
+    calls = _second_arguments(monkeypatch, "_pair_sums")
     poly = P("(x*y + y*z + x*z + 1)*(w + 2)", ("x", "y", "z", "w"))
     report = finest_partition(poly)
     assert calls == [first, second]
     assert report.partition.blocks == ((0, 1, 2), (3,))
     assert report.witnesses == {(0, 1): first, (1, 2): first, (0, 2): second}
     assert (report.partition, report.witnesses) == oracle_witnessed_partition(poly)
+
+
+def test_one_block_after_the_first_point_stops_without_the_identity(monkeypatch):
+    points = _second_arguments(monkeypatch, "_pair_sums")
+    identities = _second_arguments(monkeypatch, "_slice_identity")
+    report = finest_partition(P("x*y + y*z + 1"))
+    first = exact._witness_points(3)[0]
+    assert points == [first] and identities == []
+    assert report.partition.blocks == ((0, 1, 2),)
+    assert report.witnesses == {(0, 1): first, (0, 2): first, (1, 2): first}
+
+
+@pytest.mark.parametrize("source, blocks", [("3", ()), ("x^2 + 1", ((0,),))])
+def test_no_pair_means_no_point_no_witness_and_no_identity(source, blocks, monkeypatch):
+    points = _second_arguments(monkeypatch, "_pair_sums")
+    identities = _second_arguments(monkeypatch, "_slice_identity")
+    report = finest_partition(P(source))
+    assert report.partition.blocks == blocks and report.witnesses == {}
+    assert points == [] and identities == []
+
+
+@pytest.mark.parametrize("source, points, certified, blocks", [
+    # x = 1 hides the edge (x, y) at both points: the same partition twice
+    # gets one identity, which fails, and the symbolic entry joins x and y
+    ("(x - 1)^2 + y", ((1, 3), (1, -5)), [((0,), (1,))], ((0, 1),)),
+    # the first point leaves all singletons, the second joins x and y
+    ("((x - 1)^2 + y)*(z + 1)", ((1, 3, 2), (2, 5, 3)), [((0,), (1,), (2,)), ((0, 1), (2,))], ((0, 1), (2,))),
+])
+def test_the_identity_runs_once_for_each_distinct_witnessed_partition(source, points, certified, blocks, monkeypatch):
+    monkeypatch.setattr(exact, "_witness_points", lambda n: points)
+    identities = _second_arguments(monkeypatch, "_slice_identity")
+    report = finest_partition(P(source))
+    assert [p.blocks for p in identities] == certified
+    assert report.partition.blocks == blocks
 
 
 def test_separate_by_partition_does_not_derive_the_finest_partition(monkeypatch):
@@ -871,14 +941,7 @@ def test_interleaved_polynomials_and_partitions_get_their_own_certificates():
 
 
 def test_an_equal_but_distinct_polynomial_is_certified_afresh(monkeypatch):
-    calls = []
-    original = exact._slice_identity
-
-    def counting(cleared, partition):
-        calls.append(partition)
-        return original(cleared, partition)
-
-    monkeypatch.setattr(exact, "_slice_identity", counting)
+    calls = _second_arguments(monkeypatch, "_slice_identity")
     source, names = "(x1*x2 + 1)*(x3 + x4)", ("x1", "x2", "x3", "x4")
     first, second = P(source, names), P(source, names)
     assert first == second and first is not second

@@ -942,11 +942,16 @@ def test_a_variable_base_lowers_as_the_factor_by_factor_oracle(source, names):
     # a library-built negative exponent reaches Polynomial.__pow__ (ROADMAP item 2's pitfall)
     (BinOp("^", Var("x"), Const(-2)), ValueError, "polynomial exponent must be a nonnegative integer, got -2"),
     (BinOp("^", Var("z"), Const(-2)), LoweringError, "unregistered variable 'z'"),
+    (BinOp("*", Const(3), BinOp("^", BinOp("+", Var("x"), Var("y")), Const(-1))), ValueError,
+     "polynomial exponent must be a nonnegative integer, got -1"),
 ])
 def test_a_variable_base_raises_as_before(node, error, message):
-    with pytest.raises((LoweringError, ValueError)) as raised:
-        lower_to_polynomial(node, ("x", "y"))
-    assert type(raised.value) is error and str(raised.value) == message
+    from conftest import oracle_lower
+
+    for lowering in (lower_to_polynomial, oracle_lower):
+        with pytest.raises((LoweringError, ValueError)) as raised:
+            lowering(node, ("x", "y"))
+        assert type(raised.value) is error and str(raised.value) == message, lowering
 
 
 # --------------------------------------------------------------------- residues
