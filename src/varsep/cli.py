@@ -1,13 +1,14 @@
 """Command-line front end.
 
 The library's routes return evidence (a partition, a violation index, a
-bool); this module is the one place that words a verdict from it.  Each
+bool); this module is the one place that words a verdict from it.  argv is
+read by argparse's rules against one command table, without argparse.  Each
 command returns its exit code and its output, and `run` is the one writer:
-it writes the output once, or one error line on stderr.  When the reader of
-stdout has gone (a closed pipe), or stderr cannot be written (a closed
-descriptor), `run` still returns the command's own code and writes nothing
-to stderr.  When stdout cannot be written for any other reason (a full
-disk), `run` writes one error line on stderr and returns 4.
+it writes the output once, or one error line on stderr (a usage error too).
+When the reader of stdout has gone (a closed pipe), or stderr cannot be
+written (a closed descriptor), `run` still returns the command's own code
+and writes nothing to stderr.  When stdout cannot be written for any other
+reason (a full disk), `run` writes one error line on stderr and returns 4.
 
 Exit codes: 0 separable / success, 1 not separable (check and separate),
 2 parse or usage error, 3 degenerate input, 4 the two exact routes disagreed
@@ -16,11 +17,11 @@ or the output could not be written.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
+import re
 import sys
-from collections.abc import Sequence
+import types
+from collections.abc import Callable, Sequence
 
 from . import exact, expr, numeric
 from .exact import NotSeparableError
@@ -41,31 +42,6 @@ class _RoutesDisagree(Exception):
     """The two exact routes of `check` gave different verdicts."""
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser `run` uses; parse_args leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="varsep",
-        description="Decide and carry out multiplicative separation of variables.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("expression", help="expression text, or '-' to read from stdin")
-    common.add_argument("--vars", help="comma-separated variable order override")
-    common.add_argument("--format", choices=("text", "json"), default="text")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("check", parents=[common], help="total-separability verdict, both exact routes")
-    sub.add_parser("separate", parents=[common], help="extract the univariate factors")
-    sub.add_parser("partition", parents=[common], help="finest separating partition")
-    sub.add_parser("additive", parents=[common], help="additive separability verdict")
-    num = sub.add_parser("numeric", parents=[common], help="tolerance-based test for black-box expressions")
-    num.add_argument("--grid", action="append", default=[], metavar="VAR=START:STOP:COUNT",
-                     help="per-variable sample grid (repeatable)")
-    num.add_argument("--tol", type=float, default=numeric.DEFAULT_TOLERANCE,
-                     help="relative residual tolerance")
-    return parser
-
-
 def emit_json(payload: dict) -> str:
     """Render a command's payload as schema-versioned JSON, fields in order."""
     # imported here: only --format json needs it, and every process pays
@@ -73,12 +49,6 @@ def emit_json(payload: dict) -> str:
     import json
 
     return json.dumps({"schema": SCHEMA, **payload})
-
-
-def _read_expression(argument: str) -> str:
-    if argument == "-":
-        return sys.stdin.read()
-    return argument
 
 
 def _is_identifier(name: str) -> bool:
@@ -100,7 +70,7 @@ def _variable_order(args, node) -> list[str]:
 
 
 def _parse(args) -> tuple[expr.ExprNode, list[str]]:
-    node = expr.parse(_read_expression(args.expression))
+    node = expr.parse(sys.stdin.read() if args.expression == "-" else args.expression)
     return node, _variable_order(args, node)
 
 
@@ -210,24 +180,104 @@ def _run_numeric(args) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines)
 
 
-_HANDLERS = {
-    "check": _run_check,
-    "separate": _run_separate,
-    "partition": _run_partition,
-    "additive": _run_additive,
-    "numeric": _run_numeric,
+# The command table: each command's handler, help line and options.  An
+# option (metavar, default, help) takes one value: a tuple default collects
+# repeats, a float default reads a float, a {a,b} metavar lists the choices.
+_COMMON = {"--vars": ("VARS", None, "comma-separated variable order override"), "--format": ("{text,json}", "text", "")}
+_COMMANDS = {
+    "check": (_run_check, "total-separability verdict, both exact routes", _COMMON),
+    "separate": (_run_separate, "extract the univariate factors", _COMMON),
+    "partition": (_run_partition, "finest separating partition", _COMMON),
+    "additive": (_run_additive, "additive separability verdict", _COMMON),
+    "numeric": (_run_numeric, "tolerance-based test for black-box expressions", {
+        **_COMMON, "--grid": ("VAR=START:STOP:COUNT", (), "per-variable sample grid (repeatable)"),
+        "--tol": ("TOL", numeric.DEFAULT_TOLERANCE, "relative residual tolerance")}),
 }
 
 
+def build_parser() -> dict[str, tuple]:
+    """The command table that `parse_args` reads argv against."""
+    return _COMMANDS
+
+
+def _option(arg: str, options: dict) -> tuple[str, str | None] | None:
+    """None for an operand, else the option `arg` names ("" for none) and its
+    "=" value.  As in argparse, a unique prefix names an option, and "-",
+    "--", a negative number or an argument with a space is an operand."""
+    if arg.startswith("--") and arg != "--":
+        prefix, eq, value = arg.partition("=")
+        found = [name for name in ("--help", *options) if name.startswith(prefix)]
+        if len(found) == 1:
+            return found[0], value if eq else None
+    elif arg.startswith("-h"):
+        return "--help", arg[2:] or None
+    operand = arg in ("-", "--") or arg[:1] != "-" or " " in arg or re.match(r"-\d+$|-\d*\.\d+$", arg)
+    return None if operand else ("", None)
+
+
+def parse_args(argv: Sequence[str]) -> tuple[Callable, types.SimpleNamespace]:
+    """The handler and the arguments that argv names, read as argparse read
+    it; -h or --help names the help on the command before it.  A usage error
+    raises ValueError, at the end if an argument is missing or unknown."""
+    table, values = build_parser(), iter(argv)
+    args, options, operands, unknown = types.SimpleNamespace(command=None), {}, [], []
+    for arg in values:
+        option = _option(arg, options)
+        if option is None and args.command is None:
+            if arg not in table:
+                raise ValueError(f"invalid command {arg!r} (choose from {', '.join(table)})")
+            args.command, options = arg, table[arg][2]
+            vars(args).update((name[2:], default) for name, (_, default, _) in options.items())
+        elif option is None:  # after "--" every argument is an operand
+            operands += [*values] if arg == "--" else [arg]
+        elif not option[0]:
+            unknown.append(arg)
+        elif option[0] == "--help":
+            if option[1] is None:
+                return _run_help, args
+            raise ValueError(f"argument -h/--help: ignored explicit argument {option[1]!r}")
+        else:
+            name, value = option
+            if value is None:
+                value = next(values, "--")
+                if value == "--" or _option(value, options):
+                    raise ValueError(f"argument {name}: expected one argument")
+            metavar, default, _ = options[name]
+            if metavar[0] == "{" and value not in metavar[1:-1].split(","):
+                raise ValueError(f"argument {name}: invalid choice: {value!r} (choose from {metavar})")
+            setattr(args, name[2:], getattr(args, name[2:]) + (value,) if isinstance(default, tuple)
+                    else float(value) if isinstance(default, float) else value)
+    if not operands:
+        raise ValueError(f"the following arguments are required: {'expression' if args.command else 'command'}")
+    args.expression, *extra = operands
+    if unknown or extra:
+        raise ValueError(f"unrecognized arguments: {' '.join(unknown + extra)}")
+    return table[args.command][0], args
+
+
+def _run_help(args) -> tuple[int, str]:
+    """Help on the command table, or on `args.command`, in argparse's layout."""
+    def row(label, text=""):
+        return f"  {label}\n{'':24}{text}" if len(label) > 20 and text else f"  {label:<20}  {text}".rstrip()
+    table, topic = build_parser(), args.command
+    if topic:
+        options = table[topic][2]
+        usage = "".join(f" [{name} {metavar}]" for name, (metavar, _, _) in options.items())
+        lines = [f"usage: varsep {topic} [-h]{usage} expression", "", "positional arguments:",
+                 row("expression", "expression text, or '-' to read from stdin")]
+    else:
+        names, options = "{" + ",".join(table) + "}", {}
+        lines = [f"usage: varsep [-h] {names} ...", "", "Decide and carry out multiplicative separation of variables.",
+                 "", "positional arguments:", row(names), *(row("  " + name, table[name][1]) for name in table)]
+    lines += ["", "options:", row("-h, --help", "show this help message and exit")]
+    lines += [row(f"{name} {metavar}", text) for name, (metavar, _, text) in options.items()]
+    return EXIT_OK, "\n".join(lines)
+
+
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
-        return code if code in (EXIT_OK, EXIT_USAGE) else EXIT_USAGE
-    try:
-        code, text = _HANDLERS[args.command](args)
+        handler, args = parse_args(argv)
+        code, text = handler(args)
     except NotSeparableError as exc:
         code, error = EXIT_NOT_SEPARABLE, (
             f"error: not totally separable: coefficient condition fails at index {exc.violation}"

@@ -370,7 +370,7 @@ def oracle_additive(argv) -> tuple[int, str, str]:
     from varsep.exact import additive_separability
     from varsep.poly import ZeroPolynomialError
 
-    args = cli.build_parser().parse_args(["additive", *argv])
+    _, args = cli.parse_args(["additive", *argv])
     try:
         node = expr.parse(args.expression)
         poly = expr.lower_to_polynomial(node, cli._variable_order(args, node))

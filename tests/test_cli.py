@@ -562,11 +562,12 @@ def test_numeric_rejects_non_finite_grid_endpoints(capsys):
 
 
 def test_reused_parser_carries_no_state_between_runs(capsys):
-    build_parser.cache_clear()
+    table = repr(build_parser())
     plain = ["numeric", "x^2 + y^2", "--format", "json"]
     first = run_cli(plain, capsys)
-    loose = run_cli(plain + ["--grid", "x=-1:1:5", "--tol", "10"], capsys)
+    loose = run_cli(plain + ["--grid", "x=-1:1:5", "--grid", "y=-1:1:5", "--tol", "10"], capsys)
     again = run_cli(plain, capsys)
+    assert repr(build_parser()) == table
     assert json.loads(loose[1])["tolerance"] == 10
     assert again == first
     assert json.loads(first[1])["tolerance"] == 1e-8
@@ -659,21 +660,134 @@ def test_grid_given_twice_for_one_variable_exits_2(capsys):
     assert err == "error: grid given twice for variable 'x'\n"
 
 
+CHECK_HELP = """usage: varsep check [-h] [--vars VARS] [--format {text,json}] expression
+
+positional arguments:
+  expression            expression text, or '-' to read from stdin
+
+options:
+  -h, --help            show this help message and exit
+  --vars VARS           comma-separated variable order override
+  --format {text,json}
+"""
+
+TOP_HELP = """usage: varsep [-h] {check,separate,partition,additive,numeric} ...
+
+Decide and carry out multiplicative separation of variables.
+
+positional arguments:
+  {check,separate,partition,additive,numeric}
+    check               total-separability verdict, both exact routes
+    separate            extract the univariate factors
+    partition           finest separating partition
+    additive            additive separability verdict
+    numeric             tolerance-based test for black-box expressions
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+XY_CHECK = '{"schema": "varsep/1", "separable": true, "partition": [["x"], ["y"]], "violation": null, "witnesses": []}\n'
+XY_GRID = ('{"schema": "varsep/1", "verdict": "separable", "blocks": [["x"], ["y"]], "residuals": [[0.0, 0.0], '
+           '[0.0, 0.0]], "tolerance": %s, "anchor": [1.0, %s], "evaluated": %d, "skipped": 0, "discarded": %d}\n')
+
+
+# argv forms read by argparse's rules, with the exit code, stdout and stderr they give
+ARGV_FORMS = [
+    # a negative number, or an argument with a space, is an operand
+    (["check", "-5"], 0, "separable\n", ""),
+    (["check", "-2.5"], 0, "separable\n", ""),
+    (["check", "-x * y"], 0, "separable\n", ""),
+    (["check", "-5", "--format", "json"], 0, XY_CHECK.replace('[["x"], ["y"]]', "[]"), ""),
+    # options before or after the expression, a unique prefix, --opt=value
+    (["check", "--format", "json", "x*y"], 0, XY_CHECK, ""),
+    (["check", "x*y", "--format=json"], 0, XY_CHECK, ""),
+    (["check", "--fo", "json", "x*y"], 0, XY_CHECK, ""),
+    (["check", "--fo=json", "-"], 0, XY_CHECK, ""),
+    # help at the top or after a command, by -h, --help or a prefix
+    (["check", "--h"], 0, CHECK_HELP, ""),
+    (["check", "x*y", "-h", "--format", "xml"], 0, CHECK_HELP, ""),
+    (["separate", "--help"], 0, CHECK_HELP.replace("varsep check", "varsep separate"), ""),
+    (["-h"], 0, TOP_HELP, ""),
+    (["--h"], 0, TOP_HELP, ""),
+    # the last of a repeated --vars or --format wins; repeated grids add up
+    (["separate", "y*x", "--vars", "x,y", "--vars=y,x", "--format", "json"], 0,
+     '{"schema": "varsep/1", "constant": "1", "blocks": [["y"], ["x"]], "factors": ["y", "x"], "verified": true}\n', ""),
+    (["check", "x + y", "--format", "text", "--format", "json"], 1,
+     '{"schema": "varsep/1", "separable": false, "partition": [["x", "y"]], "violation": [0, 0], '
+     '"witnesses": [{"pair": ["x", "y"], "point": [-12, -47]}]}\n', ""),
+    (["numeric", "x*y", "--grid=x=0:1:3", "--format", "json"], 0, XY_GRID % ("1e-08", "1.7", 54, 9), ""),
+    (["numeric", "x*y", "--grid", "x=0:1:3", "--grid", "y=0:2:3", "--format", "json"], 0,
+     XY_GRID % ("1e-08", "2.0", 18, 5), ""),
+    (["numeric", "x*y", "--gr", "x=0:1:3", "--g=y=0:2:3", "--to", "0.5", "--format", "json"], 0,
+     XY_GRID % ("0.5", "2.0", 18, 5), ""),
+    # a value may start with "-"; after "--" every argument is an operand
+    (["numeric", "x*y", "--tol", "-0"], 0,
+     "verdict: not separable\npartition: {x,y}\nmax residual: 2.941e-16 (tolerance -0.0e+00)\n", ""),
+    (["numeric", "x*y", "--tol", "-1"], 2, "", "error: tolerance -1.0 must be finite and nonnegative\n"),
+    (["separate", "--", "-2.5*x^2*y + 0.5*x^2"], 0, "constant: -5/2\nfactor [x]: x^2\nfactor [y]: y - 1/5\n", ""),
+    (["check", "--", "-x"], 0, "separable\n", ""),
+    (["partition", "x*y*z + x", "--"], 0, "{x} {y,z}\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", ARGV_FORMS, ids=[" ".join(form[0]) for form in ARGV_FORMS])
+def test_argv_forms_read_as_argparse_read_them(argv, code, out, err, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("x*y"))
+    assert run_cli(argv, capsys) == (code, out, err)
+
+
+def test_help_lists_every_option_of_the_command(capsys):
+    code, out, err = run_cli(["numeric", "--he"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: varsep numeric [-h] [--vars VARS] [--format {text,json}] "
+                          "[--grid VAR=START:STOP:COUNT] [--tol TOL] expression\n")
+    assert "\n  --grid VAR=START:STOP:COUNT\n                        per-variable sample grid (repeatable)\n" in out
+    assert "\n  --tol TOL             relative residual tolerance\n" in out
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "the following arguments are required: command"),
+    (["check"], "the following arguments are required: expression"),
+    (["check", "--format", "json"], "the following arguments are required: expression"),
+    (["bogus", "x"], "invalid command 'bogus' (choose from check, separate, partition, additive, numeric)"),
+    (["--", "check", "x"], "invalid command '--' (choose from check, separate, partition, additive, numeric)"),
+    (["check", "x", "y"], "unrecognized arguments: y"),
+    (["check", "-x*y"], "the following arguments are required: expression"),
+    (["check", "x", "--foo", "-5."], "unrecognized arguments: --foo -5."),
+    (["--format=json", "check", "x"], "unrecognized arguments: --format=json"),
+    # "--" prefixes every option, so it names none
+    (["check", "x", "--=json"], "unrecognized arguments: --=json"),
+    (["check", "x", "--vars"], "argument --vars: expected one argument"),
+    (["check", "--vars", "--", "x"], "argument --vars: expected one argument"),
+    (["numeric", "x", "--tol", "-1e-9"], "argument --tol: expected one argument"),
+    (["check", "x", "--format", "xml", "-h"], "argument --format: invalid choice: 'xml' (choose from {text,json})"),
+    (["numeric", "x", "--tol", "abc"], "could not convert string to float: 'abc'"),
+    (["check", "x", "-hx"], "argument -h/--help: ignored explicit argument 'x'"),
+    (["check", "x", "--help="], "argument -h/--help: ignored explicit argument ''"),
+])
+def test_a_usage_error_is_one_error_line(argv, error, capsys):
+    assert run_cli(argv, capsys) == (2, "", f"error: {error}\n")
+
+
 def test_fuzzed_argv_never_crashes(capsys):
     pool = [
         "check", "separate", "partition", "numeric", "additive",
         "x*y", "x^2 + y^2", "", "-", "(", "sin(", "0", "2x",
         "--vars", "x,y", "--vars=", "--format", "json", "text",
         "--grid", "x=0:1:5", "--grid=x=0:1", "--tol", "abc", "-1e-9",
+        "--", "-5", "--fo=json", "--foo", "-x*y", "--h",
     ]
     rng = random.Random(99)
     for _ in range(250):
         argv = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
         if "-" in argv:
             continue  # would read stdin, which pytest replaces with a guard
-        code = run(argv)
-        capsys.readouterr()
+        code, out, err = run_cli(argv, capsys)
         assert code in (0, 1, 2, 3, 4), argv
+        # a usage error, like every other error, is one line on stderr
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, out, err)
 
 
 def _strict_json(text):
@@ -757,4 +871,5 @@ def test_cli_import_loads_no_dataclasses_inspect_or_json():
     )
     added = set(cli.stdout.split()) - set(bare.stdout.split())
     assert "varsep.cli" in added
-    assert not added & {"dataclasses", "inspect", "json", "typing"}, sorted(added)
+    assert not added & {"dataclasses", "inspect", "json", "typing", "argparse", "gettext", "locale", "shutil"}, \
+        sorted(added)

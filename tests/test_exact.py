@@ -432,6 +432,29 @@ def block_products(draw):
 _missing_points = st.lists(st.tuples(*[st.sampled_from((-1, 1))] * 6), min_size=2, max_size=2)
 
 
+@st.composite
+def hidden_edges(draw):
+    """(F, points, 2): F = g(x_i, x_j) times nonzero univariate factors of
+    the other variables (n >= 3), with g = c*(x_i - a)^2 + d*x_j^q and a the
+    first point's x_i.  The pair value of (i, j) is a multiple of x_i - a, so
+    it vanishes at the first point and not at the second: the identity fails
+    on all singletons, then certifies {x_i, x_j} and singletons."""
+    n = draw(st.integers(3, 6))
+    nonzero = st.integers(-5, 5).filter(bool)
+    first, second = draw(st.tuples(*[nonzero] * n)), draw(st.tuples(*[nonzero] * n))
+    i, j, *others = draw(st.permutations(range(n)))
+    a = first[i]
+    assume(second[i] != a)
+    names = tuple(f"x{k}" for k in range(n))
+    c, d, q = draw(nonzero), draw(nonzero), draw(st.integers(1, 2))
+    poly = embed(Polynomial((names[i], names[j]), {(2, 0): c, (1, 0): -2 * a * c, (0, 0): c * a * a, (0, q): d}), names)
+    for k in others:
+        terms = draw(st.dictionaries(st.integers(0, 2), st.integers(-3, 3).filter(bool), min_size=1, max_size=3))
+        assume(sum(coef * second[k] ** e for e, coef in terms.items()))
+        poly = poly * embed(Polynomial((names[k],), {(e,): coef for e, coef in terms.items()}), names)
+    return poly, (first, second), 2
+
+
 def _second_arguments(monkeypatch, name):
     """Patch `exact.<name>` to record the second argument of each call: the
     point of `_pair_sums`, the partition of `_slice_identity`."""
@@ -447,8 +470,9 @@ def _second_arguments(monkeypatch, name):
 
 
 @settings(max_examples=300, deadline=None)
-@given(block_products(), st.one_of(st.none(), _missing_points))
-def test_finest_partition_matches_the_oracle_that_evaluates_every_point(poly, points):
+@given(st.one_of(st.tuples(block_products(), st.one_of(st.none(), _missing_points), st.just(0)), hidden_edges()))
+def test_finest_partition_matches_the_oracle_that_evaluates_every_point(case):
+    poly, points, certified = case
     points = exact._witness_points(poly.var_count) if points is None else [p[:poly.var_count] for p in points]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exact, "_witness_points", lambda n: points)
@@ -457,8 +481,9 @@ def test_finest_partition_matches_the_oracle_that_evaluates_every_point(poly, po
         report = finest_partition(poly)
     assert report.partition == partition
     assert list(report.witnesses.items()) == list(witnesses.items())
-    # the identity runs at most once for each distinct witnessed partition
-    assert len(identities) == len(set(identities)) <= len(points)
+    # the identity runs at most once for each distinct witnessed partition,
+    # and on at least `certified` of them
+    assert certified <= len(identities) == len(set(identities)) <= len(points)
 
 
 @pytest.mark.parametrize("source, vars", [
