@@ -87,8 +87,10 @@ def _print_partition_text(blocks: list[list[str]]) -> str:
 
 def _run_check(args) -> tuple[int, str]:
     poly = _lower(*_parse(args))
-    report = exact.finest_partition(poly)
+    # the coefficient route first, so that finest_partition reads its
+    # singleton certificate instead of computing it again
     violation = exact.coeff_criterion_total(poly)
+    report = exact.finest_partition(poly)
     matrix_separable = report.partition.is_all_singletons
     criterion_separable = violation is None
     if matrix_separable != criterion_separable:

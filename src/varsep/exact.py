@@ -19,6 +19,12 @@ of polynomials in disjoint variable blocks:
 The differential route decides pairs by exact evaluation (Schwartz, J. ACM
 27(4), 1980; Zippel, EUROSAM 1979) and certifies every answer:
 
+* certify first: a totally separable F has a product set as support, so
+  when |supp F| equals the product over the variables of the number of
+  distinct exponents, the slice identity on singletons is tried before any
+  point.  When it certifies, every pair entry vanishes identically, so the
+  singletons are returned with no point evaluated and no witness; there
+  both the pair route and the coefficient route rest on that identity;
 * witnesses: at a few fixed, seeded integer points with nonzero coordinates,
   the pair value is computed from integer term sums of the denominator-free
   polynomial.  A nonzero value proves the edge; the point is its witness;
@@ -183,16 +189,25 @@ def finest_partition(poly: Polynomial) -> SepMatrixReport:
     components.  F separates according to a partition Q if and only if Q is
     a coarsening of the result.
 
-    Edges are found by exact evaluation at the witness points.  After each
-    point, stop at one block, or when every pair inside a block has a
-    witness and F separates by the partition (the slice identity, see
+    When the support of F is a product set (a necessary condition for
+    total separability), the slice identity on singletons is tried first;
+    if it certifies, the singletons are returned with no point evaluated.
+    Otherwise edges are found by exact evaluation at the witness points.
+    After each point, stop at one block, or when every pair inside a block
+    has a witness and F separates by the partition (the slice identity, see
     `separate_by_partition`); if it does not after the last point, the
     symbolic entry decides every pair still in different components.
     """
     n = poly.var_count
     cleared = _certificate(poly)[1]
-    if n < 2:  # no pair to test
-        return SepMatrixReport(names=poly.vars, partition=Partition.singletons(n), witnesses={})
+    singletons = Partition.singletons(n)
+    if n < 2 or (
+        # a totally separable F has a product set as support
+        len(cleared) == math.prod(len(set(column)) for column in zip(*cleared))
+        and _certificate(poly, singletons)[4] is None
+    ):
+        # no pair to test, or every pair entry vanishes identically
+        return SepMatrixReport(names=poly.vars, partition=singletons, witnesses={})
     terms = [(c, [(i, e) for i, e in enumerate(exps) if e]) for exps, c in cleared.items()]
     uf = UnionFind(n)
     witnesses: dict[tuple[int, int], tuple[int, ...]] = {}

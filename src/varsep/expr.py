@@ -637,11 +637,13 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
     single product is a sum of one), added into one term map, and each
     summand is a product walked left factor first.  Constants, registered
     variables and unary minus fold into the summand's one term.  A divisor,
-    the base of a ^ (unless a registered variable, its own one term) and a
-    parenthesised sum are lowered by the same walk; a result of one term
-    folds in, and only results of more terms are multiplied out.  x^k costs
-    the k - 1 products of Polynomial.__pow__, on purpose until the
-    benchmark's deadline test gets a stall of its own (ROADMAP item 1a).
+    the base of a ^ and a parenthesised sum are lowered by the same walk; a
+    result of one term folds in, and only results of more terms are
+    multiplied out.  A registered variable as base of ^ is not walked: its
+    one-term polynomial is built at its first ^ and reused at every later
+    one, so there is one base per variable.  Each x^k still costs the k - 1
+    products of Polynomial.__pow__, on purpose until the benchmark's
+    deadline test gets a stall of its own (ROADMAP item 1a).
     Each error is raised when its factor is visited: a divisor before its
     dividend, an exponent before its base, a left factor before a right one.
 
@@ -657,6 +659,9 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
     if len(set(names)) != len(names):
         raise LoweringError(f"duplicate variable names in {names}")
     slots = {name: i for i, name in enumerate(names)}
+    # the polynomial of each registered variable that is a base of ^, built
+    # at its first ^: up front, n bases of n slots would cost O(n^2)
+    bases: dict[int, Polynomial] = {}
 
     def lower(e: ExprNode) -> Polynomial:
         # walk the left spine of a +/- chain and add the terms of every
@@ -711,7 +716,10 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
                     if not isinstance(f.right, Const) or f.right.value.denominator != 1:
                         raise LoweringError("exponent must be a nonnegative integer literal", f)
                     if isinstance(f.left, Var) and (k := slots.get(f.left.name)) is not None:
-                        base = Polynomial._trusted(names, {(0,) * k + (1,) + (0,) * (len(names) - k - 1): 1})
+                        base = bases.get(k)
+                        if base is None:
+                            unit = (0,) * k + (1,) + (0,) * (len(names) - k - 1)
+                            base = bases[k] = Polynomial._trusted(names, {unit: 1})
                     else:
                         base = lower(f.left)
                     factor = base ** int(f.right.value)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import P43_FACTOR_X, P43_FACTOR_Y, build_p43, oracle_additive
 from test_expr import ast_nodes, monomial_sums, poly_asts
 import varsep
-from varsep import exact, parse_polynomial
+from varsep import Partition, exact, parse_polynomial
 from varsep.cli import build_parser, run
 from varsep.expr import RESIDUE_PRIME, BinOp, Call, Const, Var, free_variables, parse, to_source
 
@@ -124,6 +124,21 @@ def test_check_exits_4_when_the_exact_routes_disagree(capsys, monkeypatch):
         assert out == ""
         assert err.startswith("error: internal inconsistency")
         assert "the differential and coefficient routes disagree" in err
+        assert "(matrix: False, coefficients: True)" in err
+        assert "Traceback" not in err
+
+
+def test_check_exits_4_when_the_pair_route_wrongly_joins_what_the_coefficients_separate(capsys, monkeypatch):
+    # check runs the coefficient route first; a pair route that reports one
+    # block on x*y is still caught
+    def one_block(poly):
+        return exact.SepMatrixReport(names=poly.vars, partition=Partition(((0, 1),)), witnesses={})
+
+    monkeypatch.setattr(exact, "finest_partition", one_block)
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(["check", "x*y", "--format", fmt], capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: internal inconsistency")
         assert "(matrix: False, coefficients: True)" in err
         assert "Traceback" not in err
 

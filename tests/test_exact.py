@@ -1,5 +1,9 @@
+import contextlib
 import inspect
+import io
 import itertools
+import json
+import math
 import pickle
 import random
 import sys
@@ -49,7 +53,7 @@ from varsep import (
     sep_matrix_entry,
     separate_by_partition,
 )
-from varsep import exact
+from varsep import cli, exact
 from varsep._record import Record
 from varsep.partition import UnionFind
 
@@ -486,16 +490,78 @@ def test_finest_partition_matches_the_oracle_that_evaluates_every_point(case):
     assert certified <= len(identities) == len(set(identities)) <= len(points)
 
 
-@pytest.mark.parametrize("source, vars", [
-    ("(x1*x2 + 1)*(x3 + x4)", ("x1", "x2", "x3", "x4")),
-    ("(x + 1)*(y - 2)*(z^2 + 3)", ("x", "y", "z")),
+@pytest.mark.parametrize("source, vars, points, certified", [
+    ("(x1*x2 + 1)*(x3 + x4)", ("x1", "x2", "x3", "x4"), 1, [((0, 1), (2, 3))]),
+    # the support is a product set, so the slice identity on singletons
+    # certifies before any point is evaluated
+    ("(x + 1)*(y - 2)*(z^2 + 3)", ("x", "y", "z"), 0, [((0,), (1,), (2,))]),
 ])
-def test_a_certified_first_point_with_every_block_pair_witnessed_is_the_only_one(source, vars, monkeypatch):
+def test_a_certified_first_point_with_every_block_pair_witnessed_is_the_only_one(
+    source, vars, points, certified, monkeypatch
+):
     calls = _second_arguments(monkeypatch, "_pair_sums")
+    identities = _second_arguments(monkeypatch, "_slice_identity")
     poly = P(source, vars)
     report = finest_partition(poly)
-    assert calls == [exact._witness_points(len(vars))[0]]
+    assert calls == list(exact._witness_points(len(vars))[:points])
+    assert [p.blocks for p in identities] == certified
     assert (report.partition, report.witnesses) == oracle_witnessed_partition(poly)
+
+
+@st.composite
+def univariate_products(draw):
+    """(F, changed): F a product of one univariate in each of x0, ...,
+    x{n-1}, n = 2..5, expanded term by term, so its support is a product
+    set.  When `changed`, one coefficient is replaced by another nonzero
+    value; each univariate then has two terms or more, so some 2x2 minor of
+    the coefficient tensor through that term no longer vanishes and F is not
+    totally separable, though its support is still a product set."""
+    n = draw(st.integers(2, 5))
+    changed = draw(st.booleans())
+    coefficient = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    factors = [
+        draw(st.dictionaries(st.integers(0, 3), coefficient, min_size=1 + changed, max_size=3))
+        for _ in range(n)
+    ]
+    terms = {
+        tuple(e for e, _ in choice): math.prod(c for _, c in choice)
+        for choice in itertools.product(*(f.items() for f in factors))
+    }
+    if changed:
+        key = draw(st.sampled_from(sorted(terms)))
+        terms[key] = draw(st.integers(-9, 9).filter(lambda v: v and v != terms[key]))
+    return Polynomial(tuple(f"x{i}" for i in range(n)), terms), changed
+
+
+@settings(max_examples=200, deadline=None)
+@given(univariate_products())
+def test_a_product_set_support_is_certified_before_any_point_only_when_it_separates(case):
+    poly, changed = case
+    with pytest.MonkeyPatch.context() as patch:
+        partition, witnesses = oracle_witnessed_partition(poly)
+        points = _second_arguments(patch, "_pair_sums")
+        report = finest_partition(poly)
+    assert report.partition == partition
+    assert list(report.witnesses.items()) == list(witnesses.items())
+    if not changed:
+        assert partition.is_all_singletons and witnesses == {} and points == []
+        return
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(["check", str(poly), "--vars", ",".join(poly.vars), "--format", "json"])
+    payload = json.loads(out.getvalue())
+    assert (code, payload["separable"], payload["partition"]) == (1, False, partition.name_blocks(poly.vars))
+    # one witness per edge, each inside a block and checked on its own: the
+    # pair entry is nonzero at the witness point
+    assert payload["witnesses"] == [
+        {"pair": [poly.vars[i], poly.vars[j]], "point": list(point)} for (i, j), point in sorted(witnesses.items())
+    ]
+    block_of = {v: k for k, block in enumerate(partition.blocks) for v in block}
+    for (i, j), point in witnesses.items():
+        assert block_of[i] == block_of[j]
+        fi = poly.partial_derivative(i)
+        at = [evaluate(g, point) for g in (poly, fi.partial_derivative(j), fi, poly.partial_derivative(j))]
+        assert at[0] * at[1] != at[2] * at[3]
 
 
 def test_the_second_point_runs_when_the_first_misses_a_pair_inside_a_block(monkeypatch):

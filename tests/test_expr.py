@@ -954,6 +954,25 @@ def test_a_variable_base_raises_as_before(node, error, message):
         assert type(raised.value) is error and str(raised.value) == message, lowering
 
 
+def test_each_variable_base_is_built_once_per_lowering(monkeypatch):
+    from conftest import oracle_lower
+
+    calls = []
+    trusted = Polynomial._trusted
+    monkeypatch.setattr(Polynomial, "_trusted", classmethod(lambda cls, *args: calls.append(args) or trusted(*args)))
+    # one base for x, one for y and one sum: each variable's base is built at
+    # its first ^ and reused at the next
+    node = parse("x^2*y^3 + x^3*y^2 + x^2 + y^2")
+    lowered = lower_to_polynomial(node, ("x", "y"))
+    assert len(calls) == 3
+    assert lowered == oracle_lower(node, ("x", "y"))
+    # no ^, so no base is built, however many variables are registered
+    calls.clear()
+    names = tuple(f"x{k}" for k in range(3000))
+    lowered = lower_to_polynomial(parse(" + ".join(names)), names)
+    assert len(calls) == 1 and len(lowered.terms) == 3000
+
+
 # --------------------------------------------------------------------- residues
 
 
