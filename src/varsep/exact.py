@@ -32,11 +32,13 @@ The differential route decides pairs by exact evaluation (Schwartz, J. ACM
   the finest one.  When the slice identity shows that F separates by that
   partition, no further edge exists.  This is the coefficient route's
   identity, so the two routes rest on separate arguments only where a
-  witness or the fallback decides.  After each point, stop at one block,
-  or once every pair inside a block has a witness and the identity
-  certifies: cross-block entries then vanish, so no point could add more;
-* fallback: otherwise the symbolic entry F*F_ij - F_i*F_j decides every pair
-  the witnesses left open, so the route never rests on chance.
+  witness decides.  After each point, stop at one block, or once every pair
+  inside a block has a witness and the identity certifies: cross-block
+  entries then vanish, so no point could add more;
+* fresh points: after the fixed points, fresh seeded points are drawn until
+  the identity certifies; a nonzero entry, of degree at most 2*deg F, vanishes
+  at one with probability at most 2*deg F / FRESH_BOUND.  Only the number of
+  points is random: every answer is certified (a Las Vegas algorithm).
 
 The same slice identity yields the factors through `separate_by_partition`,
 for singletons (total separation) and for any partition alike.  It compares
@@ -94,8 +96,9 @@ class SepMatrixReport(Record):
     """The finest `partition` of `names` by the pair entries F*F_ij - F_i*F_j.
 
     `witnesses` maps each edge (i, j), i < j, found by evaluation to the
-    integer point where its entry is nonzero.  Every pair in different
-    blocks has an identically zero entry.  Fields, in order:
+    integer point where its entry is nonzero; every edge that joined two
+    components has one.  Every pair in different blocks has an identically
+    zero entry.  Fields, in order:
     names: tuple[str, ...], partition: Partition,
     witnesses: dict[tuple[int, int], tuple[int, ...]].
     """
@@ -138,10 +141,12 @@ def sep_matrix_entry(poly: Polynomial, i: int, j: int) -> Polynomial:
     return poly * fi.partial_derivative(j) - fi * fj
 
 
-# Pair tests run at WITNESS_POINTS integer points with coordinates in
-# +-[1, WITNESS_BOUND], drawn from a generator seeded by the variable count.
+# Pair tests run at WITNESS_POINTS fixed integer points with coordinates in
+# +-[1, WITNESS_BOUND], then at fresh points in +-[1, FRESH_BOUND], each
+# stream seeded by the variable count, with different seeds.
 WITNESS_POINTS = 2
 WITNESS_BOUND = 64
+FRESH_BOUND = 2**61
 
 
 @functools.cache
@@ -151,6 +156,14 @@ def _witness_points(n: int) -> tuple[tuple[int, ...], ...]:
         tuple(rng.choice((-1, 1)) * rng.randint(1, WITNESS_BOUND) for _ in range(n))
         for _ in range(WITNESS_POINTS)
     )
+
+
+def _points(n: int):
+    """The fixed witness points, then fresh seeded points without end."""
+    yield from _witness_points(n)
+    rng = random.Random(f"fresh points {n}")
+    while True:
+        yield tuple(rng.choice((-1, 1)) * rng.randint(1, FRESH_BOUND) for _ in range(n))
 
 
 def _pair_sums(terms, point: tuple[int, ...], n: int):
@@ -192,11 +205,11 @@ def finest_partition(poly: Polynomial) -> SepMatrixReport:
     When the support of F is a product set (a necessary condition for
     total separability), the slice identity on singletons is tried first;
     if it certifies, the singletons are returned with no point evaluated.
-    Otherwise edges are found by exact evaluation at the witness points.
-    After each point, stop at one block, or when every pair inside a block
-    has a witness and F separates by the partition (the slice identity, see
-    `separate_by_partition`); if it does not after the last point, the
-    symbolic entry decides every pair still in different components.
+    Otherwise edges are found by exact evaluation at the points of
+    `_points`.  After each point, stop at one block, or when F separates by
+    the witnessed partition (the slice identity, see `separate_by_partition`)
+    and either every pair inside a block has a witness or the fixed points
+    are spent; after them, fresh points are drawn until one of these holds.
     """
     n = poly.var_count
     cleared = _certificate(poly)[1]
@@ -211,7 +224,7 @@ def finest_partition(poly: Polynomial) -> SepMatrixReport:
     terms = [(c, [(i, e) for i, e in enumerate(exps) if e]) for exps, c in cleared.items()]
     uf = UnionFind(n)
     witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
-    for point in _witness_points(n):
+    for k, point in enumerate(_points(n)):
         f, s1, s2 = _pair_sums(terms, point, n)
         for i in range(n):
             for j in range(i + 1, n):
@@ -219,15 +232,9 @@ def finest_partition(poly: Polynomial) -> SepMatrixReport:
                     witnesses[(i, j)] = point
                     uf.union(i, j)
         partition = uf.partition()
-        block_pairs = sum(len(b) * (len(b) - 1) // 2 for b in partition.blocks)
-        if partition.block_count == 1 or len(witnesses) == block_pairs and _certificate(poly, partition)[4] is None:
+        unwitnessed = k + 1 < WITNESS_POINTS and len(witnesses) < sum(len(b) * (len(b) - 1) // 2 for b in partition.blocks)
+        if partition.block_count == 1 or not unwitnessed and _certificate(poly, partition)[4] is None:
             break
-    if partition.block_count > 1 and _certificate(poly, partition)[4] is not None:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if uf.find(i) != uf.find(j) and not sep_matrix_entry(poly, i, j).is_zero:
-                    uf.union(i, j)
-        partition = uf.partition()
     return SepMatrixReport(names=poly.vars, partition=partition, witnesses=witnesses)
 
 

@@ -823,30 +823,44 @@ def oracle_slice_factors(poly: Polynomial, partition: Partition) -> SeparationRe
 # --------------------------------------------------------------------- witness oracle
 
 
+def both_points_miss_source() -> str:
+    """A 117-byte input whose (x, y) pair value vanishes at both fixed
+    witness points of its six variables: ((x - a)^2*(x - b)^2 + y) times
+    four univariates in z1..z4, with a and b the x of those points."""
+    a, b = (point[0] for point in exact._witness_points(6))
+    factors = "*".join(f"(z{k}^12 + {k + 1}*z{k}^5 + {k})" for k in range(1, 5))
+    return f"((x - ({a}))^2*(x - ({b}))^2 + y)*{factors}"
+
+
 def oracle_witnessed_partition(poly: Polynomial):
     """(partition, witnesses) as `exact.finest_partition` gives them, by the
-    plain loop: every witness point is evaluated until one component is
-    left, and only then is the witnessed partition certified by the slice
-    identity, with the symbolic entries deciding the open pairs when it
-    fails.  It calls `exact._cleared` and `exact._slice_identity` directly,
-    so it shares no certificate with the code under test."""
+    plain loop: every fixed witness point is evaluated until one component
+    is left.  After them, points are drawn from the fresh stream of
+    `exact._points` until the slice identity certifies the witnessed
+    partition or one component is left, and witnesses are recorded as they
+    are found.  It calls `exact._cleared` and `exact._slice_identity`
+    directly, so it shares no certificate with the code under test."""
     n = poly.var_count
     _, cleared = exact._cleared(poly)
     terms = [(c, [(i, e) for i, e in enumerate(exps) if e]) for exps, c in cleared.items()]
     uf = UnionFind(n)
     witnesses = {}
-    for point in exact._witness_points(n):
-        if len({uf.find(i) for i in range(n)}) == 1:
-            break
+
+    def witness(point):
         f, s1, s2 = exact._pair_sums(terms, point, n)
         for i, j in itertools.combinations(range(n), 2):
             if (i, j) not in witnesses and f * s2[i][j] != s1[i] * s1[j]:
                 witnesses[(i, j)] = point
                 uf.union(i, j)
+
+    fixed = exact._witness_points(n)
+    for point in fixed:
+        if len({uf.find(i) for i in range(n)}) == 1:
+            break
+        witness(point)
+    fresh = itertools.islice(exact._points(n), len(fixed), None)
     partition = uf.partition()
-    if partition.block_count > 1 and exact._slice_identity(cleared, partition)[2] is not None:
-        for i, j in itertools.combinations(range(n), 2):
-            if uf.find(i) != uf.find(j) and not exact.sep_matrix_entry(poly, i, j).is_zero:
-                uf.union(i, j)
+    while partition.block_count > 1 and exact._slice_identity(cleared, partition)[2] is not None:
+        witness(next(fresh))
         partition = uf.partition()
     return partition, witnesses

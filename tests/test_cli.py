@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import P43_FACTOR_X, P43_FACTOR_Y, build_p43, oracle_additive
+from conftest import P43_FACTOR_X, P43_FACTOR_Y, both_points_miss_source, build_p43, oracle_additive
 from test_expr import ast_nodes, monomial_sums, poly_asts
 import varsep
 from varsep import Partition, exact, parse_polynomial
@@ -112,6 +112,16 @@ def test_check_json_names_a_witness_per_edge(capsys):
     assert [entry["pair"] for entry in payload["witnesses"]] == [["x", "y"], ["z", "w"]]
     for entry in payload["witnesses"]:
         assert len(entry["point"]) == 4 and all(isinstance(c, int) and c for c in entry["point"])
+
+
+def test_check_witnesses_the_pair_both_fixed_points_miss(capsys):
+    # the (x, y) pair value vanishes at both fixed witness points; a fresh
+    # point witnesses it instead of a symbolic expansion of 486 terms
+    code, out, _ = run_cli(["check", both_points_miss_source(), "--format", "json"], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["partition"] == [["x", "y"], ["z1"], ["z2"], ["z3"], ["z4"]]
+    assert [entry["pair"] for entry in payload["witnesses"]] == [["x", "y"]]
 
 
 def test_check_exits_4_when_the_exact_routes_disagree(capsys, monkeypatch):

@@ -21,6 +21,7 @@ from conftest import (
     P43_FACTOR_Y,
     P234_FACTORS,
     all_partitions,
+    both_points_miss_source,
     degree_vector,
     embed,
     evaluate,
@@ -281,7 +282,7 @@ def test_binary_split_oracle_agrees_with_partition_for_small_n():
             assert len(seen) == 2 ** (n - 1) - 1
 
 
-# --------------------------------------------------------------------- witnesses, certification and fallback
+# --------------------------------------------------------------------- witnesses, certification and fresh points
 
 
 def symbolic_finest(poly):
@@ -381,15 +382,31 @@ def test_not_separable_error_survives_a_pickle_round_trip():
     assert (copy.partition, copy.violation) == (error.partition, error.violation) == (Partition.singletons(2), (0, 0))
 
 
-def test_forced_fallback_when_witness_points_miss_the_edge(monkeypatch):
-    # G_xy = -2*(x - 1) vanishes at every point with x = 1, so no witness is
-    # found, the slice identity of the all-singletons partition fails, and
-    # the symbolic entries decide the pair
-    monkeypatch.setattr(exact, "_witness_points", lambda n: ((1, 3), (1, -5)))
+def test_a_fresh_point_witnesses_the_edge_both_fixed_points_miss(monkeypatch):
+    # G_xy = -2*(x - 1) vanishes at every point with x = 1, so neither fixed
+    # point witnesses the edge and the slice identity of the all-singletons
+    # partition fails; a fresh point then witnesses the pair
+    points = ((1, 3), (1, -5))
+    monkeypatch.setattr(exact, "_witness_points", lambda n: points)
     poly = P("(x - 1)^2 + y")
     report = finest_partition(poly)
     assert report.partition.blocks == ((0, 1),)
-    assert report.witnesses == {}
+    witness = report.witnesses[(0, 1)]
+    assert witness not in points
+    assert all(c != 0 for c in witness)
+    assert evaluate(sep_matrix_entry(poly, 0, 1), witness) != 0
+
+
+def test_the_pair_both_fixed_points_miss_is_witnessed_at_the_third_point(monkeypatch):
+    # the (x, y) entry is a multiple of (x - a)*(x - b), with a and b the x
+    # of the two fixed points, so only the first fresh point witnesses it
+    calls = _second_arguments(monkeypatch, "_pair_sums")
+    poly = P(both_points_miss_source())
+    assert len(poly.terms) == 486
+    report = finest_partition(poly)
+    assert len(calls) == 3 and calls[:2] == list(exact._witness_points(6))
+    assert report.partition.blocks == ((0, 1), (2,), (3,), (4,), (5,))
+    assert report.witnesses == {(0, 1): calls[2]}
 
 
 def test_witness_points_where_f_vanishes(monkeypatch):
@@ -432,7 +449,7 @@ def block_products(draw):
 
 
 # coordinates of +-1 make pair values vanish often, so the second point
-# and the symbolic fallback run too
+# and fresh points run too
 _missing_points = st.lists(st.tuples(*[st.sampled_from((-1, 1))] * 6), min_size=2, max_size=2)
 
 
@@ -459,6 +476,51 @@ def hidden_edges(draw):
     return poly, (first, second), 2
 
 
+@st.composite
+def edges_hidden_at_both_points(draw):
+    """(F, points, i, j): F = g(x_i, x_j) times univariate factors of the
+    other variables, with g = c*(x_i - a)^2*(x_i - b)^2 + d*x_j^q and a != b
+    the x_i of the two points in use, the fixed ones or drawn ones.  The
+    pair value of (i, j) is a multiple of (x_i - a)*(x_i - b), so it
+    vanishes at both points and only a fresh point can witness the edge.
+    n = 2..4 keeps the symbolic reference cheap."""
+    n = draw(st.integers(2, 4))
+    nonzero = st.integers(-5, 5).filter(bool)
+    points = draw(st.one_of(st.just(exact._witness_points(n)), st.tuples(*[st.tuples(*[nonzero] * n)] * 2)))
+    i, j, *others = draw(st.permutations(range(n)))
+    a, b = (point[i] for point in points)
+    assume(a != b)
+    names = tuple(f"x{k}" for k in range(n))
+    pair = (names[i], names[j])
+    c, d, q = draw(nonzero), draw(nonzero), draw(st.integers(1, 2))
+    root_a, root_b = (Polynomial(pair, {(1, 0): 1, (0, 0): -r}) for r in (a, b))
+    poly = embed(c * root_a**2 * root_b**2 + Polynomial(pair, {(0, q): d}), names)
+    for k in others:
+        terms = draw(st.dictionaries(st.integers(0, 2), st.integers(-3, 3).filter(bool), min_size=1, max_size=3))
+        poly = poly * embed(Polynomial((names[k],), {(e,): coef for e, coef in terms.items()}), names)
+    return poly, points, min(i, j), max(i, j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edges_hidden_at_both_points())
+def test_fresh_points_decide_an_edge_both_points_in_use_miss(case):
+    poly, points, i, j = case
+
+    def expanded(*args):
+        raise AssertionError("finest_partition expanded a symbolic pair entry")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_witness_points", lambda n: points)
+        patch.setattr(exact, "sep_matrix_entry", expanded)
+        report = finest_partition(poly)
+    assert any({i, j} <= set(block) for block in report.partition.blocks)
+    assert report.witnesses[(i, j)] not in points
+    for (k, l), point in report.witnesses.items():
+        assert all(c != 0 for c in point)
+        assert evaluate(sep_matrix_entry(poly, k, l), point) != 0, (poly, k, l, point)
+    assert report.partition == symbolic_finest(poly)
+
+
 def _second_arguments(monkeypatch, name):
     """Patch `exact.<name>` to record the second argument of each call: the
     point of `_pair_sums`, the partition of `_slice_identity`."""
@@ -482,12 +544,13 @@ def test_finest_partition_matches_the_oracle_that_evaluates_every_point(case):
         patch.setattr(exact, "_witness_points", lambda n: points)
         partition, witnesses = oracle_witnessed_partition(poly)
         identities = _second_arguments(patch, "_slice_identity")
+        drawn = _second_arguments(patch, "_pair_sums")
         report = finest_partition(poly)
-    assert report.partition == partition
+    assert report.partition == partition == symbolic_finest(poly)
     assert list(report.witnesses.items()) == list(witnesses.items())
     # the identity runs at most once for each distinct witnessed partition,
-    # and on at least `certified` of them
-    assert certified <= len(identities) == len(set(identities)) <= len(points)
+    # and on at least `certified` of them; fresh points drawn count as points
+    assert certified <= len(identities) == len(set(identities)) <= max(len(points), len(drawn))
 
 
 @pytest.mark.parametrize("source, vars, points, certified", [
@@ -601,7 +664,7 @@ def test_no_pair_means_no_point_no_witness_and_no_identity(source, blocks, monke
 
 @pytest.mark.parametrize("source, points, certified, blocks", [
     # x = 1 hides the edge (x, y) at both points: the same partition twice
-    # gets one identity, which fails, and the symbolic entry joins x and y
+    # gets one identity, which fails, and a fresh point joins x and y
     ("(x - 1)^2 + y", ((1, 3), (1, -5)), [((0,), (1,))], ((0, 1),)),
     # the first point leaves all singletons, the second joins x and y
     ("((x - 1)^2 + y)*(z + 1)", ((1, 3, 2), (2, 5, 3)), [((0,), (1,), (2,)), ((0, 1), (2,))], ((0, 1), (2,))),
