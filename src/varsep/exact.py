@@ -25,16 +25,15 @@ The differential route decides pairs by exact evaluation (Schwartz, J. ACM
   point.  When it certifies, every pair entry vanishes identically, so the
   singletons are returned with no point evaluated and no witness; there
   both the pair route and the coefficient route rest on that identity;
-* witnesses: at a few fixed, seeded integer points with nonzero coordinates,
-  the pair value is computed from integer term sums of the denominator-free
-  polynomial.  A nonzero value proves the edge; the point is its witness;
+* witnesses: at seeded integer points with nonzero coordinates, integer term
+  sums of the denominator-free polynomial give the pair values.  A nonzero
+  value at a pair whose ends lie in different components proves an edge that
+  joins them, with the point as its witness: a spanning forest of the blocks;
 * certification: the witnessed edges give a partition at least as fine as
   the finest one.  When the slice identity shows that F separates by that
   partition, no further edge exists.  This is the coefficient route's
   identity, so the two routes rest on separate arguments only where a
-  witness decides.  After each point, stop at one block, or once every pair
-  inside a block has a witness and the identity certifies: cross-block
-  entries then vanish, so no point could add more;
+  witness decides.  After each point, stop at one block or once it certifies;
 * fresh points: after the fixed points, fresh seeded points are drawn until
   the identity certifies; a nonzero entry, of degree at most 2*deg F, vanishes
   at one with probability at most 2*deg F / FRESH_BOUND.  Only the number of
@@ -95,10 +94,10 @@ class NotSeparableError(Exception):
 class SepMatrixReport(Record):
     """The finest `partition` of `names` by the pair entries F*F_ij - F_i*F_j.
 
-    `witnesses` maps each edge (i, j), i < j, found by evaluation to the
-    integer point where its entry is nonzero; every edge that joined two
-    components has one.  Every pair in different blocks has an identically
-    zero entry.  Fields, in order:
+    `witnesses` maps each edge (i, j), i < j, that joined two components to
+    the integer point where its entry is nonzero: a spanning forest of each
+    block.  Every pair in different blocks has an identically zero entry.
+    Fields, in order:
     names: tuple[str, ...], partition: Partition,
     witnesses: dict[tuple[int, int], tuple[int, ...]].
     """
@@ -142,8 +141,8 @@ def sep_matrix_entry(poly: Polynomial, i: int, j: int) -> Polynomial:
 
 
 # Pair tests run at WITNESS_POINTS fixed integer points with coordinates in
-# +-[1, WITNESS_BOUND], then at fresh points in +-[1, FRESH_BOUND], each
-# stream seeded by the variable count, with different seeds.
+# +-[1, WITNESS_BOUND], then at fresh points in +-[1, FRESH_BOUND], until one
+# stops the loop; both streams are seeded by n, with different seeds.
 WITNESS_POINTS = 2
 WITNESS_BOUND = 64
 FRESH_BOUND = 2**61
@@ -206,10 +205,9 @@ def finest_partition(poly: Polynomial) -> SepMatrixReport:
     total separability), the slice identity on singletons is tried first;
     if it certifies, the singletons are returned with no point evaluated.
     Otherwise edges are found by exact evaluation at the points of
-    `_points`.  After each point, stop at one block, or when F separates by
-    the witnessed partition (the slice identity, see `separate_by_partition`)
-    and either every pair inside a block has a witness or the fixed points
-    are spent; after them, fresh points are drawn until one of these holds.
+    `_points`, one witness per edge that joins two components.  After each
+    point, stop at one block or when F separates by the witnessed partition
+    (the slice identity, see `separate_by_partition`).
     """
     n = poly.var_count
     cleared = _certificate(poly)[1]
@@ -224,16 +222,15 @@ def finest_partition(poly: Polynomial) -> SepMatrixReport:
     terms = [(c, [(i, e) for i, e in enumerate(exps) if e]) for exps, c in cleared.items()]
     uf = UnionFind(n)
     witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
-    for k, point in enumerate(_points(n)):
+    for point in _points(n):
         f, s1, s2 = _pair_sums(terms, point, n)
         for i in range(n):
             for j in range(i + 1, n):
-                if (i, j) not in witnesses and f * s2[i][j] != s1[i] * s1[j]:
+                if uf.find(i) != uf.find(j) and f * s2[i][j] != s1[i] * s1[j]:
                     witnesses[(i, j)] = point
                     uf.union(i, j)
         partition = uf.partition()
-        unwitnessed = k + 1 < WITNESS_POINTS and len(witnesses) < sum(len(b) * (len(b) - 1) // 2 for b in partition.blocks)
-        if partition.block_count == 1 or not unwitnessed and _certificate(poly, partition)[4] is None:
+        if partition.block_count == 1 or _certificate(poly, partition)[4] is None:
             break
     return SepMatrixReport(names=poly.vars, partition=partition, witnesses=witnesses)
 

@@ -123,6 +123,8 @@ class SampleGrid(Record):
                     axis[k] = float(c)
                 except OverflowError:
                     raise ValueError(f"coordinate {k} of axis {i} is beyond float range") from None
+                if not math.isfinite(axis[k]):
+                    raise ValueError(f"coordinate {k} of axis {i} is not finite")
             if len(set(axis)) < 2:
                 raise ValueError("each variable needs at least 2 distinct coordinates")
         self.coords = tuple(map(tuple, coords))

@@ -5,8 +5,8 @@ coarsening order on partitions, the margin-identity brute-force
 oracle used to cross-check partition logic, a factor-by-factor lowering
 oracle, a recursive float evaluator, a recursive printer, a character-loop
 lexer and a method-per-token parser for the expression front end, the
-slice identity on Fraction coefficients, and the witness loop that evaluates
-every witness point before it certifies."""
+slice identity on Fraction coefficients, and the witness loop that records
+one witness per edge joining two components until one exit rule holds."""
 
 from __future__ import annotations
 
@@ -834,33 +834,26 @@ def both_points_miss_source() -> str:
 
 def oracle_witnessed_partition(poly: Polynomial):
     """(partition, witnesses) as `exact.finest_partition` gives them, by the
-    plain loop: every fixed witness point is evaluated until one component
-    is left.  After them, points are drawn from the fresh stream of
-    `exact._points` until the slice identity certifies the witnessed
-    partition or one component is left, and witnesses are recorded as they
-    are found.  It calls `exact._cleared` and `exact._slice_identity`
-    directly, so it shares no certificate with the code under test."""
+    plain loop over the fixed witness points and then the fresh stream of
+    `exact._points`: at each point a pair is tested only while its ends are
+    in different components, and a witness is recorded only where it joins
+    two; after each point the loop stops at one component or when the slice
+    identity certifies the witnessed partition.  It calls `exact._cleared`
+    and `exact._slice_identity` directly, so it shares no certificate with
+    the code under test."""
     n = poly.var_count
     _, cleared = exact._cleared(poly)
     terms = [(c, [(i, e) for i, e in enumerate(exps) if e]) for exps, c in cleared.items()]
     uf = UnionFind(n)
     witnesses = {}
-
-    def witness(point):
+    fixed = exact._witness_points(n)
+    fresh = itertools.islice(exact._points(n), len(fixed), None)
+    for point in itertools.chain(fixed, fresh):
         f, s1, s2 = exact._pair_sums(terms, point, n)
         for i, j in itertools.combinations(range(n), 2):
-            if (i, j) not in witnesses and f * s2[i][j] != s1[i] * s1[j]:
+            if uf.find(i) != uf.find(j) and f * s2[i][j] != s1[i] * s1[j]:
                 witnesses[(i, j)] = point
                 uf.union(i, j)
-
-    fixed = exact._witness_points(n)
-    for point in fixed:
-        if len({uf.find(i) for i in range(n)}) == 1:
-            break
-        witness(point)
-    fresh = itertools.islice(exact._points(n), len(fixed), None)
-    partition = uf.partition()
-    while partition.block_count > 1 and exact._slice_identity(cleared, partition)[2] is not None:
-        witness(next(fresh))
         partition = uf.partition()
-    return partition, witnesses
+        if partition.block_count == 1 or exact._slice_identity(cleared, partition)[2] is None:
+            return partition, witnesses

@@ -105,11 +105,13 @@ def test_check_json_reports_partition_and_violation(capsys):
     assert payload["violation"] is not None
 
 
-def test_check_json_names_a_witness_per_edge(capsys):
+def test_check_json_names_a_witness_per_edge_that_joined_two_blocks(capsys):
     code, out, _ = run_cli(["check", "(x^2 + y^2)*(z + w + 1)", "--format", "json"], capsys)
     assert code == 1
     payload = json.loads(out)
+    # a spanning forest: n - r entries for n variables in r blocks
     assert [entry["pair"] for entry in payload["witnesses"]] == [["x", "y"], ["z", "w"]]
+    assert len(payload["witnesses"]) == 4 - len(payload["partition"])
     for entry in payload["witnesses"]:
         assert len(entry["point"]) == 4 and all(isinstance(c, int) and c for c in entry["point"])
 

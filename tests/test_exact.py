@@ -344,18 +344,24 @@ def test_witness_route_agrees_with_symbolic_entries_on_random_inputs():
 
 
 def test_every_witness_gives_a_nonzero_exact_pair_value():
+    # the witnesses are a spanning forest of each block: taken in order,
+    # every pair joins two components, and together they give the partition
     rng = random.Random(3141)
     checked = 0
     for _ in range(60):
         poly = random_pair_test_input(rng)
         report = finest_partition(poly)
-        owner = {i: k for k, block in enumerate(report.partition.blocks) for i in block}
+        n = poly.var_count
+        assert len(report.witnesses) == n - report.partition.block_count
+        uf = UnionFind(n)
         for (i, j), point in report.witnesses.items():
             assert i < j
-            assert owner[i] == owner[j]
+            assert uf.find(i) != uf.find(j), (poly, i, j)
+            uf.union(i, j)
             assert all(c != 0 for c in point)
             assert evaluate(sep_matrix_entry(poly, i, j), point) != 0, (poly, i, j, point)
             checked += 1
+        assert uf.partition() == report.partition
     assert checked > 0
 
 
@@ -559,7 +565,7 @@ def test_finest_partition_matches_the_oracle_that_evaluates_every_point(case):
     # certifies before any point is evaluated
     ("(x + 1)*(y - 2)*(z^2 + 3)", ("x", "y", "z"), 0, [((0,), (1,), (2,))]),
 ])
-def test_a_certified_first_point_with_every_block_pair_witnessed_is_the_only_one(
+def test_a_first_point_whose_witnessed_partition_certifies_is_the_only_one(
     source, vars, points, certified, monkeypatch
 ):
     calls = _second_arguments(monkeypatch, "_pair_sums")
@@ -614,8 +620,8 @@ def test_a_product_set_support_is_certified_before_any_point_only_when_it_separa
         code = cli.run(["check", str(poly), "--vars", ",".join(poly.vars), "--format", "json"])
     payload = json.loads(out.getvalue())
     assert (code, payload["separable"], payload["partition"]) == (1, False, partition.name_blocks(poly.vars))
-    # one witness per edge, each inside a block and checked on its own: the
-    # pair entry is nonzero at the witness point
+    # one witness per edge that joined two components, each inside a block
+    # and checked on its own: the pair entry is nonzero at the witness point
     assert payload["witnesses"] == [
         {"pair": [poly.vars[i], poly.vars[j]], "point": list(point)} for (i, j), point in sorted(witnesses.items())
     ]
@@ -627,19 +633,19 @@ def test_a_product_set_support_is_certified_before_any_point_only_when_it_separa
         assert at[0] * at[1] != at[2] * at[3]
 
 
-def test_the_second_point_runs_when_the_first_misses_a_pair_inside_a_block(monkeypatch):
+def test_a_pair_inside_a_block_the_first_point_misses_needs_no_second_point(monkeypatch):
     # for g = x*y + y*z + x*z + 1 the pair entries are G_xy = 1 - z^2,
     # G_yz = 1 - x^2 and G_xz = 1 - y^2, so y = 1 hides the edge (x, z); the
-    # first point still joins x, y, z, and the slice identity certifies
-    # {x,y,z} {w}, but the second point must witness (x, z)
+    # first point still joins x, y, z through (x, y) and (y, z), and the
+    # slice identity certifies {x,y,z} {w}, so the second point never runs
     first, second = (2, 1, 3, 5), (3, 2, 5, 7)
     monkeypatch.setattr(exact, "_witness_points", lambda n: (first, second))
     calls = _second_arguments(monkeypatch, "_pair_sums")
     poly = P("(x*y + y*z + x*z + 1)*(w + 2)", ("x", "y", "z", "w"))
     report = finest_partition(poly)
-    assert calls == [first, second]
+    assert calls == [first]
     assert report.partition.blocks == ((0, 1, 2), (3,))
-    assert report.witnesses == {(0, 1): first, (1, 2): first, (0, 2): second}
+    assert report.witnesses == {(0, 1): first, (1, 2): first}
     assert (report.partition, report.witnesses) == oracle_witnessed_partition(poly)
 
 
@@ -650,7 +656,8 @@ def test_one_block_after_the_first_point_stops_without_the_identity(monkeypatch)
     first = exact._witness_points(3)[0]
     assert points == [first] and identities == []
     assert report.partition.blocks == ((0, 1, 2),)
-    assert report.witnesses == {(0, 1): first, (0, 2): first, (1, 2): first}
+    # (x, y) and (x, z) join all three, so (y, z) is never tested
+    assert report.witnesses == {(0, 1): first, (0, 2): first}
 
 
 @pytest.mark.parametrize("source, blocks", [("3", ()), ("x^2 + 1", ((0,),))])

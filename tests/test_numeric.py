@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -260,6 +261,12 @@ def test_grid_converts_its_coordinates_to_floats_once():
         SampleGrid(((10**400, 1.0), (1.0, 2.0)))
     with pytest.raises(ValueError, match="coordinate 2 of axis 1 is beyond float range"):
         SampleGrid(((0.0, 1.0), (1, Fraction(1, 2), -Fraction(10**400, 3))))
+    # NaN would be counted as skipped samples and inf blamed on the function
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^coordinate 0 of axis 0 is not finite$"):
+            SampleGrid(((bad, 1.0, 2.0), (1.0, 2.0, 3.0)))
+        with pytest.raises(ValueError, match="^coordinate 1 of axis 1 is not finite$"):
+            SampleGrid(((0.0, 1.0), (1.0, bad, 3.0)))
     grid = SampleGrid(((0, 1, 10**17 + 1), (Fraction(1, 2), 3)))
     assert grid.coords == ((0.0, 1.0, float(10**17 + 1)), (0.5, 3.0))
     assert all(type(c) is float for axis in grid.coords for c in axis)
