@@ -19,12 +19,6 @@ of polynomials in disjoint variable blocks:
 The differential route decides pairs by exact evaluation (Schwartz, J. ACM
 27(4), 1980; Zippel, EUROSAM 1979) and certifies every answer:
 
-* certify first: a totally separable F has a product set as support, so
-  when |supp F| equals the product over the variables of the number of
-  distinct exponents, the slice identity on singletons is tried before any
-  point.  When it certifies, every pair entry vanishes identically, so the
-  singletons are returned with no point evaluated and no witness; there
-  both the pair route and the coefficient route rest on that identity;
 * witnesses: at seeded integer points with nonzero coordinates, integer term
   sums of the denominator-free polynomial give the pair values.  A nonzero
   value at a pair whose ends lie in different components proves an edge that
@@ -33,7 +27,13 @@ The differential route decides pairs by exact evaluation (Schwartz, J. ACM
   the finest one.  When the slice identity shows that F separates by that
   partition, no further edge exists.  This is the coefficient route's
   identity, so the two routes rest on separate arguments only where a
-  witness decides.  After each point, stop at one block or once it certifies;
+  witness decides;
+* one exit rule, read before every point: stop at one block or once the
+  identity certifies.  The partition starts as the singletons, and before
+  the first point the identity is tried only when |supp F| equals the
+  product over the variables of the number of distinct exponents (a totally
+  separable F has a product set as support).  So no point is evaluated for
+  fewer than two variables or when the singletons certify;
 * fresh points: after the fixed points, fresh seeded points are drawn until
   the identity certifies; a nonzero entry, of degree at most 2*deg F, vanishes
   at one with probability at most 2*deg F / FRESH_BOUND.  Only the number of
@@ -201,37 +201,31 @@ def finest_partition(poly: Polynomial) -> SepMatrixReport:
     components.  F separates according to a partition Q if and only if Q is
     a coarsening of the result.
 
-    When the support of F is a product set (a necessary condition for
-    total separability), the slice identity on singletons is tried first;
-    if it certifies, the singletons are returned with no point evaluated.
-    Otherwise edges are found by exact evaluation at the points of
-    `_points`, one witness per edge that joins two components.  After each
-    point, stop at one block or when F separates by the witnessed partition
-    (the slice identity, see `separate_by_partition`).
+    The partition starts as the singletons and grows by exact evaluation at
+    the points of `_points`, one witness per edge that joins two components.
+    Before every point, stop at one block or when F separates by the
+    witnessed partition (the slice identity, see `separate_by_partition`);
+    before the first point the identity is tried only when the support of F
+    is a product set, a necessary condition for total separability.
     """
     n = poly.var_count
     cleared = _certificate(poly)[1]
-    singletons = Partition.singletons(n)
-    if n < 2 or (
-        # a totally separable F has a product set as support
-        len(cleared) == math.prod(len(set(column)) for column in zip(*cleared))
-        and _certificate(poly, singletons)[4] is None
-    ):
-        # no pair to test, or every pair entry vanishes identically
-        return SepMatrixReport(names=poly.vars, partition=singletons, witnesses={})
-    terms = [(c, [(i, e) for i, e in enumerate(exps) if e]) for exps, c in cleared.items()]
-    uf = UnionFind(n)
+    uf, partition, points, terms = UnionFind(n), Partition.singletons(n), _points(n), []
     witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
-    for point in _points(n):
+    # before any point, only a product-set support can certify
+    certify = len(cleared) == math.prod(len(set(column)) for column in zip(*cleared))
+    while partition.block_count > 1 and not (certify and _certificate(poly, partition)[4] is None):
+        point = next(points)
+        # built at the first point, so an input that stops before it skips the work
+        terms = terms or [(c, [(i, e) for i, e in enumerate(exps) if e]) for exps, c in cleared.items()]
         f, s1, s2 = _pair_sums(terms, point, n)
         for i in range(n):
+            root = uf.find(i)  # union(i, j) keeps i's root
             for j in range(i + 1, n):
-                if uf.find(i) != uf.find(j) and f * s2[i][j] != s1[i] * s1[j]:
+                if root != uf.find(j) and f * s2[i][j] != s1[i] * s1[j]:
                     witnesses[(i, j)] = point
                     uf.union(i, j)
-        partition = uf.partition()
-        if partition.block_count == 1 or _certificate(poly, partition)[4] is None:
-            break
+        partition, certify = uf.partition(), True
     return SepMatrixReport(names=poly.vars, partition=partition, witnesses=witnesses)
 
 

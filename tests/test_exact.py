@@ -543,7 +543,7 @@ def _second_arguments(monkeypatch, name):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.tuples(block_products(), st.one_of(st.none(), _missing_points), st.just(0)), hidden_edges()))
-def test_finest_partition_matches_the_oracle_that_evaluates_every_point(case):
+def test_finest_partition_matches_the_oracle_that_reads_the_exit_rule_after_each_point(case):
     poly, points, certified = case
     points = exact._witness_points(poly.var_count) if points is None else [p[:poly.var_count] for p in points]
     with pytest.MonkeyPatch.context() as patch:
@@ -702,6 +702,12 @@ def test_separate_by_partition_does_not_derive_the_finest_partition(monkeypatch)
     assert calls == []
     assert info.value.partition == wrong
     assert info.value.violation == oracle_slice_identity(FOUR_VAR_PRODUCT, wrong)[2] == (1, 0, 1, 0)
+
+
+def test_a_partition_over_another_variable_count_is_refused():
+    with pytest.raises(ValueError) as info:
+        separate_by_partition(P("x*y"), Partition(((0,),)))
+    assert str(info.value) == "partition covers 1 variables, polynomial has 2"
 
 
 # --------------------------------------------------------------------- coefficient route

@@ -339,6 +339,14 @@ def test_round_trip_of_reference_sources():
         assert parse(to_source(node)) == node
 
 
+def test_a_negative_constant_prints_as_a_difference_from_zero():
+    # the parser makes no negative constants, so a library-built one is
+    # printed as a subtraction with the same value
+    for value, text in ((Fraction(-3), "(0 - 3)"), (Fraction(-1, 2), "(0 - 0.5)")):
+        assert to_source(Const(value)) == text
+        assert eval_float(parse(text), {}) == eval_float(Const(value), {}) == float(value)
+
+
 # --------------------------------------------------------------------- front end against the oracles
 
 # fragments of random sources: ASCII digits, the decimal point, letters,

@@ -219,6 +219,8 @@ def test_grid_spec_parsing():
         parse_grid_spec("x=a:b:9")
     with pytest.raises(ValueError):
         parse_grid_spec("x=-1:1:1")
+    with pytest.raises(ValueError, match="a grid axis needs at least 2 coordinates"):
+        linspace(0, 1, 1)
     with pytest.raises(ValueError):
         parse_grid_spec("y=2:2:5")
     for spec in ("x=0:inf:5", "x=nan:1:5", "x=-inf:inf:3"):

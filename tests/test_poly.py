@@ -1,4 +1,5 @@
 import operator
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import P43_FACTOR_X, P43_FACTOR_Y, degree_vector, evaluate, substitute
 from varsep import Polynomial, ZeroPolynomialError, parse_polynomial
+from varsep.poly import scalar_str
 
 
 def P(source, vars=None):
@@ -55,6 +57,8 @@ def test_scalar_arithmetic():
     assert p - 1 == P("x")
     assert p / Fraction(1, 2) == P("2*x + 2")
     assert Polynomial.constant(3, ("x", "y")) == 3
+    # other types are not lifted, and == falls back to identity
+    assert p.__eq__("a") is NotImplemented and p != "a"
 
 
 @pytest.mark.parametrize("exponent", ["a", None, -1, 1.0])
@@ -62,6 +66,24 @@ def test_exponents_must_be_nonnegative_integers(exponent):
     # the type is tested before the sign, so "a" and None never reach "<"
     with pytest.raises(ValueError, match="exponents must be nonnegative integers"):
         Polynomial(("x",), {(exponent,): 1})
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Polynomial(("x", "x")), ValueError, "duplicate variable names in registry ('x', 'x')"),
+    (lambda: Polynomial(("x", "y"), {(1,): 1}), ValueError, "exponent vector (1,) does not match registry of 2 variables"),
+    (lambda: Polynomial(("x",), {(1,): 0.5}), TypeError, "expected an int or Fraction coefficient, got float"),
+    (lambda: setattr(P("x"), "terms", {}), AttributeError, "Polynomial instances are immutable"),
+    (lambda: P("x*y").constant_value(), ValueError, "x*y is not a constant polynomial"),
+    (lambda: P("x") / 0, ZeroDivisionError, "division of a polynomial by zero"),
+    (lambda: P("x") + "a", TypeError, "unsupported operand type(s) for +: 'Polynomial' and 'str'"),
+    (lambda: P("x") - "a", TypeError, "unsupported operand type(s) for -: 'Polynomial' and 'str'"),
+    (lambda: P("x") * 1.5, TypeError, "unsupported operand type(s) for *: 'Polynomial' and 'float'"),
+], ids=["duplicate-name", "short-exponents", "float-coefficient", "assignment", "not-constant",
+        "divide-by-zero", "add-str", "sub-str", "mul-float"])
+def test_invalid_input_raises_with_its_message(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -213,6 +235,14 @@ def test_canonical_string_reparses_to_the_same_polynomial(p):
     if p.is_zero:
         return
     assert parse_polynomial(str(p), p.vars) == p
+    # a negative int splits after its sign, under any digit limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert scalar_str(-10**700) == "-1" + "0" * 700
+        assert scalar_str(Fraction(-10**700 - 1, 3)) == "-1" + "0" * 699 + "1/3"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 
@@ -223,3 +253,11 @@ def test_coefficients_of_any_size_print_exactly_and_reparse():
     p = Polynomial(("x", "y"), {(1, 0): Fraction(-big, 3), (0, 1): big, (0, 0): Fraction(1, big)})
     assert str(p) == f"-{digits}/3*x + {digits}*y + 1/{digits}"
     assert parse_polynomial(str(p), p.vars) == p
+    # a negative int splits after its sign, under any digit limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert scalar_str(-10**700) == "-1" + "0" * 700
+        assert scalar_str(Fraction(-10**700 - 1, 3)) == "-1" + "0" * 699 + "1/3"
+    finally:
+        sys.set_int_max_str_digits(limit)
