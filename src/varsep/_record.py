@@ -7,7 +7,9 @@ subclass that writes no `__init__`, an initialiser generated from its
 `__slots__` when the class is created.  It is a plain `def` that assigns
 each field, the same code as one written by hand, so the parser builds its
 nodes at full speed and `inspect.signature` shows the fields.  Only
-`Partition` and `SampleGrid` write their own, to validate their input.
+`Partition` and `SampleGrid` write their own, to normalize their input
+(blocks in normal form, coordinates as floats) and to reject input that
+names no partition or grid (`ValueError`).
 Records are immutable by convention: no code in the package mutates one.
 """
 

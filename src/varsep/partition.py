@@ -1,7 +1,4 @@
-"""Partitions of variable indices and the union-find used to derive them.
-
-`UnionFind.partition` hands out the normal form directly: its ascending
-scan yields sorted blocks ordered by their smallest member."""
+"""Partitions of variable indices and the union-find used to derive them."""
 
 from __future__ import annotations
 
@@ -13,37 +10,30 @@ from ._record import Record
 class Partition(Record):
     """Disjoint, exhaustive blocks of variable indices.
 
-    Blocks are stored normalized: each block sorted ascending, blocks ordered
-    by their smallest member, and the union equal to {0, ..., n-1}.
+    The blocks may come as any iterables, in any order.  They are stored
+    normalized: each block a sorted tuple, blocks ordered by their smallest
+    member.  `ValueError` is raised for an empty block and unless the
+    members are each of 0, ..., n-1 exactly once (no repeat, overlap or gap).
     """
 
     __slots__ = ("blocks",)
 
-    def __init__(self, blocks: tuple[tuple[int, ...], ...]):
-        seen: set[int] = set()
-        for block in blocks:
-            if not block:
-                raise ValueError("partition blocks must be nonempty")
-            if list(block) != sorted(block):
-                raise ValueError(f"block {block} is not sorted")
-            if seen & set(block):
-                raise ValueError(f"block {block} overlaps another block")
-            seen.update(block)
-        if seen != set(range(len(seen))):
-            raise ValueError(f"blocks must cover a contiguous index range, got {sorted(seen)}")
-        if list(blocks) != sorted(blocks, key=lambda b: b[0]):
-            raise ValueError("blocks must be ordered by smallest member")
+    def __init__(self, blocks: Iterable[Iterable[int]]):
+        # disjoint sorted blocks sort lexicographically by their smallest member
+        blocks = tuple(sorted(map(tuple, map(sorted, blocks))))
+        if not all(blocks):
+            raise ValueError("partition blocks must be nonempty")
+        members = sorted(i for block in blocks for i in block)
+        if members != list(range(len(members))):
+            k, i = next((k, i) for k, i in enumerate(members) if i != k)
+            if k and i == k - 1:
+                raise ValueError(f"index {i} appears more than once")
+            raise ValueError(f"index {k} is missing" if i > k else f"{i!r} is not a variable index")
         self.blocks = blocks
 
     @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> Partition:
-        """Normalize arbitrary block order into a Partition."""
-        normalized = sorted((tuple(sorted(set(b))) for b in blocks), key=lambda b: b[0] if b else -1)
-        return cls(tuple(normalized))
-
-    @classmethod
     def singletons(cls, n: int) -> Partition:
-        return cls(tuple((i,) for i in range(n)))
+        return cls(zip(range(n)))
 
     @property
     def var_count(self) -> int:
@@ -84,4 +74,4 @@ class UnionFind:
         groups: dict[int, list[int]] = {}
         for i in range(len(self.parent)):
             groups.setdefault(self.find(i), []).append(i)
-        return Partition(tuple(map(tuple, groups.values())))
+        return Partition(groups.values())

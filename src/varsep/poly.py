@@ -151,6 +151,8 @@ class Polynomial:
             terms[exps] = terms.get(exps, Fraction(0)) + coef
         return Polynomial(self.vars, terms)
 
+    __radd__ = __add__
+
     def __neg__(self) -> Polynomial:
         return Polynomial(self.vars, {exps: -coef for exps, coef in self.terms.items()})
 
@@ -159,6 +161,9 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
+
+    def __rsub__(self, other) -> Polynomial:
+        return (-self).__add__(other)
 
     def __mul__(self, other) -> Polynomial:
         other = _lift(other, self.vars)

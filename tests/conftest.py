@@ -302,10 +302,10 @@ def oracle_finest(poly: Polynomial) -> Partition:
         if oracle_partition_valid(poly, blocks)
     ]
     finest = max(valid, key=len)
-    finest_partition = Partition.from_blocks(finest)
+    finest_partition = Partition(finest)
     # the finest valid partition must refine every other valid one
     for blocks in valid:
-        assert is_coarsening(Partition.from_blocks(blocks), finest_partition)
+        assert is_coarsening(Partition(blocks), finest_partition)
     return finest_partition
 
 

@@ -130,7 +130,7 @@ def test_criterion_6_partition_oracle():
         blocks = random_partition(rng, 4, rng.choice((2, 3)))
         names = ("a", "b", "c", "d")
         product = rand_block_separable(rng, names, blocks)
-        generating = Partition.from_blocks(blocks)
+        generating = Partition(blocks)
         finest = finest_partition(product).partition
         refines = is_coarsening(generating, finest)
         verified = separate_by_partition(product, finest).verified

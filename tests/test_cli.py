@@ -764,6 +764,34 @@ def test_argv_forms_read_as_argparse_read_them(argv, code, out, err, capsys, mon
     assert run_cli(argv, capsys) == (code, out, err)
 
 
+
+# outputs the packaging smoke test (.github/workflows/tests.yml) pins on the
+# installed console script, read here through cli.run
+SCRIPT_PINS = [
+    (["check", "--format", "json", "x*y*z + x*y*w + 2*x*y + z + w + 2"], 1,
+     '{"schema": "varsep/1", "separable": false, "partition": [["x", "y"], ["z", "w"]], "violation": [1, 1, 1, 1], '
+     '"witnesses": [{"pair": ["x", "y"], "point": [-39, -51, 20, -9]}, '
+     '{"pair": ["z", "w"], "point": [-39, -51, 20, -9]}]}\n',
+     ""),
+    (["check", "--format", "json", "x*y + y*z + 1"], 1,
+     '{"schema": "varsep/1", "separable": false, "partition": [["x", "y", "z"]], "violation": [1, 1, 1], '
+     '"witnesses": [{"pair": ["x", "y"], "point": [-17, 61, -2]}, {"pair": ["x", "z"], "point": [-17, 61, -2]}]}\n',
+     ""),
+    (["partition", "x*y + x + y + 2"], 0, "{x,y}\n", ""),
+    (["check", "x*y + x + y + 2"], 1, "not separable\n", ""),
+    (["check", "x + @"], 2, "", "error: syntax error at byte 4: unexpected character '@'\n"),
+    (["check", "x/(y - 1)"], 2, "", "error: division by a non-constant in 'x/(y - 1)'\n"),
+    (["separate", "0.5*x*y/3"], 0, "constant: 1/6\nfactor [x]: x\nfactor [y]: y\n", ""),
+    (["numeric", "sin(x)*cos(y)*exp(z)*(2 + u^2)"], 0,
+     "verdict: separable\npartition: {x} {y} {z} {u}\nmax residual: 5.340e-16 (tolerance 1.0e-08)\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", SCRIPT_PINS, ids=[" ".join(pin[0]) for pin in SCRIPT_PINS])
+def test_outputs_the_console_script_smoke_test_pins(argv, code, out, err, capsys):
+    assert run_cli(argv, capsys) == (code, out, err)
+
+
 def test_help_lists_every_option_of_the_command(capsys):
     code, out, err = run_cli(["numeric", "--he"], capsys)
     assert (code, err) == (0, "")

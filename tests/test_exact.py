@@ -114,11 +114,12 @@ def test_pair_identity_holds_on_separable_inputs():
 
 
 @pytest.mark.parametrize("blocks, message", [
-    (((0, 1), (1, 2)), "block (1, 2) overlaps another block"),
-    (((1, 0),), "block (1, 0) is not sorted"),
-    (((0,), (2,)), "blocks must cover a contiguous index range, got [0, 2]"),
-    (((1,), (0,)), "blocks must be ordered by smallest member"),
+    (((0, 1), (1, 2)), "index 1 appears more than once"),
+    (((0,), (1, 1)), "index 1 appears more than once"),
+    (((0,), (2,)), "index 1 is missing"),
+    (((1,),), "index 0 is missing"),
     (((0,), ()), "partition blocks must be nonempty"),
+    (((-1,), (1,)), "-1 is not a variable index"),
 ])
 def test_partition_rejects_malformed_blocks(blocks, message):
     for construct in (lambda: Partition(blocks), lambda: Partition(blocks=blocks)):
@@ -127,11 +128,78 @@ def test_partition_rejects_malformed_blocks(blocks, message):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("blocks, normal", [
+    (((1, 0),), ((0, 1),)),
+    (((1,), (0,)), ((0,), (1,))),
+    ([[2], [1, 0]], ((0, 1), (2,))),
+    ([[0], [1]], ((0,), (1,))),
+    ((range(3, 5), {2, 0}, iter([1])), ((0, 2), (1,), (3, 4))),
+    ((), ()),
+], ids=["unsorted-block", "blocks-out-of-order", "lists-out-of-order", "lists", "any-iterables", "no-blocks"])
+def test_partition_normalizes_the_order_of_blocks_and_members(blocks, normal):
+    partition = Partition(blocks)
+    assert partition.blocks == normal and all(type(b) is tuple for b in partition.blocks)
+    assert partition == Partition(normal) and hash(partition) == hash(Partition(normal))
+
+
+@st.composite
+def shuffled_partitions(draw):
+    """(n, blocks, normal): a random set partition of range(n), n = 0..8, its
+    blocks and their members shuffled and each block a list or a tuple, and
+    its normal form, sorted blocks in order of their smallest member."""
+    n = draw(st.integers(0, 8))
+    labels = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n))
+    groups: dict[int, list[int]] = {}
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
+    normal = tuple(tuple(group) for group in sorted(groups.values(), key=min))
+    rng = draw(st.randoms(use_true_random=False))
+    blocks = [draw(st.sampled_from([list, tuple]))(rng.sample(group, len(group))) for group in groups.values()]
+    rng.shuffle(blocks)
+    return n, blocks, normal
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffled_partitions(), st.data())
+def test_partition_normalizes_any_order_and_rejects_one_member_off(drawn, data):
+    n, blocks, normal = drawn
+    uf = UnionFind(n)
+    for block in blocks:
+        for i in block:
+            uf.union(block[0], i)
+    partition = Partition(blocks)
+    assert partition.blocks == normal
+    assert partition == Partition(normal) == uf.partition()
+    assert hash(partition) == hash(Partition(normal)) == hash(uf.partition())
+
+    def with_member(member):
+        """blocks with `member` added to one of them, or as a block of its own"""
+        where = data.draw(st.integers(0, len(blocks)))
+        return [[*b, member] if k == where else b for k, b in enumerate(blocks)] + [[member]] * (where == len(blocks))
+
+    faulty = {f"index {n} is missing": with_member(n + 1)}
+    if n:
+        repeated = data.draw(st.integers(0, n - 1))
+        faulty[f"index {repeated} appears more than once"] = with_member(repeated)
+    if n > 1:
+        # dropping n - 1 from a block of two or more leaves a partition of range(n - 1)
+        dropped = data.draw(st.integers(0, n - 2))
+        emptied = any(list(b) == [dropped] for b in blocks)
+        message = "partition blocks must be nonempty" if emptied else f"index {dropped} is missing"
+        faulty[message] = [[i for i in b if i != dropped] for b in blocks]
+    for message, bad in faulty.items():
+        with pytest.raises(ValueError) as info:
+            Partition(bad)
+        assert str(info.value) == message
+
+
 def test_partitions_and_reports_compare_as_values():
     partition = Partition(((0, 1), (2,)))
-    assert partition == Partition.from_blocks([[2], [1, 0]]) == Partition(blocks=((0, 1), (2,)))
-    assert hash(partition) == hash(Partition.from_blocks([[2], [1, 0]]))
+    assert partition == Partition([[2], [1, 0]]) == Partition(blocks=((0, 1), (2,)))
+    assert hash(partition) == hash(Partition([[2], [1, 0]]))
     assert partition != Partition.singletons(3) and partition != ((0, 1), (2,))
+    lists = Partition([[0], [1]])
+    assert lists == Partition.singletons(2) and hash(lists) == hash(Partition.singletons(2))
     assert finest_partition(FOUR_VAR_PRODUCT) == finest_partition(FOUR_VAR_PRODUCT)
     result = separate_by_partition(P("6*x*y"), Partition.singletons(2))
     assert SeparationResult(result.constant, result.factors, True) == result
@@ -216,8 +284,8 @@ def test_union_find_partition_is_the_normal_form_of_the_components(drawn):
     for a, b in edges:
         assert uf.union(a, b) is None
     partition = uf.partition()
-    assert partition == Partition.from_blocks(_components_by_search(n, edges))
-    # the scan already gives sorted blocks in order of their smallest member
+    assert partition == Partition(_components_by_search(n, edges))
+    # the normal form: sorted blocks in order of their smallest member
     assert partition.blocks == tuple(sorted((tuple(sorted(b)) for b in partition.blocks), key=min))
     assert all(type(b) is tuple for b in partition.blocks)
 
@@ -950,7 +1018,7 @@ def _random_partition_input(rng):
         blocks = random_partition(rng, poly.var_count, rng.randint(1, poly.var_count))
     elif kind == 3 and len(blocks) > 1:
         blocks = [blocks[0] + blocks[1]] + blocks[2:]
-    partition = Partition.from_blocks(blocks)
+    partition = Partition(blocks)
     drop = rng.random() < 0.2 and not poly.is_zero
     if drop:
         # drop the corner term: the term whose projection onto every block
@@ -1036,7 +1104,7 @@ def test_coarsening_contract_randomized():
         product = rand_block_separable(rng, names, blocks)
         finest = finest_partition(product).partition
         for candidate in all_partitions(list(range(4))):
-            candidate_partition = Partition.from_blocks(candidate)
+            candidate_partition = Partition(candidate)
             if is_coarsening(candidate_partition, finest):
                 result = separate_by_partition(product, candidate_partition)
                 assert result.verified
@@ -1055,7 +1123,7 @@ def test_not_separable_error_carries_the_oracle_violation():
     for _ in range(400):
         n = rng.randint(2, 4)
         blocks = random_partition(rng, n, rng.randint(2, n))
-        partition = Partition.from_blocks(blocks)
+        partition = Partition(blocks)
         if rng.random() < 0.2:
             poly = rand_block_separable(rng, names[:n], blocks)
         else:

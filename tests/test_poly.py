@@ -61,6 +61,22 @@ def test_scalar_arithmetic():
     assert p.__eq__("a") is NotImplemented and p != "a"
 
 
+@pytest.mark.parametrize("s", [0, 2, -3, Fraction(1, 2), Fraction(-7, 3)])
+def test_a_scalar_lifts_on_either_side_of_plus_and_minus(s):
+    p = P("x^2*y - 3*x + 1/4")
+    assert s + p == p + s and s - p == -(p - s)
+    assert (s - p).vars == (s + p).vars == p.vars
+
+
+@pytest.mark.parametrize("other, op, symbol", [
+    ("a", operator.sub, "-"), (1.5, operator.add, "+"), (1.5, operator.sub, "-"), (None, operator.add, "+"),
+])
+def test_a_non_scalar_on_the_left_still_raises(other, op, symbol):
+    with pytest.raises(TypeError) as info:
+        op(other, P("x"))
+    assert str(info.value) == f"unsupported operand type(s) for {symbol}: '{type(other).__name__}' and 'Polynomial'"
+
+
 @pytest.mark.parametrize("exponent", ["a", None, -1, 1.0])
 def test_exponents_must_be_nonnegative_integers(exponent):
     # the type is tested before the sign, so "a" and None never reach "<"
