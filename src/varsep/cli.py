@@ -27,7 +27,7 @@ from . import exact, expr, numeric
 from .exact import NotSeparableError
 from .numeric import DegenerateAnchorError, DomainCoverageError, SampleGrid
 from .partition import Partition
-from .poly import Polynomial, ZeroPolynomialError, scalar_str
+from .poly import ZeroPolynomialError, scalar_str
 
 SCHEMA = "varsep/1"
 
@@ -74,19 +74,12 @@ def _parse(args) -> tuple[expr.ExprNode, list[str]]:
     return node, _variable_order(args, node)
 
 
-def _lower(node, names) -> Polynomial:
-    poly = expr.lower_to_polynomial(node, names)
-    if poly.is_zero:
-        raise ZeroPolynomialError("the zero polynomial is degenerate input")
-    return poly
-
-
 def _print_partition_text(blocks: list[list[str]]) -> str:
     return " ".join("{" + ",".join(block) + "}" for block in blocks)
 
 
 def _run_check(args) -> tuple[int, str]:
-    poly = _lower(*_parse(args))
+    poly = expr.lower_to_polynomial(*_parse(args))
     # the coefficient route first, so that finest_partition reads its
     # singleton certificate instead of computing it again
     violation = exact.coeff_criterion_total(poly)
@@ -113,7 +106,7 @@ def _run_check(args) -> tuple[int, str]:
 
 
 def _run_separate(args) -> tuple[int, str]:
-    poly = _lower(*_parse(args))
+    poly = expr.lower_to_polynomial(*_parse(args))
     # a NotSeparableError is worded by `run`
     result = exact.separate_by_partition(poly, Partition.singletons(poly.var_count))
     if args.format == "json":
@@ -129,7 +122,7 @@ def _run_separate(args) -> tuple[int, str]:
 
 
 def _run_partition(args) -> tuple[int, str]:
-    poly = _lower(*_parse(args))
+    poly = expr.lower_to_polynomial(*_parse(args))
     report = exact.finest_partition(poly)
     blocks = report.partition.name_blocks(report.names)
     if args.format == "json":
@@ -141,7 +134,7 @@ def _run_additive(args) -> tuple[int, str]:
     node, names = _parse(args)
     separable = exact.additive_by_residues(node, names)
     if separable is None:
-        separable = exact.additive_separability(_lower(node, names))
+        separable = exact.additive_separability(expr.lower_to_polynomial(node, names))
     if args.format == "json":
         return EXIT_OK, emit_json({"additively_separable": separable})
     return EXIT_OK, "additively separable" if separable else "not additively separable"

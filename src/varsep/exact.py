@@ -58,7 +58,8 @@ F(s,t) - F(s,t0) - F(s0,t) + F(s0,t0); else F is lowered.
 
 The routes return evidence (a partition with witnesses, a violation index
 or None, a factorization or a NotSeparableError carrying its violation, a
-bool); the CLI words the verdict.
+bool); the CLI words the verdict.  Each route that takes a Polynomial raises
+ZeroPolynomialError on F == 0 (`_require_nonzero`).
 """
 
 from __future__ import annotations
@@ -119,8 +120,9 @@ class SeparationResult(Record):
 
 
 def _require_nonzero(poly: Polynomial) -> None:
+    """The zero rule of every exact route: F == 0 is degenerate input."""
     if poly.is_zero:
-        raise ZeroPolynomialError("the zero polynomial is degenerate for separability tests")
+        raise ZeroPolynomialError("the zero polynomial is degenerate input")
 
 
 def sep_matrix_entry(poly: Polynomial, i: int, j: int) -> Polynomial:
@@ -382,7 +384,9 @@ def separate_by_partition(poly: Polynomial, partition: Partition) -> SeparationR
 
 def additive_separability(poly: Polynomial) -> bool:
     """True when the polynomial is a sum of univariate pieces,
-    i.e. every monomial involves at most one variable."""
+    i.e. every monomial involves at most one variable.  Raises
+    ZeroPolynomialError on 0, as every exact route does."""
+    _require_nonzero(poly)
     return all(sum(1 for e in exps if e > 0) <= 1 for exps in poly.terms)
 
 

@@ -12,18 +12,25 @@ class Partition(Record):
 
     The blocks may come as any iterables, in any order.  They are stored
     normalized: each block a sorted tuple, blocks ordered by their smallest
-    member.  `ValueError` is raised for an empty block and unless the
-    members are each of 0, ..., n-1 exactly once (no repeat, overlap or gap).
+    member.  `ValueError` is raised for a member that is not an `int` (a
+    `bool` is not), for an empty block and unless the members are each of
+    0, ..., n-1 exactly once (no repeat, overlap or gap).
     """
 
     __slots__ = ("blocks",)
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
+        blocks = [tuple(block) for block in blocks]
+        members = [i for block in blocks for i in block]
+        # checked before a sort compares the members
+        if not set(map(type, members)) <= {int}:
+            bad = next(i for i in members if type(i) is not int)
+            raise ValueError(f"{bad!r} is not a variable index")
         # disjoint sorted blocks sort lexicographically by their smallest member
         blocks = tuple(sorted(map(tuple, map(sorted, blocks))))
         if not all(blocks):
             raise ValueError("partition blocks must be nonempty")
-        members = sorted(i for block in blocks for i in block)
+        members.sort()
         if members != list(range(len(members))):
             k, i = next((k, i) for k, i in enumerate(members) if i != k)
             if k and i == k - 1:

@@ -120,6 +120,11 @@ def test_pair_identity_holds_on_separable_inputs():
     (((1,),), "index 0 is missing"),
     (((0,), ()), "partition blocks must be nonempty"),
     (((-1,), (1,)), "-1 is not a variable index"),
+    # members are checked before any sort compares them, and a bool is not an int
+    (((0,), (1.0,)), "1.0 is not a variable index"),
+    (((0,), (True,)), "True is not a variable index"),
+    (((0,), ("1",)), "'1' is not a variable index"),
+    (((0,), (None,)), "None is not a variable index"),
 ])
 def test_partition_rejects_malformed_blocks(blocks, message):
     for construct in (lambda: Partition(blocks), lambda: Partition(blocks=blocks)):
@@ -1393,6 +1398,70 @@ def test_additive_separability_examples():
     assert additive_separability(P("x^2 + y^2")) is True
     assert additive_separability(P("x*y")) is False
     assert additive_separability(P("x^3 + 2*y + 5")) is True
+
+
+# --------------------------------------------------------------------- the zero polynomial
+
+
+@pytest.mark.parametrize("route", [
+    coeff_criterion_total,
+    finest_partition,
+    lambda poly: separate_by_partition(poly, Partition.singletons(2)),
+    additive_separability,
+    lambda poly: sep_matrix_entry(poly, 0, 1),
+], ids=["coeff_criterion_total", "finest_partition", "separate_by_partition", "additive_separability",
+        "sep_matrix_entry"])
+def test_every_exact_route_rejects_the_zero_polynomial_with_one_message(route):
+    with pytest.raises(ZeroPolynomialError) as info:
+        route(P("x - x", ["x", "y"]))
+    assert str(info.value) == "the zero polynomial is degenerate input"
+
+
+# --------------------------------------------------------------------- an oracle outside varsep
+
+
+@st.composite
+def dealt_products(draw):
+    """(n, factors, cross): 2-4 variables dealt into blocks, one sparse
+    factor per block as (block, {exponents: coefficient}), and sometimes a
+    term (exponents, coefficient) over all the variables to add."""
+    n = draw(st.integers(2, 4))
+    owner = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    coefficients = st.integers(-3, 3).filter(bool)
+    factors = []
+    for k in sorted(set(owner)):
+        block = [i for i in range(n) if owner[i] == k]
+        exps = st.tuples(*(st.integers(0, 2) for _ in block))
+        factors.append((block, draw(st.dictionaries(exps, coefficients, min_size=1, max_size=3))))
+    cross = draw(st.none() | st.tuples(st.tuples(*(st.integers(0, 2) for _ in range(n))), coefficients))
+    return n, factors, cross
+
+
+@settings(max_examples=300, deadline=None)
+@given(dealt_products())
+def test_finest_partition_is_the_components_of_the_irreducible_factors_sympy_finds(case):
+    sympy = pytest.importorskip("sympy")
+    n, factors, cross = case
+    names = [f"x{i}" for i in range(n)]
+    symbols = sympy.symbols(names)
+    source = sympy.Mul(*(
+        sum(c * sympy.Mul(*(symbols[i] ** e for i, e in zip(block, exps))) for exps, c in terms.items())
+        for block, terms in factors
+    ))
+    if cross is not None:
+        exps, c = cross
+        source += c * sympy.Mul(*(x**e for x, e in zip(symbols, exps)))
+    expanded = sympy.expand(source)
+    assume(expanded != 0)
+    poly = Polynomial(names, {exps: int(c) for exps, c in sympy.Poly(expanded, *symbols).terms()})
+    # the variable sets of the irreducible factors, joined where they meet
+    variable_sets = [{symbols.index(x) for x in factor.free_symbols} for factor, _ in sympy.factor_list(expanded)[1]]
+    components = [{i} for i in range(n)]
+    for variables in variable_sets:
+        meeting = [c for c in components if c & variables]
+        components = [c for c in components if not c & variables] + [set().union(*meeting)]
+    assert finest_partition(poly).partition.blocks == tuple(sorted(tuple(sorted(c)) for c in components))
+    assert (coeff_criterion_total(poly) is None) == all(len(v) <= 1 for v in variable_sets)
 
 
 # --------------------------------------------------------------------- affine interplay
