@@ -51,10 +51,10 @@ the identity have degree r in the coefficients, so scaling by D changes no
 verdict and no violation index, and the factors' constant is divided by D.
 
 Additive separation is read off the AST by residues mod 2^61 - 1 at seeded
-points: F is additive when each top-level summand (read through factors and
-divisors without a variable) has at most one variable and F(anchor) != 0,
-and not when two variables of one summand have a nonzero mixed difference
-F(s,t) - F(s,t0) - F(s0,t) + F(s0,t0); else F is lowered.
+points a, b.  F is additive when no top-level summand (through factors and
+divisors without a variable) mixes variables and F(a) != 0; it is not when
+F(b) - F(b_A, a_B) - F(a_A, b_B) + F(a) != 0 for the split (A, B) of the
+indexes by a bit below bit_length(n - 1); any two indexes differ in one.
 
 The routes return evidence (a partition with witnesses, a violation index
 or None, a factorization or a NotSeparableError carrying its violation, a
@@ -383,21 +383,20 @@ def separate_by_partition(poly: Polynomial, partition: Partition) -> SeparationR
 
 
 def additive_separability(poly: Polynomial) -> bool:
-    """True when the polynomial is a sum of univariate pieces,
-    i.e. every monomial involves at most one variable.  Raises
-    ZeroPolynomialError on 0, as every exact route does."""
+    """True when every monomial has at most one variable (a sum of univariate
+    pieces); raises ZeroPolynomialError on 0, as every exact route does."""
     _require_nonzero(poly)
     return all(sum(1 for e in exps if e > 0) <= 1 for exps in poly.terms)
 
 
 def additive_by_residues(node: expr.ExprNode, names: list[str]) -> bool | None:
     """additive_separability(lower_to_polynomial(node, names)) by residues
-    (module docstring), the anchor and every pair's three corners evaluated
-    in one walk; None where they certify neither or lowering raises."""
+    (module docstring) at the anchor a or, where a summand mixes variables, at
+    a, b and two points per bit, in one walk; None where they certify neither or lowering raises."""
     rng = random.Random(len(names))
     anchor, moved = ([rng.randrange(1, expr.RESIDUE_PRIME) for _ in names] for _ in range(2))
-    pairs, stack = set(), [node]
-    while stack:
+    mixed, stack = False, [node]
+    while stack and not mixed:
         e = stack.pop()
         if isinstance(e, expr.BinOp) and e.op in ("+", "-"):
             stack += (e.left, e.right)
@@ -408,12 +407,12 @@ def additive_by_residues(node: expr.ExprNode, names: list[str]) -> bool | None:
         elif isinstance(e, expr.BinOp) and e.op == "*" and not expr._variables(e.left):
             stack.append(e.right)
         else:
-            pairs.update(itertools.combinations(sorted(expr._variables(e)), 2))
-    corners = [[b if name in axes else a for name, a, b in zip(names, anchor, moved)]
-               for pair in pairs for axes in (pair[:1], pair[1:], pair)]
-    if (values := expr.eval_residues(node, names, [anchor, *corners])) is None:
+            mixed = len(expr._variables(e)) > 1
+    sides = ([b if i >> bit & 1 == side else a for i, (a, b) in enumerate(zip(anchor, moved))]
+             for bit in range((len(names) - 1).bit_length()) for side in (0, 1))
+    points = [anchor, moved, *sides] if mixed else [anchor]
+    if (values := expr.eval_residues(node, names, points)) is None:
         return None
-    if any((f_st - f_s - f_t + values[0]) % expr.RESIDUE_PRIME
-           for f_s, f_t, f_st in zip(values[1::3], values[2::3], values[3::3])):
+    if any((values[1] - f_0 - f_1 + values[0]) % expr.RESIDUE_PRIME for f_0, f_1 in zip(values[2::2], values[3::2])):
         return False
-    return True if values[0] and not pairs else None
+    return True if values[0] and not mixed else None

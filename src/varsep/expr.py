@@ -440,13 +440,15 @@ CompiledFloat = Callable[[Sequence[float]], float]
 
 
 def _postorder(node: ExprNode) -> list[ExprNode]:
-    """The nodes of `node`'s tree, each after its operands, left before
-    right: reversed, the preorder that visits the right operand first."""
+    """The nodes of `node`'s tree, each after its operands, left before right
+    (the reversed right-first preorder); a BinOp op outside + - * / ^ raises ValueError."""
     order, stack = [], [node]
     while stack:
         e = stack.pop()
         order.append(e)
         if isinstance(e, BinOp):
+            if e.op not in ("+", "-", "*", "/", "^"):
+                raise ValueError(f"unknown operator {e.op!r}")
             stack += (e.left, e.right)
         elif isinstance(e, Neg):
             stack.append(e.operand)
@@ -629,9 +631,9 @@ class LoweringError(Exception):
 def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Polynomial:
     """Expand a polynomial-shaped AST into an exact sparse polynomial.
 
-    Allowed constructs: +, -, *, rational constants, registered variables,
-    ^ with a nonnegative integer literal exponent, and / by an expression
-    that lowers to a nonzero constant.  Anything else raises LoweringError.
+    Allowed: +, -, *, rational constants, registered variables, ^ by a
+    nonnegative integer literal, and / by what lowers to a nonzero constant;
+    anything else raises LoweringError (an op outside + - * / ^, ValueError).
 
     One walk lowers everything.  The expression is a sum of summands (a
     single product is a sum of one), added into one term map, and each
@@ -711,7 +713,6 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
                 coef /= value
                 stack.append(f.left)
             else:
-                # a power or a parenthesised sum
                 if f.op == "^":
                     if not isinstance(f.right, Const) or f.right.value.denominator != 1:
                         raise LoweringError("exponent must be a nonnegative integer literal", f)
@@ -723,8 +724,10 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
                     else:
                         base = lower(f.left)
                     factor = base ** int(f.right.value)
-                else:
+                elif f.op in _SUM_OPS:
                     factor = lower(f)
+                else:
+                    raise ValueError(f"unknown operator {f.op!r}")
                 if len(factor.terms) == 1:
                     ((p, c),) = factor.terms.items()
                     exps = [a + b for a, b in zip(exps, p)]

@@ -76,12 +76,11 @@ def linspace(start: float, stop: float, count: int) -> tuple[float, ...]:
 def parse_grid_spec(spec: str) -> tuple[str, tuple[float, ...]]:
     """Parse the CLI grid syntax "var=start:stop:count"."""
     name, eq, rhs = spec.partition("=")
-    parts = rhs.split(":")
+    name, parts = name.strip(), rhs.split(":")
     if not eq or not name or len(parts) != 3:
         raise ValueError(f"grid spec {spec!r} must look like 'x=-1:1:9'")
     try:
-        start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2])
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ValueError(f"grid spec {spec!r}: {exc}") from exc
     if not (math.isfinite(start) and math.isfinite(stop)):
@@ -96,7 +95,7 @@ def parse_grid_spec(spec: str) -> tuple[str, tuple[float, ...]]:
     # finite endpoints more than the float range apart give an infinite step
     if not all(map(math.isfinite, coords)):
         raise ValueError(f"grid spec {spec!r} needs finite endpoints less than the float range apart")
-    return name.strip(), coords
+    return name, coords
 
 
 class SampleGrid(Record):
@@ -131,8 +130,7 @@ class SampleGrid(Record):
 
     @classmethod
     def from_specs(cls, names: Sequence[str], specs: Mapping[str, tuple[float, ...]]) -> SampleGrid:
-        unknown = set(specs) - set(names)
-        if unknown:
+        if unknown := set(specs) - set(names):
             raise ValueError(f"grid given for unknown variable(s): {', '.join(sorted(unknown))}")
         default_axis = linspace(*DEFAULT_GRID_RANGE, DEFAULT_GRID_COUNT)
         return cls(coords=tuple(specs.get(n, default_axis) for n in names))

@@ -1,6 +1,8 @@
 import contextlib
+import functools
 import io
 import json
+import math
 import os
 import random
 import signal
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import P43_FACTOR_X, P43_FACTOR_Y, both_points_miss_source, build_p43, oracle_additive
 from test_expr import ast_nodes, monomial_sums, poly_asts
 import varsep
-from varsep import Partition, exact, parse_polynomial
+from varsep import Partition, exact, expr, parse_polynomial
 from varsep.cli import build_parser, run
 from varsep.expr import RESIDUE_PRIME, BinOp, Call, Const, Var, free_variables, parse, to_source
 
@@ -307,6 +309,55 @@ def test_additive_answers_huge_powers_without_expanding(source, verdict, capsys)
     assert _run_within(["additive", source], capsys, 1.0) == (0, verdict + "\n", "")
 
 
+PRODUCT_400 = "*".join(f"x{k}" for k in range(400))
+
+
+@pytest.mark.parametrize("source, mixed", [
+    ("3", False),
+    ("x^3 + 2*y + 5", False),
+    ("2*(x^100000000 + y)/3", False),
+    ("x*y", True),
+    ("x0*x4 + x1 + x2 + x3", True),
+    ("x*y - x*y + z", True),
+    ("(x + y + z + w + u)^40 + v", True),
+    pytest.param(PRODUCT_400, True, id="x0*...*x399"),
+])
+def test_additive_evaluates_two_points_per_index_bit(source, mixed, monkeypatch):
+    """The anchor alone when no summand mixes variables; else the anchor,
+    the moved point and two points per bit of a variable index."""
+    counts, evaluate = [], expr.eval_residues
+
+    def counting(node, names, points):
+        counts.append(len(points))
+        return evaluate(node, names, points)
+
+    monkeypatch.setattr(expr, "eval_residues", counting)
+    node = parse(source)
+    names = free_variables(node)
+    exact.additive_by_residues(node, names)
+    assert counts == ([2 + 2 * math.ceil(math.log2(len(names)))] if mixed else [1])
+
+
+def test_additive_on_a_400_variable_product_is_prompt(capsys):
+    assert _run_within(["additive", PRODUCT_400], capsys, 0.1) == (0, "not additively separable\n", "")
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 17])
+def test_additive_finds_a_pair_that_differs_in_the_highest_index_bit_only(n, capsys):
+    # x0 and x_top differ in bit (n - 1).bit_length() - 1 and in no other
+    names = [f"x{k}" for k in range(n)]
+    top = 1 << ((n - 1).bit_length() - 1)
+    source = " + ".join([f"x0*x{top}", *(name for k, name in enumerate(names) if k not in (0, top))])
+    assert exact.additive_by_residues(parse(source), names) is False
+    argv = ["--vars", ",".join(names), source]
+    assert run_cli(["additive", *argv], capsys) == (0, "not additively separable\n", "") == oracle_additive(argv)
+    # the cancelling twin: its mixed summand leaves no split difference
+    twin = f"x0*x{top} - x0*x{top} + x1"
+    assert exact.additive_by_residues(parse(twin), names) is None
+    argv = ["--vars", ",".join(names), twin]
+    assert run_cli(["additive", *argv], capsys) == (0, "additively separable\n", "") == oracle_additive(argv)
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["x*y - x*y + x"], (0, "additively separable\n", "")),
     (["(x+y)^2 - 2*x*y"], (0, "additively separable\n", "")),
@@ -341,17 +392,37 @@ def _scaled(t):
     return BinOp(op, scalar, summands) if op == "*" and scalar_first else BinOp(op, summands, scalar)
 
 
+_WIDE = [f"x{k}" for k in range(12)]
+
+
+def _wide(t):
+    """The product of the factors, each x_k or x_k + 1, plus the summands."""
+    factors, summands = t
+    product = functools.reduce(lambda a, b: BinOp("*", a, b), [BinOp("+", v, Const(1)) if shift else v
+                                                               for v, shift in factors])
+    return functools.reduce(lambda a, b: BinOp("+", a, b), summands, product)
+
+
+# products over up to 12 of x0..x11 plus summands of one variable each: their
+# mixed pairs may differ in any bit of their indexes
+wide_products = st.tuples(
+    st.lists(st.tuples(st.sampled_from(_WIDE).map(Var), st.booleans()), min_size=1, max_size=12),
+    st.lists(st.sampled_from(_WIDE).map(Var), max_size=4),
+).map(_wide)
 additive_inputs = st.one_of(
     poly_asts,
     monomial_sums,
+    wide_products,
     st.tuples(st.sampled_from("*/"), poly_asts | monomial_sums, _SCALARS, st.booleans()).map(_scaled),
     # A - A + B: the cross terms of A cancel, so only lowering decides
-    st.tuples(poly_asts, poly_asts).map(lambda t: BinOp("+", BinOp("-", t[0], t[0]), t[1])),
+    st.tuples(poly_asts | wide_products, poly_asts | wide_products).map(
+        lambda t: BinOp("+", BinOp("-", t[0], t[0]), t[1])),
     st.tuples(st.sampled_from("+*"), poly_asts, st.sampled_from(_BROKEN)).map(lambda t: BinOp(*t)),
 )
 vars_flags = st.one_of(
     st.just([]),
     st.lists(st.sampled_from("xyz"), min_size=1, max_size=4).map(lambda names: ["--vars", ",".join(names)]),
+    st.permutations(_WIDE).map(lambda names: ["--vars", ",".join(names)]),
 )
 
 
@@ -679,6 +750,9 @@ def test_unknown_grid_variable_exits_2(capsys):
     code, _, err = run_cli(["numeric", "x*y", "--grid", "q=0:1:5"], capsys)
     assert code == 2
     assert "unknown variable" in err
+    # a blank name is a malformed spec, not an unknown variable
+    code, _, err = run_cli(["numeric", "x*y", "--grid", " =0:1:3"], capsys)
+    assert (code, err) == (2, "error: grid spec ' =0:1:3' must look like 'x=-1:1:9'\n")
 
 
 def test_grid_given_twice_for_one_variable_exits_2(capsys):

@@ -33,6 +33,7 @@ from varsep.expr import (
     to_source,
 )
 from varsep._record import Record
+from varsep.exact import additive_by_residues
 from varsep.expr import _TOKEN, _lexemes, _locate
 from varsep.poly import Polynomial
 
@@ -960,6 +961,26 @@ def test_a_variable_base_raises_as_before(node, error, message):
         with pytest.raises((LoweringError, ValueError)) as raised:
             lowering(node, ("x", "y"))
         assert type(raised.value) is error and str(raised.value) == message, lowering
+
+
+@pytest.mark.parametrize("read", [
+    lambda node: eval_float(node, {"x": 7.0, "y": 3.0}),
+    lambda node: compile_float(node, ("x", "y"))((7.0, 3.0)),
+    to_source,
+    lambda node: eval_residues(node, ("x", "y"), [(7, 3)]),
+    lambda node: lower_to_polynomial(node, ("x", "y")),
+    lambda node: additive_by_residues(node, ["x", "y"]),
+], ids=["eval_float", "compile_float", "to_source", "eval_residues", "lower_to_polynomial", "additive_by_residues"])
+@pytest.mark.parametrize("node, op", [
+    (BinOp("%", Var("x"), Var("y")), "%"),
+    (BinOp("*", Const(2), BinOp("**", Var("x"), Const(2))), "**"),
+    (BinOp("+", Var("y"), BinOp("+", Var("x"), BinOp("//", Var("x"), Var("y")))), "//"),
+])
+def test_an_unknown_operator_raises_one_error_on_every_path(read, node, op):
+    # the parser builds none of these; a hand-built one is refused alike everywhere
+    with pytest.raises(ValueError) as raised:
+        read(node)
+    assert type(raised.value) is ValueError and str(raised.value) == f"unknown operator {op!r}"
 
 
 def test_each_variable_base_is_built_once_per_lowering(monkeypatch):

@@ -219,6 +219,9 @@ def test_grid_spec_parsing():
         parse_grid_spec("x=a:b:9")
     with pytest.raises(ValueError):
         parse_grid_spec("x=-1:1:1")
+    for spec in ("=0:1:3", " =0:1:3"):
+        with pytest.raises(ValueError, match="must look like"):
+            parse_grid_spec(spec)
     with pytest.raises(ValueError, match="a grid axis needs at least 2 coordinates"):
         linspace(0, 1, 1)
     with pytest.raises(ValueError):
