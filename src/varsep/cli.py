@@ -132,7 +132,7 @@ def _run_partition(args) -> tuple[int, str]:
 
 def _run_additive(args) -> tuple[int, str]:
     node, names = _parse(args)
-    separable = exact.additive_by_residues(node, names)
+    separable = expr.additive_by_residues(node, names)
     if separable is None:
         separable = exact.additive_separability(expr.lower_to_polynomial(node, names))
     if args.format == "json":

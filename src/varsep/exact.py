@@ -50,15 +50,9 @@ scaled once by D, the lcm of its coefficient denominators.  Both sides of
 the identity have degree r in the coefficients, so scaling by D changes no
 verdict and no violation index, and the factors' constant is divided by D.
 
-Additive separation is read off the AST by residues mod 2^61 - 1 at seeded
-points a, b.  F is additive when no top-level summand (through factors and
-divisors without a variable) mixes variables and F(a) != 0; it is not when
-F(b) - F(b_A, a_B) - F(a_A, b_B) + F(a) != 0 for the split (A, B) of the
-indexes by a bit below bit_length(n - 1); any two indexes differ in one.
-
 The routes return evidence (a partition with witnesses, a violation index
 or None, a factorization or a NotSeparableError carrying its violation, a
-bool); the CLI words the verdict.  Each route that takes a Polynomial raises
+bool); the CLI words the verdict.  Every route takes a Polynomial and raises
 ZeroPolynomialError on F == 0 (`_require_nonzero`).
 """
 
@@ -70,7 +64,6 @@ import math
 import random
 from fractions import Fraction
 
-from . import expr
 from ._record import Record
 from .partition import Partition, UnionFind
 from .poly import Polynomial, ZeroPolynomialError
@@ -388,31 +381,3 @@ def additive_separability(poly: Polynomial) -> bool:
     _require_nonzero(poly)
     return all(sum(1 for e in exps if e > 0) <= 1 for exps in poly.terms)
 
-
-def additive_by_residues(node: expr.ExprNode, names: list[str]) -> bool | None:
-    """additive_separability(lower_to_polynomial(node, names)) by residues
-    (module docstring) at the anchor a or, where a summand mixes variables, at
-    a, b and two points per bit, in one walk; None where they certify neither or lowering raises."""
-    rng = random.Random(len(names))
-    anchor, moved = ([rng.randrange(1, expr.RESIDUE_PRIME) for _ in names] for _ in range(2))
-    mixed, stack = False, [node]
-    while stack and not mixed:
-        e = stack.pop()
-        if isinstance(e, expr.BinOp) and e.op in ("+", "-"):
-            stack += (e.left, e.right)
-        elif isinstance(e, expr.Neg):
-            stack.append(e.operand)
-        elif isinstance(e, expr.BinOp) and e.op in ("*", "/") and not expr._variables(e.right):
-            stack.append(e.left)
-        elif isinstance(e, expr.BinOp) and e.op == "*" and not expr._variables(e.left):
-            stack.append(e.right)
-        else:
-            mixed = len(expr._variables(e)) > 1
-    sides = ([b if i >> bit & 1 == side else a for i, (a, b) in enumerate(zip(anchor, moved))]
-             for bit in range((len(names) - 1).bit_length()) for side in (0, 1))
-    points = [anchor, moved, *sides] if mixed else [anchor]
-    if (values := expr.eval_residues(node, names, points)) is None:
-        return None
-    if any((values[1] - f_0 - f_1 + values[0]) % expr.RESIDUE_PRIME for f_0, f_1 in zip(values[2::2], values[3::2])):
-        return False
-    return True if values[0] and not mixed else None

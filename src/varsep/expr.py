@@ -44,11 +44,18 @@ once into one generated straight-line Python function of the point's
 coordinates, for callers that evaluate the same expression at many points;
 at a point where that code raises, it replays the loop, so values and errors
 are the loop's.  eval_float also evaluates through such a function.
+
+Residues: additive_by_residues evaluates F mod 2^61 - 1 (eval_residues) at
+seeded points a, b.  F is additive when no top-level summand (through
+factors and divisors without a variable) mixes variables and F(a) != 0, and
+not when F(b) - F(b_A, a_B) - F(a_A, b_B) + F(a) != 0 for a split (A, B) of
+the indexes by a bit below bit_length(n - 1); any two indexes differ in one.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import re
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
@@ -613,6 +620,34 @@ def eval_residues(node: ExprNode, names: Sequence[str], points: Sequence[Sequenc
                     right = [pow(right[0], -1, p)] * len(points)
                 values.append([a * b % p for a, b in zip(left, right)])
     return values[0]
+
+
+def additive_by_residues(node: ExprNode, names: Sequence[str]) -> bool | None:
+    """exact.additive_separability(lower_to_polynomial(node, names)) by residues
+    (module docstring); None where they certify neither or lowering raises."""
+    rng = random.Random(len(names))
+    anchor, moved = ([rng.randrange(1, RESIDUE_PRIME) for _ in names] for _ in range(2))
+    mixed, stack = False, [node]
+    while stack and not mixed:
+        e = stack.pop()
+        if isinstance(e, BinOp) and e.op in _SUM_OPS:
+            stack += (e.left, e.right)
+        elif isinstance(e, Neg):
+            stack.append(e.operand)
+        elif isinstance(e, BinOp) and e.op in ("*", "/") and not _variables(e.right):
+            stack.append(e.left)
+        elif isinstance(e, BinOp) and e.op == "*" and not _variables(e.left):
+            stack.append(e.right)
+        else:
+            mixed = len(_variables(e)) > 1
+    sides = ([b if i >> bit & 1 == side else a for i, (a, b) in enumerate(zip(anchor, moved))]
+             for bit in range((len(names) - 1).bit_length()) for side in (0, 1))
+    points = [anchor, moved, *sides] if mixed else [anchor]
+    if (values := eval_residues(node, names, points)) is None:
+        return None
+    if any((values[1] - f_0 - f_1 + values[0]) % RESIDUE_PRIME for f_0, f_1 in zip(values[2::2], values[3::2])):
+        return False
+    return True if values[0] and not mixed else None
 
 
 # --------------------------------------------------------------------- lowering to polynomials

@@ -20,11 +20,11 @@ point outside the domain is skipped however long the expression.  A
 one-shot CLI process draws once, as without the memo.  The
 margin values f(a with one coordinate replaced) are computed once per
 (axis, coordinate), and each pair is swept in one pass over its samples,
-which keeps each kept point's product scale and the pair's largest scale
-for the noise filter.  Every evaluation still goes through expr.eval_float,
-the one entry point to evaluation at a point; the anchor scan and the sweep
-each look it up once per call, so a wrapper or profiler installed on it
-before the call sees each sample.
+which keeps each kept point's product scale and margins and the pair's
+largest scale for the noise filter.  Every evaluation still goes through
+expr.eval_float, the one entry point to evaluation at a point; the anchor
+scan and the sweep each look it up once per call, so a wrapper or profiler
+installed on it before the call sees each sample.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ DEGENERACY_FLOOR = 1e-300
 DEFAULT_GRID_RANGE = (-1.3, 1.7)
 DEFAULT_GRID_COUNT = 9
 
-# A test point is informative only when at least one of the two products in
-# the identity rises above the pair's dominant product scale by this factor;
-# below it both sides are float cancellation noise and their ratio is
-# meaningless.  The ceiling is scale invariant (it rescales with |f|^2).
+# A test point is noise when both products in the identity sit below the
+# pair's dominant product scale and below |f(a)| times the point's larger
+# margin by this factor: there both sides are float cancellation noise and
+# their ratio is meaningless.  Both scales rescale with |f|^2.
 PRODUCT_NOISE_RELATIVE_FLOOR = 1e-10
 
 # How many random draws of SampleGrid.sample are kept, least recently used
@@ -167,7 +167,8 @@ class NumericVerdict(Record):
     `evaluated` counts finite sample evaluations, `skipped` those lost to
     domain errors or to products that overflow, and `discarded` the test
     points dropped as cancellation noise (both products far below the
-    pair's dominant scale).  The CLI words the verdict.  Fields, in order:
+    pair's largest and |f(a)| times the larger margin).  The CLI words the
+    verdict.  Fields, in order:
     names: tuple[str, ...], residuals: tuple[tuple[float, ...], ...],
     anchor: tuple[float, ...], tolerance: float, partition: Partition,
     evaluated: int, skipped: int, discarded: int.
@@ -222,11 +223,11 @@ def numeric_finest_partition(
     anchor (all other variables held at the anchor); an edge is drawn when
     the maximum residual exceeds the tolerance, and the partition is the
     connected components.  Test points whose both products sit below the
-    pair's dominant product scale by PRODUCT_NOISE_RELATIVE_FLOOR are
-    discarded as cancellation noise before the maximum is taken.  Domain
-    errors at sample points, and test points where a product overflows to a
-    non-finite value, are skipped and counted; the test fails if more than
-    half of all evaluations skip.
+    pair's largest product and |f(a)| times the point's larger margin, by
+    PRODUCT_NOISE_RELATIVE_FLOOR, are discarded as cancellation noise before
+    the maximum is taken.  Domain errors at sample points, and test points
+    where a product overflows to a non-finite value, are skipped and
+    counted; the test fails if more than half of all evaluations skip.
     """
     if names is None:
         names = expr.free_variables(f)
@@ -251,11 +252,12 @@ def numeric_finest_partition(
     per_pair = max(1, grid.budget // pair_count) if pair_count else grid.budget
     residuals = [[0.0] * n for _ in range(n)]
     discarded = 0
+    anchor_noise = abs(fa) * PRODUCT_NOISE_RELATIVE_FLOOR
     uf = UnionFind(n)
     for i, j in itertools.combinations(range(n), 2):
         row_i, row_j = margins[i], margins[j]
         point = list(anchor)
-        kept: list[tuple[float, float, float]] = []
+        kept: list[tuple[float, float, float, float, float]] = []
         ceiling = 0.0
         for ci, cj in grid.sample((i, j), per_pair, 1, i, j):
             point[i] = ci
@@ -287,15 +289,15 @@ def numeric_finest_partition(
                 scale = abs(rhs)
             if scale > ceiling:
                 ceiling = scale
-            kept.append((lhs, rhs, scale))
+            kept.append((lhs, rhs, scale, margin_i, margin_j))
         if not kept:
             raise DomainCoverageError(
                 f"every sample for pair ({names[i]}, {names[j]}) left the domain or overflowed"
             )
         noise = ceiling * PRODUCT_NOISE_RELATIVE_FLOOR
         worst = 0.0
-        for lhs, rhs, scale in kept:
-            if scale <= noise:
+        for lhs, rhs, scale, margin_i, margin_j in kept:
+            if scale <= noise and scale <= anchor_noise * max(abs(margin_i), abs(margin_j)):
                 discarded += 1
                 continue
             residual = _residual(lhs, rhs, scale)

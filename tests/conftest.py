@@ -502,8 +502,9 @@ def oracle_numeric_finest_partition(f, grid: SampleGrid, tol: float = 1e-8, *, n
     coordinate replaced) is memoized by (axis, coordinate) once it
     evaluates, each test point gets a fresh copy of the anchor, and a
     second pass over a pair's kept products takes their scales, the noise
-    ceiling and the residuals.  It makes the same expr.eval_float calls in
-    the same order as numeric_finest_partition."""
+    ceiling, each point's own noise scale from its margins and the
+    residuals.  It makes the same expr.eval_float calls in the same order as
+    numeric_finest_partition."""
     if names is None:
         names = expr.free_variables(f)
     names = tuple(names)
@@ -542,7 +543,8 @@ def oracle_numeric_finest_partition(f, grid: SampleGrid, tol: float = 1e-8, *, n
             full[j] = cj
             try:
                 lhs = fa * expr.eval_float(evaluate, full)
-                rhs = margin_value(i, ci) * margin_value(j, cj)
+                margins = (margin_value(i, ci), margin_value(j, cj))
+                rhs = margins[0] * margins[1]
             except EvalDomainError:
                 skipped += 1
                 continue
@@ -550,17 +552,17 @@ def oracle_numeric_finest_partition(f, grid: SampleGrid, tol: float = 1e-8, *, n
                 skipped += 1
                 continue
             evaluated += 1
-            products.append((lhs, rhs))
+            products.append((lhs, rhs, margins))
         if not products:
             raise DomainCoverageError(
                 f"every sample for pair ({names[i]}, {names[j]}) left the domain or overflowed"
             )
-        ceiling = max(max(abs(lhs), abs(rhs)) for lhs, rhs in products)
+        ceiling = max(max(abs(lhs), abs(rhs)) for lhs, rhs, _ in products)
         noise = ceiling * PRODUCT_NOISE_RELATIVE_FLOOR
         worst = 0.0
-        for lhs, rhs in products:
+        for lhs, rhs, margins in products:
             scale = max(abs(lhs), abs(rhs))
-            if scale <= noise:
+            if scale <= noise and scale <= PRODUCT_NOISE_RELATIVE_FLOOR * abs(fa) * max(map(abs, margins)):
                 discarded += 1
                 continue
             worst = max(worst, _oracle_residual(lhs, rhs, scale))

@@ -334,7 +334,7 @@ def test_additive_evaluates_two_points_per_index_bit(source, mixed, monkeypatch)
     monkeypatch.setattr(expr, "eval_residues", counting)
     node = parse(source)
     names = free_variables(node)
-    exact.additive_by_residues(node, names)
+    expr.additive_by_residues(node, names)
     assert counts == ([2 + 2 * math.ceil(math.log2(len(names)))] if mixed else [1])
 
 
@@ -348,12 +348,12 @@ def test_additive_finds_a_pair_that_differs_in_the_highest_index_bit_only(n, cap
     names = [f"x{k}" for k in range(n)]
     top = 1 << ((n - 1).bit_length() - 1)
     source = " + ".join([f"x0*x{top}", *(name for k, name in enumerate(names) if k not in (0, top))])
-    assert exact.additive_by_residues(parse(source), names) is False
+    assert expr.additive_by_residues(parse(source), names) is False
     argv = ["--vars", ",".join(names), source]
     assert run_cli(["additive", *argv], capsys) == (0, "not additively separable\n", "") == oracle_additive(argv)
     # the cancelling twin: its mixed summand leaves no split difference
     twin = f"x0*x{top} - x0*x{top} + x1"
-    assert exact.additive_by_residues(parse(twin), names) is None
+    assert expr.additive_by_residues(parse(twin), names) is None
     argv = ["--vars", ",".join(names), twin]
     assert run_cli(["additive", *argv], capsys) == (0, "additively separable\n", "") == oracle_additive(argv)
 
@@ -369,7 +369,7 @@ def test_additive_finds_a_pair_that_differs_in_the_highest_index_bit_only(n, cap
 def test_additive_falls_back_to_lowering_where_residues_certify_nothing(argv, expected, capsys):
     node = parse(argv[0])
     names = argv[2].split(",") if len(argv) > 1 else free_variables(node)
-    assert exact.additive_by_residues(node, names) is None
+    assert expr.additive_by_residues(node, names) is None
     assert run_cli(["additive", *argv], capsys) == expected == oracle_additive(argv)
 
 
@@ -446,7 +446,7 @@ def test_additive_equals_the_lowering_oracle(node, flags, fmt):
     expected = oracle_additive(argv)
     assert (code, out.getvalue(), err.getvalue()) == expected
     parsed = parse(to_source(node))
-    verdict = exact.additive_by_residues(parsed, flags[1].split(",") if flags else free_variables(parsed))
+    verdict = expr.additive_by_residues(parsed, flags[1].split(",") if flags else free_variables(parsed))
     if verdict is not None:
         word = "additively separable" if verdict else "not additively separable"
         payload = json.dumps({"schema": "varsep/1", "additively_separable": verdict})

@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import random
+import re
 import sys
 import threading
 import time
@@ -1415,6 +1416,20 @@ def test_every_exact_route_rejects_the_zero_polynomial_with_one_message(route):
     with pytest.raises(ZeroPolynomialError) as info:
         route(P("x - x", ["x", "y"]))
     assert str(info.value) == "the zero polynomial is degenerate input"
+
+
+def test_every_exact_route_takes_a_polynomial_and_names_no_ast_node():
+    # expr reads ASTs and exact decides Polynomials: the routes above are all of exact's
+    routes = {name: f for name, f in vars(exact).items()
+              if inspect.isfunction(f) and f.__module__ == exact.__name__ and not name.startswith("_")}
+    assert set(routes) == {"coeff_criterion_total", "finest_partition", "separate_by_partition",
+                           "additive_separability", "sep_matrix_entry"}
+    for name, route in routes.items():
+        first = next(iter(inspect.signature(route).parameters.values()))
+        assert first.annotation == "Polynomial", name
+    assert not hasattr(exact, "expr")
+    words = set(re.findall("[A-Za-z]+", inspect.getsource(exact)))
+    assert not words & {"ExprNode", "Const", "Var", "Neg", "BinOp", "Call"}
 
 
 # --------------------------------------------------------------------- an oracle outside varsep

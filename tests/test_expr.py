@@ -24,6 +24,7 @@ from varsep.expr import (
     RESIDUE_PRIME,
     UnboundVariableError,
     Var,
+    additive_by_residues,
     compile_float,
     eval_float,
     eval_residues,
@@ -33,7 +34,6 @@ from varsep.expr import (
     to_source,
 )
 from varsep._record import Record
-from varsep.exact import additive_by_residues
 from varsep.expr import _TOKEN, _lexemes, _locate
 from varsep.poly import Polynomial
 

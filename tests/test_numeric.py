@@ -194,6 +194,16 @@ def test_test_points_with_overflowing_products_are_skipped():
     assert verdict.skipped > 0 and verdict.evaluated > verdict.skipped
 
 
+def test_the_noise_floor_keeps_rounding_noise_from_joining_a_separable_pair(monkeypatch):
+    # (x + 0.175)*(y + 1), expanded: x = -0.175 is a default grid point where
+    # both products are rounding noise, so their relative residual is not small
+    f = parse("x*y + x + 0.175*y + 0.175")
+    verdict = numeric_finest_partition(f, default_grid(2))
+    assert verdict.partition.blocks == ((0,), (1,)) and verdict.discarded > 0
+    monkeypatch.setattr(numeric, "PRODUCT_NOISE_RELATIVE_FLOOR", 0.0)
+    assert numeric_finest_partition(f, default_grid(2)).partition.blocks == ((0, 1),)
+
+
 def test_agreement_with_exact_route_on_random_polynomials():
     rng = random.Random(17)
     for _ in range(40):
@@ -425,9 +435,9 @@ def test_oracle_cases_reach_each_branch():
     assert outcomes["ln(x)*y"][3] > 0
     assert outcomes["1" + "0" * 155 + "*x*y"][3] > 0
     assert outcomes["exp(1000*x)*y"][2:5] == (90, 72, 27)
-    # the known defect, pinned as it is: 78 of 81 test points are discarded
-    # as noise and the verdict reads separable
-    assert outcomes["exp(x*y)"][4] == 78 and outcomes["exp(x*y)"][5].blocks == ((0,), (1,))
+    # products span e^200 here, so 78 of 81 points lay below the pair's noise
+    # ceiling; only the 67 also small beside f(a) times their margin are noise
+    assert outcomes["exp(x*y)"][4] == 67 and outcomes["exp(x*y)"][5].blocks == ((0, 1),)
     assert outcomes["10^200*x*y"][0] is DomainCoverageError
     assert outcomes["ln(x) + ln(y)"][0] is DomainCoverageError
     assert outcomes["x*y"][0] is DegenerateAnchorError
