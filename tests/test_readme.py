@@ -22,9 +22,11 @@ def cli_examples():
 
     A trailing backslash continues the command on the next line, as in the
     shell; a trailing `# exits N` comment gives the exit code, else it is 0;
-    the output runs to the next blank line.
+    the output runs to the next blank line. Each example's id is its command
+    name; a later example of the same command adds its ordinal, `numeric-2`.
     """
     examples = []
+    seen: dict[str, int] = {}
     for block in fenced_blocks("sh"):
         for example in re.split(r"^(?=\$ )", block, flags=re.M):
             if not example.startswith("$ varsep "):
@@ -36,7 +38,9 @@ def cli_examples():
             output = "\n".join(lines).strip("\n").split("\n\n")[0]
             exits = re.search(r"#\s*exits (\d+)\s*$", command)
             argv = shlex.split(command, comments=True)[1:]
-            examples.append(pytest.param(argv, int(exits.group(1)) if exits else 0, output, id=argv[0]))
+            seen[argv[0]] = seen.get(argv[0], 0) + 1
+            name = argv[0] if seen[argv[0]] == 1 else f"{argv[0]}-{seen[argv[0]]}"
+            examples.append(pytest.param(argv, int(exits.group(1)) if exits else 0, output, id=name))
     return examples
 
 
