@@ -44,7 +44,6 @@ from .numeric import (
     NumericVerdict,
     SampleGrid,
     numeric_finest_partition,
-    parse_grid_spec,
 )
 from .partition import Partition
 from .poly import Polynomial, ZeroPolynomialError

@@ -70,7 +70,12 @@ def _variable_order(args, node) -> list[str]:
 
 
 def _parse(args) -> tuple[expr.ExprNode, list[str]]:
-    node = expr.parse(sys.stdin.read() if args.expression == "-" else args.expression)
+    try:
+        # sys.stdin is None when descriptor 0 was closed before start
+        source = sys.stdin.read() if args.expression == "-" else args.expression
+    except (AttributeError, OSError) as exc:
+        raise ValueError(f"cannot read the expression from stdin: {'closed' if sys.stdin is None else exc}") from None
+    node = expr.parse(source)
     return node, _variable_order(args, node)
 
 
@@ -142,13 +147,7 @@ def _run_additive(args) -> tuple[int, str]:
 
 def _run_numeric(args) -> tuple[int, str]:
     node, names = _parse(args)
-    specs = {}
-    for spec in args.grid:
-        name, axis = numeric.parse_grid_spec(spec)
-        if name in specs:
-            raise ValueError(f"grid given twice for variable {name!r}")
-        specs[name] = axis
-    grid = SampleGrid.from_specs(names, specs)
+    grid = SampleGrid.from_specs(names, args.grid)
     verdict = numeric.numeric_finest_partition(node, grid, args.tol, names=names)
     word = ("separable" if verdict.partition.is_all_singletons
             else "not separable" if verdict.partition.block_count == 1 else "partition")
@@ -180,7 +179,7 @@ def _run_numeric(args) -> tuple[int, str]:
 # repeats, a float default reads a float, a {a,b} metavar lists the choices.
 _COMMON = {"--vars": ("VARS", None, "comma-separated variable order override"), "--format": ("{text,json}", "text", "")}
 _COMMANDS = {
-    "check": (_run_check, "total-separability verdict, both exact routes", _COMMON),
+    "check": (_run_check, "total-separability verdict and its witnesses", _COMMON),
     "separate": (_run_separate, "extract the univariate factors", _COMMON),
     "partition": (_run_partition, "finest separating partition", _COMMON),
     "additive": (_run_additive, "additive separability verdict", _COMMON),

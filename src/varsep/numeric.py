@@ -34,7 +34,7 @@ import itertools
 import math
 import random
 import struct
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import expr
 from ._record import Record
@@ -129,11 +129,17 @@ class SampleGrid(Record):
         self.coords = tuple(map(tuple, coords))
 
     @classmethod
-    def from_specs(cls, names: Sequence[str], specs: Mapping[str, tuple[float, ...]]) -> SampleGrid:
-        if unknown := set(specs) - set(names):
+    def from_specs(cls, names: Sequence[str], specs: Iterable[str]) -> SampleGrid:
+        """The grid that --grid specs give, with the default axis for any other name."""
+        axes = {}
+        for name, axis in map(parse_grid_spec, specs):
+            if name in axes:
+                raise ValueError(f"grid given twice for variable {name!r}")
+            axes[name] = axis
+        if unknown := set(axes) - set(names):
             raise ValueError(f"grid given for unknown variable(s): {', '.join(sorted(unknown))}")
         default_axis = linspace(*DEFAULT_GRID_RANGE, DEFAULT_GRID_COUNT)
-        return cls(coords=tuple(specs.get(n, default_axis) for n in names))
+        return cls(coords=tuple(axes.get(n, default_axis) for n in names))
 
     @property
     def var_count(self) -> int:

@@ -283,7 +283,7 @@ def oracle_margin_factors(poly: Polynomial, blocks, anchor=None):
 def default_grid(var_count: int) -> SampleGrid:
     """The grid the CLI uses when no --grid is given: the 9-point axis on
     [-1.3, 1.7] for each variable."""
-    return SampleGrid.from_specs([f"x{k}" for k in range(var_count)], {})
+    return SampleGrid.from_specs([f"x{k}" for k in range(var_count)], ())
 
 
 def is_coarsening(coarse: Partition, finer: Partition) -> bool:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import functools
 import io
 import json
@@ -694,6 +695,30 @@ def test_expression_from_stdin(capsys, monkeypatch):
     assert out.strip() == "separable"
 
 
+class _UnreadableStdin(io.StringIO):
+    def read(self, *args):
+        raise OSError(errno.EBADF, "Bad file descriptor")
+
+
+@pytest.mark.parametrize("stdin, reason", [(None, "closed"), (_UnreadableStdin(), "[Errno 9] Bad file descriptor")])
+def test_unreadable_stdin_is_a_usage_error(stdin, reason, capsys, monkeypatch):
+    # sys.stdin is None when descriptor 0 was closed before start
+    monkeypatch.setattr(sys, "stdin", stdin)
+    for command in ("check", "numeric"):
+        assert run_cli([command, "-"], capsys) == (2, "", f"error: cannot read the expression from stdin: {reason}\n")
+
+
+def test_unreadable_stdin_in_a_subprocess():
+    closed = subprocess.run(["sh", "-c", 'exec "$0" -m varsep check - <&-', sys.executable], capture_output=True)
+    assert (closed.returncode, closed.stdout, closed.stderr) == (
+        2, b"", b"error: cannot read the expression from stdin: closed\n")
+    with open(os.devnull, "wb") as write_only:
+        unreadable = subprocess.run([sys.executable, "-m", "varsep", "check", "-"], stdin=write_only,
+                                    capture_output=True)
+    assert (unreadable.returncode, unreadable.stdout, unreadable.stderr) == (
+        2, b"", b"error: cannot read the expression from stdin: [Errno 9] Bad file descriptor\n")
+
+
 def test_parse_error_exits_2_with_byte_offset(capsys):
     code, _, err = run_cli(["check", "x + + y"], capsys)
     assert code == 2
@@ -778,7 +803,7 @@ Decide and carry out multiplicative separation of variables.
 
 positional arguments:
   {check,separate,partition,additive,numeric}
-    check               total-separability verdict, both exact routes
+    check               total-separability verdict and its witnesses
     separate            extract the univariate factors
     partition           finest separating partition
     additive            additive separability verdict

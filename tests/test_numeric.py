@@ -292,7 +292,19 @@ def test_grid_converts_its_coordinates_to_floats_once():
 
 def test_grid_from_specs_rejects_unknown_variable():
     with pytest.raises(ValueError, match="unknown variable"):
-        SampleGrid.from_specs(("x",), {"q": (0.0, 1.0)})
+        SampleGrid.from_specs(("x",), ["q=0:1:2"])
+    with pytest.raises(ValueError, match="^grid given twice for variable 'x'$"):
+        SampleGrid.from_specs(("x", "y"), ["x=0:1:2", "x=5:6:2"])
+    # the specs are read in order, so the first bad one gives the error
+    with pytest.raises(ValueError, match="must look like"):
+        SampleGrid.from_specs(("x",), ["x=0:1", "x=0:1:2", "x=0:1:2"])
+    with pytest.raises(ValueError, match="given twice"):
+        SampleGrid.from_specs(("x",), ["x=0:1:2", "x=0:1:2", "q=0:1"])
+    # the repeat is found before the unknown name
+    with pytest.raises(ValueError, match="given twice"):
+        SampleGrid.from_specs(("x",), ["q=0:1:2", "q=0:1:2"])
+    grid = SampleGrid.from_specs(("x", "y"), ["y=0:1:3"])
+    assert grid.coords == (linspace(-1.3, 1.7, 9), (0.0, 0.5, 1.0))
 
 
 def test_grid_sample_is_exhaustive_when_it_fits():
