@@ -394,26 +394,9 @@ def to_source(node: ExprNode) -> str:
 
 
 def free_variables(node: ExprNode) -> list[str]:
-    """Variable names in first-occurrence order.  It recurses once per
-    summand on purpose: its RecursionError stops the 1,300- and 2,000-term
-    coeff-degree sums before lowering spends k - 1 products on each x^k, so
-    it can become a loop only with fast powers (ROADMAP item 2)."""
-    names: list[str] = []
-
-    def walk(e: ExprNode) -> None:
-        if isinstance(e, Var):
-            if e.name not in names:
-                names.append(e.name)
-        elif isinstance(e, Neg):
-            walk(e.operand)
-        elif isinstance(e, BinOp):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, Call):
-            walk(e.arg)
-
-    walk(node)
-    return names
+    """Variable names in first-occurrence order, read off _postorder, which
+    visits the leaves left to right and has no depth limit."""
+    return list(dict.fromkeys(e.name for e in _postorder(node) if isinstance(e, Var)))
 
 
 # --------------------------------------------------------------------- float evaluation
@@ -676,11 +659,10 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
     variables and unary minus fold into the summand's one term.  A divisor,
     the base of a ^ and a parenthesised sum are lowered by the same walk; a
     result of one term folds in, and only results of more terms are
-    multiplied out.  A registered variable as base of ^ is not walked: its
-    one-term polynomial is built at its first ^ and reused at every later
-    one, so there is one base per variable.  Each x^k still costs the k - 1
-    products of Polynomial.__pow__, on purpose until the benchmark's
-    deadline test gets a stall of its own (ROADMAP item 1a).
+    multiplied out.  For k > 0, a power of a one-term base folds in too: a
+    registered variable adds k to its exponent, and a base lowered to one
+    term (p, c) adds k*p and multiplies by c^k, so x^k builds no polynomial.
+    Other powers go through Polynomial.__pow__, which squares and multiplies.
     Each error is raised when its factor is visited: a divisor before its
     dividend, an exponent before its base, a left factor before a right one.
 
@@ -696,9 +678,6 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
     if len(set(names)) != len(names):
         raise LoweringError(f"duplicate variable names in {names}")
     slots = {name: i for i, name in enumerate(names)}
-    # the polynomial of each registered variable that is a base of ^, built
-    # at its first ^: up front, n bases of n slots would cost O(n^2)
-    bases: dict[int, Polynomial] = {}
 
     def lower(e: ExprNode) -> Polynomial:
         # walk the left spine of a +/- chain and add the terms of every
@@ -748,26 +727,26 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
                 coef /= value
                 stack.append(f.left)
             else:
+                k = 1
                 if f.op == "^":
                     if not isinstance(f.right, Const) or f.right.value.denominator != 1:
                         raise LoweringError("exponent must be a nonnegative integer literal", f)
-                    if isinstance(f.left, Var) and (k := slots.get(f.left.name)) is not None:
-                        base = bases.get(k)
-                        if base is None:
-                            unit = (0,) * k + (1,) + (0,) * (len(names) - k - 1)
-                            base = bases[k] = Polynomial._trusted(names, {unit: 1})
-                    else:
-                        base = lower(f.left)
-                    factor = base ** int(f.right.value)
+                    k = int(f.right.value)
+                    if k > 0 and isinstance(f.left, Var) and (i := slots.get(f.left.name)) is not None:
+                        exps[i] += k
+                        continue
+                    factor = lower(f.left)
+                    if k <= 0 or len(factor.terms) != 1:
+                        factor, k = factor ** k, 1
                 elif f.op in _SUM_OPS:
                     factor = lower(f)
                 else:
                     raise ValueError(f"unknown operator {f.op!r}")
                 if len(factor.terms) == 1:
                     ((p, c),) = factor.terms.items()
-                    exps = [a + b for a, b in zip(exps, p)]
+                    exps = [a + k * b for a, b in zip(exps, p)]
                     if c != 1:
-                        coef *= c
+                        coef *= c**k
                 else:
                     rest = factor if rest is None else rest * factor
         if rest is not None:

@@ -181,14 +181,19 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Polynomial:
+        """Square and multiply, low bit first: at most 2*floor(log2 k) products."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial exponent must be a nonnegative integer, got {exponent!r}")
         if exponent == 0:
             return Polynomial.constant(1, self.vars)
-        result = self
-        for _ in range(exponent - 1):
-            result = result * self
-        return result
+        result, square = None, self
+        while True:
+            if exponent & 1:
+                result = square if result is None else result * square
+            exponent >>= 1
+            if not exponent:
+                return result
+            square = square * square
 
     def __truediv__(self, divisor: Scalar) -> Polynomial:
         value = _fraction(divisor)

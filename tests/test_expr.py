@@ -228,6 +228,11 @@ def test_free_variables_first_occurrence_order():
     assert free_variables(parse("y*x + z*y")) == ["y", "x", "z"]
 
 
+def test_free_variables_has_no_depth_limit():
+    node = parse(" + ".join(f"{k}*x{k % 7}^{k % 5 + 1}" for k in range(3000)))
+    assert free_variables(node) == [f"x{k}" for k in range(7)]
+
+
 # --------------------------------------------------------------------- printer round trip
 
 _leaves = st.one_of(
@@ -932,6 +937,9 @@ def test_lowering_error_messages_and_which_error_wins(source, message):
     ("y^2*x^3", ("x", "y")),
     ("(x)^2", ("x", "y")),
     ("2*x^3 - (y)^2/3 + x^0*y", ("y", "x")),
+    ("(2*x*y)^3", ("x", "y")),
+    ("(x*y)^0", ("x", "y")),
+    ("(x + y)^3", ("x", "y")),
 ])
 def test_a_variable_base_lowers_as_the_factor_by_factor_oracle(source, names):
     from conftest import oracle_lower
@@ -970,7 +978,9 @@ def test_a_variable_base_raises_as_before(node, error, message):
     lambda node: eval_residues(node, ("x", "y"), [(7, 3)]),
     lambda node: lower_to_polynomial(node, ("x", "y")),
     lambda node: additive_by_residues(node, ["x", "y"]),
-], ids=["eval_float", "compile_float", "to_source", "eval_residues", "lower_to_polynomial", "additive_by_residues"])
+    free_variables,
+], ids=["eval_float", "compile_float", "to_source", "eval_residues", "lower_to_polynomial", "additive_by_residues",
+        "free_variables"])
 @pytest.mark.parametrize("node, op", [
     (BinOp("%", Var("x"), Var("y")), "%"),
     (BinOp("*", Const(2), BinOp("**", Var("x"), Const(2))), "**"),
@@ -989,11 +999,10 @@ def test_each_variable_base_is_built_once_per_lowering(monkeypatch):
     calls = []
     trusted = Polynomial._trusted
     monkeypatch.setattr(Polynomial, "_trusted", classmethod(lambda cls, *args: calls.append(args) or trusted(*args)))
-    # one base for x, one for y and one sum: each variable's base is built at
-    # its first ^ and reused at the next
+    # only the sum is built: a power of a variable adds to its exponent slot
     node = parse("x^2*y^3 + x^3*y^2 + x^2 + y^2")
     lowered = lower_to_polynomial(node, ("x", "y"))
-    assert len(calls) == 3
+    assert len(calls) == 1
     assert lowered == oracle_lower(node, ("x", "y"))
     # no ^, so no base is built, however many variables are registered
     calls.clear()

@@ -1,3 +1,4 @@
+import math
 import operator
 import sys
 from fractions import Fraction
@@ -117,7 +118,7 @@ def test_one_registry_per_polynomial(op, q):
     assert not p == q and p != q
 
 
-@pytest.mark.parametrize("exponent", [0, 1, 3])
+@pytest.mark.parametrize("exponent", [0, 1, 2, 3, 4, 5, 7, 8, 13, 16])
 @pytest.mark.parametrize("base", [Polynomial(("x", "y")), P("-2/3*x^2*y"), P("x - 2*y")])
 def test_power_equals_repeated_multiplication(base, exponent):
     expected = Polynomial.constant(1, base.vars)
@@ -126,6 +127,19 @@ def test_power_equals_repeated_multiplication(base, exponent):
     power = base ** exponent
     assert power == expected
     assert power.vars == base.vars
+
+
+def test_power_squares_and_multiplies(monkeypatch):
+    calls = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: calls.append(b) or mul(a, b))
+    power = P("x + 1") ** 1000
+    # at most 2*floor(log2 1000) = 18 products, not 999
+    assert len(calls) <= 18
+    assert power.terms[(500,)] == math.comb(1000, 500) and len(power.terms) == 1001
+    # a power of a variable folds into its term while lowering, with no product
+    calls.clear()
+    assert str(P("x^1000000000*y + 3")) == "x^1000000000*y + 3" and calls == []
 
 
 @settings(max_examples=60)
