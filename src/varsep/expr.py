@@ -448,11 +448,6 @@ def _postorder(node: ExprNode) -> list[ExprNode]:
     return order
 
 
-def _variables(node: ExprNode) -> set[str]:
-    """The names of the variables in `node`'s tree."""
-    return {e.name for e in _postorder(node) if isinstance(e, Var)}
-
-
 def _evaluate(order: list[ExprNode], point: Mapping[str, float]) -> float:
     """The reference evaluator: one loop over a postorder from _postorder,
     with a stack of the operands' values.  Each domain rule is applied where
@@ -598,7 +593,7 @@ def eval_residues(node: ExprNode, names: Sequence[str], points: Sequence[Sequenc
                 values.append([(a + b if e.op == "+" else a - b) % p for a, b in zip(left, right)])
             else:
                 if e.op == "/":
-                    if not right[0] or _variables(e.right):
+                    if not right[0] or free_variables(e.right):
                         return None
                     right = [pow(right[0], -1, p)] * len(points)
                 values.append([a * b % p for a, b in zip(left, right)])
@@ -617,12 +612,12 @@ def additive_by_residues(node: ExprNode, names: Sequence[str]) -> bool | None:
             stack += (e.left, e.right)
         elif isinstance(e, Neg):
             stack.append(e.operand)
-        elif isinstance(e, BinOp) and e.op in ("*", "/") and not _variables(e.right):
+        elif isinstance(e, BinOp) and e.op in ("*", "/") and not free_variables(e.right):
             stack.append(e.left)
-        elif isinstance(e, BinOp) and e.op == "*" and not _variables(e.left):
+        elif isinstance(e, BinOp) and e.op == "*" and not free_variables(e.left):
             stack.append(e.right)
         else:
-            mixed = len(_variables(e)) > 1
+            mixed = len(free_variables(e)) > 1
     sides = ([b if i >> bit & 1 == side else a for i, (a, b) in enumerate(zip(anchor, moved))]
              for bit in range((len(names) - 1).bit_length()) for side in (0, 1))
     points = [anchor, moved, *sides] if mixed else [anchor]
@@ -659,10 +654,9 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
     variables and unary minus fold into the summand's one term.  A divisor,
     the base of a ^ and a parenthesised sum are lowered by the same walk; a
     result of one term folds in, and only results of more terms are
-    multiplied out.  For k > 0, a power of a one-term base folds in too: a
-    registered variable adds k to its exponent, and a base lowered to one
-    term (p, c) adds k*p and multiplies by c^k, so x^k builds no polynomial.
-    Other powers go through Polynomial.__pow__, which squares and multiplies.
+    multiplied out.  A registered variable raised to k > 0 adds k to its
+    exponent, so x^k builds no polynomial; every other base is lowered and
+    raised by Polynomial.__pow__, which squares and multiplies.
     Each error is raised when its factor is visited: a divisor before its
     dividend, an exponent before its base, a left factor before a right one.
 
@@ -727,7 +721,6 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
                 coef /= value
                 stack.append(f.left)
             else:
-                k = 1
                 if f.op == "^":
                     if not isinstance(f.right, Const) or f.right.value.denominator != 1:
                         raise LoweringError("exponent must be a nonnegative integer literal", f)
@@ -735,18 +728,16 @@ def lower_to_polynomial(node: ExprNode, vars: Sequence[str] | None = None) -> Po
                     if k > 0 and isinstance(f.left, Var) and (i := slots.get(f.left.name)) is not None:
                         exps[i] += k
                         continue
-                    factor = lower(f.left)
-                    if k <= 0 or len(factor.terms) != 1:
-                        factor, k = factor ** k, 1
+                    factor = lower(f.left) ** k
                 elif f.op in _SUM_OPS:
                     factor = lower(f)
                 else:
                     raise ValueError(f"unknown operator {f.op!r}")
                 if len(factor.terms) == 1:
                     ((p, c),) = factor.terms.items()
-                    exps = [a + k * b for a, b in zip(exps, p)]
+                    exps = [a + b for a, b in zip(exps, p)]
                     if c != 1:
-                        coef *= c**k
+                        coef *= c
                 else:
                     rest = factor if rest is None else rest * factor
         if rest is not None:
